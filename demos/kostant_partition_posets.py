@@ -10,7 +10,6 @@ from quiver_orders import (
     default_test_nus,
     enumerate_kp,
     hasse_dot,
-    kp_leq,
     linear_quiver,
     prefix_statistics,
 )
@@ -40,7 +39,7 @@ def main():
         print(f"  {counts}   {parts:28}{stats}")
     print()
 
-    covers = cover_relations(kps, lambda a, b: kp_leq(a, b, ledger))
+    covers = cover_relations(kps, ledger)
     print("cover relations (low -> high; closed orbits are minimal):")
     for lo, hi in covers:
         a = " ".join(str(c) for c in lo.counts)

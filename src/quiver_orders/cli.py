@@ -59,15 +59,6 @@ def _parse_nu(text: str, datum) -> tuple[int, ...]:
     return nu
 
 
-def _nu_sweep(datum, max_total: int):
-    import itertools
-
-    for total in range(0, max_total + 1):
-        for nu in itertools.product(range(total + 1), repeat=datum.n):
-            if sum(nu) == total:
-                yield nu
-
-
 def _cmd_roots(args) -> int:
     datum = cartan_datum(args.type)
     for root in positive_roots(datum):
@@ -158,14 +149,14 @@ def _cmd_verify(args) -> int:
         note(True, f"hom formula direction: {report.direction}")
     elif args.check == "baumann":
         ledger = _load_ledger(args.ledger)
-        for nu in _nu_sweep(datum, args.nu_max):
+        for nu in ((0,) * datum.n,) + default_test_nus(datum, args.nu_max):
             note(
                 baumann_check(datum, Q, order, nu, ledger),
                 f"partition order equals closure order at nu={nu}",
             )
     elif args.check == "mackey":
         ledger = _load_ledger(args.ledger)
-        for nu in _nu_sweep(datum, args.nu_max):
+        for nu in ((0,) * datum.n,) + default_test_nus(datum, args.nu_max):
             for m in enumerate_kp(datum, nu, order):
                 report = mackey_dominance_check(m, ledger, cap=args.cap)
                 note(
@@ -175,7 +166,7 @@ def _cmd_verify(args) -> int:
     elif args.check == "reflection":
         ledger = _load_ledger(args.ledger)
         fields = (galois_field(2), galois_field(3), RATIONALS)
-        for nu in _nu_sweep(datum, args.nu_max):
+        for nu in ((0,) * datum.n,) + default_test_nus(datum, args.nu_max):
             for i in sinks(Q):
                 for lam in enumerate_kp(datum, nu, order):
                     if not in_ker_locus(lam, i):
@@ -191,7 +182,7 @@ def _cmd_verify(args) -> int:
                 )
     elif args.check == "evenness":
         q_list = _parse_q_list(args.q_list)
-        for nu in _nu_sweep(datum, args.nu_max):
+        for nu in ((0,) * datum.n,) + default_test_nus(datum, args.nu_max):
             for lam in enumerate_kp(datum, nu, order):
                 report = interpolate_fiber_polynomial(lam, q_list)
                 note(
@@ -242,9 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiver-orders",
         description="Convex orders, Kostant partitions, quiver orbits, and point counts",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="accepted and ignored; output is deterministic"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -184,27 +184,42 @@ def kp_leq(lam: KostantPartition, mu: KostantPartition, ledger: OrientationLedge
     return kp_leq_printed(mu, lam)
 
 
+def leq_bitsets(keys) -> list[int]:
+    """Componentwise order on key vectors: bit j of entry i is set iff
+    keys[i] <= keys[j] in every coordinate."""
+    return [
+        sum(1 << j for j, b in enumerate(keys) if all(x <= y for x, y in zip(a, b)))
+        for a in keys
+    ]
+
+
+def order_keys(kps, direction: str) -> list[tuple[int, ...]]:
+    """Key vectors whose componentwise order is the partition order in the
+    given order_direction: T(lam), negated for "reversed"."""
+    sign = 1 if direction == "as-printed" else -1
+    for lam in kps:
+        _require_comparable(kps[0], lam)
+    return [tuple(sign * t for t in prefix_statistics(lam)) for lam in kps]
+
+
 def cover_relations(
-    kps: tuple[KostantPartition, ...], leq
+    kps: tuple[KostantPartition, ...], ledger: OrientationLedger
 ) -> list[tuple[KostantPartition, KostantPartition]]:
-    """Covers a -> b of the strict order induced by the predicate `leq`."""
-    strict = {
-        (a.counts, b.counts)
-        for a in kps
-        for b in kps
-        if a.counts != b.counts and leq(a, b)
-    }
+    """Covers a -> b of the calibrated partition order on kps, listed by the
+    position of a in kps, then of b.
+
+    Transitive reduction over bitsets (Aho, Garey and Ullman 1972): b covers
+    a when b is strictly above a and above no element strictly above a.
+    """
+    leq = leq_bitsets(order_keys(kps, ledger.order_direction))
+    strict = [bits & ~(1 << i) for i, bits in enumerate(leq)]
     covers = []
-    for a in kps:
-        for b in kps:
-            if (a.counts, b.counts) not in strict:
-                continue
-            if any(
-                (a.counts, c.counts) in strict and (c.counts, b.counts) in strict
-                for c in kps
-            ):
-                continue
-            covers.append((a, b))
+    for i, above in enumerate(strict):
+        members = [j for j in range(len(kps)) if above >> j & 1]
+        reach = 0
+        for j in members:
+            reach |= strict[j]
+        covers.extend((kps[i], kps[j]) for j in members if not reach >> j & 1)
     return covers
 
 
@@ -227,7 +242,7 @@ def hasse_dot(
     lines = ["digraph kostant {", "  rankdir=BT;"]
     for lam in kps:
         lines.append(f'  "{name(lam)}";')
-    for a, b in cover_relations(kps, lambda x, y: kp_leq(x, y, ledger)):
+    for a, b in cover_relations(kps, ledger):
         lines.append(f'  "{name(a)}" -> "{name(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -241,16 +256,14 @@ def order_invariant_on_class(datum, nu: tuple[int, ...], w, cap: int = 10_000) -
     from .quivers import commutation_class
 
     words = commutation_class(datum, tuple(w), cap=cap)
-    reference: set[tuple] | None = None
+    reference = None
     for word in words:
         order = build_order(datum, word)
-        kps = enumerate_kp(datum, nu, order)
-        relation = {
-            (a.support_multiset(), b.support_multiset())
-            for a in kps
-            for b in kps
-            if kp_leq_printed(a, b)
-        }
+        kps = sorted(enumerate_kp(datum, nu, order), key=KostantPartition.support_multiset)
+        relation = (
+            [lam.support_multiset() for lam in kps],
+            leq_bitsets(order_keys(kps, "as-printed")),
+        )
         if reference is None:
             reference = relation
         elif relation != reference:
@@ -321,6 +334,16 @@ def achievable_prefix_sums(
     return frozenset(sums)
 
 
+def prefix_flags(lam: KostantPartition, sums) -> tuple[bool, ...]:
+    """For each k, whether the prefix sum_{t<=k} lam_t beta_t lies in `sums`."""
+    prefix = (0,) * lam.order.datum.n
+    flags = []
+    for c, b in zip(lam.counts, lam.order.beta):
+        prefix = tuple(p + c * x for p, x in zip(prefix, b))
+        flags.append(prefix in sums)
+    return tuple(flags)
+
+
 def restriction_dominates(n: KostantPartition, m: KostantPartition) -> bool:
     """Dominance conclusion for partitions achievable from a restriction of m.
 
@@ -377,20 +400,13 @@ def mackey_dominance_check(
     kept for audit; the verdict column is `dominates`.
     """
     S = achievable_prefix_sums(m, ledger.res_large_side, cap=cap)
-    datum = m.order.datum
-    beta = m.order.beta
     rows = []
-    for n in enumerate_kp(datum, m.nu, m.order):
-        prefix = [0] * datum.n
-        flags = []
-        for k in range(m.order.length):
-            for j in range(datum.n):
-                prefix[j] += n.counts[k] * beta[k][j]
-            flags.append(tuple(prefix) in S)
+    for n in enumerate_kp(m.order.datum, m.nu, m.order):
+        flags = prefix_flags(n, S)
         rows.append(
             MackeyRow(
                 counts=n.counts,
-                prefix_flags=tuple(flags),
+                prefix_flags=flags,
                 achievable=all(flags),
                 dominates=restriction_dominates(n, m),
                 kp_leq_ledger=kp_leq(n, m, ledger),

@@ -12,7 +12,13 @@ from __future__ import annotations
 from .convex_order import adapted_order
 from .errors import VerificationError
 from .fields import RATIONALS
-from .kostant import KostantPartition, OrientationLedger, enumerate_kp, kp_leq
+from .kostant import (
+    KostantPartition,
+    OrientationLedger,
+    enumerate_kp,
+    leq_bitsets,
+    order_keys,
+)
 from .linalg import rank
 from .quivers import reflect_quiver, sinks, sources
 from .reps import bgp_reflect_rep, iso_class, rep_of_kp
@@ -130,11 +136,6 @@ def order_compat(
     locus = [
         lam for lam in enumerate_kp(datum, nu, order) if in_ker_locus(lam, i)
     ]
-    reflected = {lam.counts: reflect_kp(i, lam) for lam in locus}
-    for a in locus:
-        for b in locus:
-            before = kp_leq(a, b, ledger)
-            after = kp_leq(reflected[a.counts], reflected[b.counts], ledger)
-            if before != after:
-                return False
-    return True
+    reflected = [reflect_kp(i, lam) for lam in locus]
+    d = ledger.order_direction
+    return leq_bitsets(order_keys(locus, d)) == leq_bitsets(order_keys(reflected, d))

@@ -6,7 +6,14 @@ import functools
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .root_system import CartanDatum, Word, cartan_datum, num_positive_roots
+from .root_system import (
+    CartanDatum,
+    Word,
+    cartan_datum,
+    is_positive,
+    num_positive_roots,
+    times_simple,
+)
 
 
 @dataclass(frozen=True)
@@ -87,32 +94,22 @@ def adapted_word_of_w0(Q: Quiver) -> Word:
     verified to be reduced and adapted before it is returned.
     """
     datum = Q.datum
-    n = datum.n
     total = num_positive_roots(datum)
-    cols: list[list[int]] = [[1 if r == j else 0 for r in range(n)] for j in range(n)]
 
-    def search(current: Quiver, cols: list[list[int]], word: list[int]) -> Word | None:
+    def search(current: Quiver, cols: list[tuple[int, ...]], word: list[int]) -> Word | None:
         if len(word) == total:
             return tuple(word)
         for i in sinks(current):
-            ci = cols[i - 1]
-            if not (any(c != 0 for c in ci) and all(c >= 0 for c in ci)):
+            if not is_positive(cols[i - 1]):
                 continue
-            a = datum.cartan[i - 1]
-            new_cols = []
-            for j in range(n):
-                if j == i - 1:
-                    new_cols.append([-c for c in ci])
-                else:
-                    new_cols.append([cols[j][r] - a[j] * ci[r] for r in range(n)])
             word.append(i)
-            found = search(reflect_quiver(i, current), new_cols, word)
+            found = search(reflect_quiver(i, current), times_simple(datum, cols, i), word)
             if found is not None:
                 return found
             word.pop()
         return None
 
-    word = search(Q, cols, [])
+    word = search(Q, [datum.alpha(j) for j in datum.vertices()], [])
     if word is None:
         raise RuntimeError(f"no adapted reduced word of w0 found for {Q}")
     from .root_system import is_reduced, beta_sequence, positive_roots

@@ -177,24 +177,22 @@ def num_positive_roots(datum: CartanDatum) -> int:
     return len(positive_roots(datum))
 
 
+def times_simple(datum: CartanDatum, cols: list[Root], i: int) -> list[Root]:
+    """Columns of w*s_i from the columns of w, column j being w(alpha_{j+1}).
+
+    w*s_i(alpha_j) = w(alpha_j) - a_ij w(alpha_i); for j = i this is -w(alpha_i).
+    """
+    a, ci = datum.cartan[i - 1], cols[i - 1]
+    return [tuple(x - a[j] * c for x, c in zip(col, ci)) for j, col in enumerate(cols)]
+
+
 def _beta_partials(datum: CartanDatum, w: Word) -> list[Root]:
     """beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}) for each position k of w."""
-    n = datum.n
-    # cols[j] = current prefix applied to alpha_{j+1}; extend by right-multiplication
-    cols: list[list[int]] = [[1 if r == j else 0 for r in range(n)] for j in range(n)]
+    cols = [datum.alpha(j) for j in datum.vertices()]
     out: list[Root] = []
     for i in w:
-        out.append(tuple(cols[i - 1]))
-        a = datum.cartan[i - 1]
-        ci = cols[i - 1]
-        new_cols = []
-        for j in range(n):
-            if j == i - 1:
-                new_cols.append([-c for c in ci])
-            else:
-                aij = a[j]
-                new_cols.append([cols[j][r] - aij * ci[r] for r in range(n)])
-        cols = new_cols
+        out.append(cols[i - 1])
+        cols = times_simple(datum, cols, i)
     return out
 
 
@@ -221,31 +219,20 @@ def reduced_words_of_w0(datum: CartanDatum, cap: int = 10_000) -> tuple[Word, ..
 
     Raises CapExceeded if there are more than `cap` of them.
     """
-    n = datum.n
     total = num_positive_roots(datum)
     out: list[Word] = []
-    identity = [[1 if r == j else 0 for r in range(n)] for j in range(n)]
 
-    def extend(cols: list[list[int]], word: list[int]) -> None:
+    def extend(cols: list[Root], word: list[int]) -> None:
         if len(word) == total:
             if len(out) >= cap:
                 raise CapExceeded(f"more than {cap} reduced words")
             out.append(tuple(word))
             return
-        for i in range(1, n + 1):
-            ci = cols[i - 1]
-            if any(c != 0 for c in ci) and all(c >= 0 for c in ci):
-                a = datum.cartan[i - 1]
-                new_cols = []
-                for j in range(n):
-                    if j == i - 1:
-                        new_cols.append([-c for c in ci])
-                    else:
-                        aij = a[j]
-                        new_cols.append([cols[j][r] - aij * ci[r] for r in range(n)])
+        for i in datum.vertices():
+            if is_positive(cols[i - 1]):
                 word.append(i)
-                extend(new_cols, word)
+                extend(times_simple(datum, cols, i), word)
                 word.pop()
 
-    extend(identity, [])
+    extend([datum.alpha(j) for j in datum.vertices()], [])
     return tuple(out)

@@ -266,7 +266,7 @@ def test_criterion_10_calibration_stability(monkeypatch):
 
     aborted = False
     with monkeypatch.context() as patch:
-        patch.setattr(geometry, "closure_leq", lambda a, b, field=None: False)
+        patch.setattr(geometry, "hom_profile", lambda lam, field=None: (0,))
         try:
             calibrate(A2.datum, A2, adapted_order(A2), default_test_nus(A2.datum))
         except CalibrationError:

@@ -186,11 +186,15 @@ def test_missing_quiver_file(capsys):
     assert main(["kp", "/nonexistent/path.quiver", "1,1"]) == 2
 
 
-def test_seed_flag_accepted(capsys):
-    assert main(["--seed", "7", "roots", "A2"]) == 0
-    seeded = capsys.readouterr().out
-    main(["roots", "A2"])
-    assert capsys.readouterr().out == seeded
+def test_seed_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "roots", "A2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["roots", "A2"]) == 0
+    first = capsys.readouterr().out
+    assert main(["roots", "A2"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_console_script_entry_point():

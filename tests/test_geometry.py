@@ -127,6 +127,6 @@ def test_calibrate_needs_discriminating_evidence():
 def test_calibrate_aborts_when_no_assignment_fits(monkeypatch):
     import quiver_orders.geometry as geometry
 
-    monkeypatch.setattr(geometry, "closure_leq", lambda a, b, field=None: False)
+    monkeypatch.setattr(geometry, "hom_profile", lambda lam, field=None: (0,))
     with pytest.raises(CalibrationError):
         calibrate(A2.datum, A2, adapted_order(A2), default_test_nus(A2.datum))

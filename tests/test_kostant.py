@@ -97,8 +97,7 @@ def test_cover_relations_a3_diamond():
     Q = linear_quiver("A3")
     order = adapted_order(Q)
     kps = enumerate_kp(Q.datum, (1, 1, 1), order)
-    leq = lambda a, b: kp_leq(a, b, CALIBRATED)
-    covers = cover_relations(kps, leq)
+    covers = cover_relations(kps, CALIBRATED)
     assert len(kps) == 4
     assert len(covers) == 4  # diamond: bottom, two incomparable middles, top
     indeg = {k.counts: 0 for k in kps}
