@@ -54,6 +54,7 @@ from .reps import (
     all_indecomposables,
     bgp_reflect_rep,
     direct_sum,
+    dual_rep,
     end_dim,
     hom_dim,
     hom_matrix,

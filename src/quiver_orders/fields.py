@@ -16,7 +16,6 @@ from fractions import Fraction
 
 class Rationals:
     order = None
-    char = 0
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -60,7 +59,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.order = p
-        self.char = p
         self.zero = 0
         self.one = 1 % p
 
@@ -167,7 +165,6 @@ class ExtensionField:
         self.p = p
         self.r = r
         self.order = p**r
-        self.char = p
         self.zero = 0
         self.one = 1
         self.modulus = self._find_modulus()

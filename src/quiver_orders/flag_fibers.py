@@ -179,6 +179,17 @@ def _interpolation_verdict(
     )
 
 
+def _enough_q_values(q_list, bound: int) -> list[int]:
+    """The distinct q values, ascending; a degree-bound polynomial needs
+    bound + 1 of them."""
+    qs = sorted(set(q_list))
+    if len(qs) < bound + 1:
+        raise ValueError(
+            f"insufficient q values: need at least {bound + 1}, got {len(qs)}"
+        )
+    return qs
+
+
 def interpolate_fiber_polynomial(lam: KostantPartition, q_list) -> InterpolationReport:
     """Interpolate the fiber count of M(lam) as a polynomial in q and check it.
 
@@ -187,36 +198,31 @@ def interpolate_fiber_polynomial(lam: KostantPartition, q_list) -> Interpolation
     "consistent-with-even" when the coefficients are non-negative integers
     and every held-out value matches.
     """
-    qs = sorted(set(q_list))
     bound = flag_degree_bound(lam.nu)
-    if len(qs) < bound + 1:
-        raise ValueError(
-            f"insufficient q values: need at least {bound + 1}, got {len(qs)}"
-        )
+    qs = _enough_q_values(q_list, bound)
     counts = [
         (q, fiber_point_count(rep_of_kp(lam, galois_field(q)))) for q in qs
     ]
     return _interpolation_verdict(counts, bound)
 
 
+def _orbit_weighted_fiber_sum(datum, Q: Quiver, nu, q: int, power: int) -> int:
+    """Sum over partitions lam of KP(nu) of orbit(lam) * fiber(lam)**power."""
+    F = galois_field(q)
+    return sum(
+        orbit_point_count(lam, q) * fiber_point_count(rep_of_kp(lam, F)) ** power
+        for lam in enumerate_kp(datum, nu, adapted_order(Q))
+    )
+
+
 def y_total_count(datum, Q: Quiver, nu: tuple[int, ...], q: int) -> int:
     """Points of the total space of stable-flag pairs: sum of orbit * fiber."""
-    order = adapted_order(Q)
-    total = 0
-    for lam in enumerate_kp(datum, nu, order):
-        fib = fiber_point_count(rep_of_kp(lam, galois_field(q)))
-        total += orbit_point_count(lam, q) * fib
-    return total
+    return _orbit_weighted_fiber_sum(datum, Q, nu, q, 1)
 
 
 def z_point_count(datum, Q: Quiver, nu: tuple[int, ...], q: int) -> int:
     """Points of the fibre square: sum over partitions of orbit * fiber^2."""
-    order = adapted_order(Q)
-    total = 0
-    for lam in enumerate_kp(datum, nu, order):
-        fib = fiber_point_count(rep_of_kp(lam, galois_field(q)))
-        total += orbit_point_count(lam, q) * fib * fib
-    return total
+    return _orbit_weighted_fiber_sum(datum, Q, nu, q, 2)
 
 
 def z_degree_bound(Q: Quiver, nu: tuple[int, ...]) -> int:
@@ -225,12 +231,8 @@ def z_degree_bound(Q: Quiver, nu: tuple[int, ...]) -> int:
 
 def z_polynomial_report(datum, Q: Quiver, nu: tuple[int, ...], q_list) -> InterpolationReport:
     """Interpolation verdict for the fibre-square count as a polynomial in q."""
-    qs = sorted(set(q_list))
     bound = z_degree_bound(Q, nu)
-    if len(qs) < bound + 1:
-        raise ValueError(
-            f"insufficient q values: need at least {bound + 1}, got {len(qs)}"
-        )
+    qs = _enough_q_values(q_list, bound)
     counts = [(q, z_point_count(datum, Q, nu, q)) for q in qs]
     return _interpolation_verdict(counts, bound)
 

@@ -18,9 +18,10 @@ assignment is consistent.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .convex_order import ConvexOrder
+from .convex_order import ConvexOrder, adapted_order
 from .errors import CalibrationError
 from .fields import RATIONALS
 from .kostant import (
@@ -37,7 +38,7 @@ from .kostant import (
     prefix_flags,
 )
 from .quivers import Quiver, is_adapted
-from .reps import all_indecomposables, hom_dim
+from .reps import hom_matrix
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,10 @@ def ringel_check(datum, Q: Quiver, order: ConvexOrder) -> RingelReport:
         raise ValueError("mismatched Cartan data")
     if not is_adapted(order.word, Q):
         raise ValueError("order is not adapted to the quiver")
-    reps = all_indecomposables(Q, RATIONALS)
+    G = hom_matrix(Q, RATIONALS)
+    pos = [adapted_order(Q).index_of(b) for b in order.beta]
+    H = tuple(tuple(G[k][l] for l in pos) for k in pos)
     N = order.length
-    H = tuple(
-        tuple(hom_dim(reps[order.beta[k]], reps[order.beta[l]]) for l in range(N))
-        for k in range(N)
-    )
     C = order.pairings
     printed = all(
         H[k][l] == max(C[k][l], 0) for k in range(N) for l in range(N)
@@ -91,8 +90,6 @@ def hom_profile(lam: KostantPartition, field=RATIONALS) -> tuple[int, ...]:
     Q = lam.order.quiver
     if Q is None:
         raise ValueError("partition's order has no quiver attached")
-    from .reps import hom_matrix
-
     G = hom_matrix(Q, field)
     N = lam.order.length
     return tuple(
@@ -129,15 +126,19 @@ def baumann_check(
 
 
 def default_test_nus(datum, max_total: int = 3) -> tuple[tuple[int, ...], ...]:
-    """All dimension vectors with 1 <= |nu| <= max_total, ascending."""
-    import itertools
+    """All dimension vectors with 1 <= |nu| <= max_total, ascending.
 
+    The vectors of each total are its compositions into n parts, read off
+    the bar positions of a stars-and-bars word; combinations come in
+    lexicographic order, and so do the compositions.
+    """
     n = datum.n
     out = []
     for total in range(1, max_total + 1):
-        for nu in itertools.product(range(total + 1), repeat=n):
-            if sum(nu) == total:
-                out.append(nu)
+        end = total + n - 1
+        for bars in itertools.combinations(range(end), n - 1):
+            edges = (-1, *bars, end)
+            out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     return tuple(out)
 
 

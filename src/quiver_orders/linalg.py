@@ -28,10 +28,6 @@ def identity(F, n: int) -> Matrix:
     )
 
 
-def from_int_rows(F, rows) -> Matrix:
-    return tuple(tuple(F.from_int(x) for x in r) for r in rows)
-
-
 def transpose(A: Matrix) -> Matrix:
     r, c = shape(A)
     return tuple(tuple(A[i][j] for i in range(r)) for j in range(c))
@@ -68,10 +64,6 @@ def _dot(F, a, b):
     for x, y in zip(a, b):
         acc = F.add(acc, F.mul(x, y))
     return acc
-
-
-def is_zero_matrix(F, A: Matrix) -> bool:
-    return all(x == F.zero for row in A for x in row)
 
 
 def rref(F, A: Matrix, ncols: int | None = None) -> tuple[Matrix, tuple[int, ...]]:

@@ -6,6 +6,8 @@ matrix of shape dims[t-1] x dims[s-1] (rows act on the source coordinates).
 Indecomposables are constructed by walking the canonical adapted word of the
 quiver backwards with reflection functors, one simple at a time; by Gabriel's
 theorem this yields one indecomposable per positive root over any field.
+Reflection functors are built at sources only; a sink is handled by duality,
+S+_i = D S-_i D, where D reverses every arrow and transposes every matrix.
 """
 
 from __future__ import annotations
@@ -119,89 +121,56 @@ def end_dim(M: QuiverRep) -> int:
     return hom_dim(M, M)
 
 
-def bgp_reflect_rep(i: int, M: QuiverRep) -> QuiverRep:
-    """Reflection functor at a sink (kernel construction) or source (cokernel).
+def dual_rep(M: QuiverRep) -> QuiverRep:
+    """The dual representation: every arrow reversed in place, every matrix
+    transposed.
 
-    At a sink i the new space at i is the kernel of the assembled map
-    (+)_a M_src(a) -> M_i, with the reversed arrows given by the block
-    projections of the kernel basis.  At a source it is the cokernel of
-    M_i -> (+)_a M_tgt(a), with reversed arrows given by the quotient map
-    restricted to the blocks.  Arrow order is preserved.
+    Transposes are built from the dims, so a map into or out of a
+    zero-dimensional space keeps its shape.
     """
-    Q = M.quiver
-    F = M.field
-    newQ = reflect_quiver(i, Q)
-    d = M.dims
-    if i in sinks(Q):
-        in_idx = Q.arrows_into(i)
-        block_sizes = [d[Q.arrows[a][0] - 1] for a in in_idx]
-        S = sum(block_sizes)
-        phi_rows = []
-        for r in range(d[i - 1]):
-            row: list = []
-            for a in in_idx:
-                row.extend(M.mats[a][r])
-            phi_rows.append(tuple(row))
-        kernel = nullspace(F, tuple(phi_rows), ncols=S)
-        newdim = len(kernel)
-        offsets = {}
-        off = 0
-        for a, size in zip(in_idx, block_sizes):
-            offsets[a] = off
-            off += size
-        new_mats = []
-        for a, (s, t) in enumerate(Q.arrows):
-            if a in offsets:
-                src_dim = d[s - 1]
-                block = offsets[a]
-                new_mats.append(
-                    tuple(
-                        tuple(kernel[c][block + r] for c in range(newdim))
-                        for r in range(src_dim)
-                    )
-                )
-            else:
-                new_mats.append(M.mats[a])
-    elif i in sources(Q):
-        out_idx = Q.arrows_out_of(i)
-        block_sizes = [d[Q.arrows[a][1] - 1] for a in out_idx]
-        T = sum(block_sizes)
-        psi_rows = []
-        for a in out_idx:
-            psi_rows.extend(M.mats[a])
-        R, pivots = rref(F, transpose(tuple(psi_rows)), ncols=T)
-        pivot_pos = {p: s for s, p in enumerate(pivots)}
-        nonpivots = [t for t in range(T) if t not in pivot_pos]
-        newdim = len(nonpivots)
-        offsets = {}
-        off = 0
-        for a, size in zip(out_idx, block_sizes):
-            offsets[a] = off
-            off += size
-        new_mats = []
-        for a, (s, t) in enumerate(Q.arrows):
-            if a in offsets:
-                tgt_dim = d[t - 1]
-                block = offsets[a]
-                rows = []
-                for j, np_ in enumerate(nonpivots):
-                    row = []
-                    for c in range(tgt_dim):
-                        cg = block + c
-                        if cg in pivot_pos:
-                            row.append(F.neg(R[pivot_pos[cg]][np_]))
-                        else:
-                            row.append(F.one if np_ == cg else F.zero)
-                    rows.append(tuple(row))
-                new_mats.append(tuple(rows))
-            else:
-                new_mats.append(M.mats[a])
-    else:
-        raise ValueError(f"vertex {i} is neither a sink nor a source")
-    new_dims = tuple(
-        newdim if j == i - 1 else d[j] for j in range(Q.datum.n)
+    Q, d = M.quiver, M.dims
+    mats = tuple(
+        tuple(tuple(m[r][c] for r in range(d[t - 1])) for c in range(d[s - 1]))
+        for (s, t), m in zip(Q.arrows, M.mats)
     )
-    return QuiverRep(newQ, F, new_dims, tuple(new_mats))
+    opposite = Quiver(Q.datum, tuple((t, s) for s, t in Q.arrows))
+    return QuiverRep(opposite, M.field, d, mats)
+
+
+def _reflect_at_source(i: int, M: QuiverRep) -> QuiverRep:
+    """Cokernel construction at a source i.
+
+    The new space at i is the cokernel of the stacked map
+    M_i -> (+)_a M_tgt(a); its quotient map is a basis of the left nullspace
+    of that map, and the reversed arrows are its per-arrow column blocks.
+    """
+    Q, F, d = M.quiver, M.field, M.dims
+    out_idx = Q.arrows_out_of(i)
+    psi = tuple(row for a in out_idx for row in M.mats[a])
+    quotient = nullspace(F, transpose(psi), ncols=len(psi))
+    new_mats = list(M.mats)
+    block = 0
+    for a in out_idx:
+        size = d[Q.arrows[a][1] - 1]
+        new_mats[a] = tuple(v[block : block + size] for v in quotient)
+        block += size
+    new_dims = d[: i - 1] + (len(quotient),) + d[i:]
+    return QuiverRep(reflect_quiver(i, Q), F, new_dims, tuple(new_mats))
+
+
+def bgp_reflect_rep(i: int, M: QuiverRep) -> QuiverRep:
+    """Reflection functor at a source (cokernel construction) or a sink.
+
+    A sink of M's quiver is a source of the dual's, and the reflection at a
+    sink is the dual of the reflection at that source (Bernstein-Gelfand-
+    Ponomarev), so its new space at i is the kernel of the assembled map
+    into i.  Arrow order is preserved.
+    """
+    if i in sources(M.quiver):
+        return _reflect_at_source(i, M)
+    if i in sinks(M.quiver):
+        return dual_rep(_reflect_at_source(i, dual_rep(M)))
+    raise ValueError(f"vertex {i} is neither a sink nor a source")
 
 
 @functools.cache

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from quiver_orders.convex_order import adapted_order
+from quiver_orders.convex_order import adapted_order, build_order
 from quiver_orders.errors import CalibrationError
 from quiver_orders.geometry import (
     baumann_check,
@@ -15,7 +15,10 @@ from quiver_orders.geometry import (
     ringel_check,
 )
 from quiver_orders.kostant import KostantPartition, OrientationLedger, enumerate_kp, kp_leq
-from quiver_orders.quivers import linear_quiver, quiver
+from quiver_orders.fields import RATIONALS
+from quiver_orders.quivers import commutation_class, is_adapted, linear_quiver, quiver
+from quiver_orders.reps import all_indecomposables, hom_dim
+from quiver_orders.root_system import cartan_datum
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
 
@@ -104,6 +107,43 @@ def test_default_test_nus():
     nus = default_test_nus(A2.datum)
     assert all(0 < sum(nu) <= 3 for nu in nus)
     assert (1, 1) in nus
+
+
+def _product_filter_nus(n, max_total):
+    """Reference: filter every vector with entries <= t down to sum t."""
+    out = []
+    for total in range(1, max_total + 1):
+        for nu in itertools.product(range(total + 1), repeat=n):
+            if sum(nu) == total:
+                out.append(nu)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
+)
+def test_default_test_nus_matches_product_filter(label):
+    datum = cartan_datum(label)
+    for max_total in range(5):
+        assert default_test_nus(datum, max_total) == _product_filter_nus(datum.n, max_total)
+
+
+def test_ringel_check_reindexes_other_adapted_words():
+    for Q in (D4STAR, linear_quiver("A4")):
+        reps = all_indecomposables(Q, RATIONALS)
+        words = [
+            w
+            for w in commutation_class(Q.datum, adapted_order(Q).word)
+            if is_adapted(w, Q)
+        ]
+        assert len(words) > 1
+        for w in words[:: max(1, len(words) // 5)]:
+            order = build_order(Q.datum, w)
+            report = ringel_check(Q.datum, Q, order)
+            assert report.hom == tuple(
+                tuple(hom_dim(reps[bk], reps[bl]) for bl in order.beta)
+                for bk in order.beta
+            )
 
 
 def test_calibrate_expected_ledger():
