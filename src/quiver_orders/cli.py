@@ -3,7 +3,8 @@
 Subcommands: roots, order, kp, calibrate, verify {ringel, baumann, mackey,
 reflection, evenness}, count {fibers, z}.  Output is deterministic; exit code
 0 on success, 1 when a verification fails or a cap is exceeded, 2 on usage
-errors.
+errors.  Only a ValueError raised while reading command-line input is a
+usage error; any other exception is a bug and propagates with a traceback.
 """
 
 from __future__ import annotations
@@ -39,14 +40,22 @@ class _UsageError(Exception):
     pass
 
 
+def _read(parse, *args):
+    """Call `parse` on command-line input; its ValueError is a usage error."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _load_quiver(path: str):
-    return parse_quiver_file(Path(path).read_text())
+    return _read(parse_quiver_file, Path(path).read_text())
 
 
 def _load_ledger(path: str | None) -> OrientationLedger:
     if path is None:
         raise _UsageError("this command needs --ledger (run `calibrate` first)")
-    return OrientationLedger.from_json(Path(path).read_text())
+    return _read(OrientationLedger.from_json, Path(path).read_text())
 
 
 def _parse_nu(text: str, datum) -> tuple[int, ...]:
@@ -60,14 +69,14 @@ def _parse_nu(text: str, datum) -> tuple[int, ...]:
 
 
 def _cmd_roots(args) -> int:
-    datum = cartan_datum(args.type)
+    datum = _read(cartan_datum, args.type)
     for root in positive_roots(datum):
         print(" ".join(str(c) for c in root))
     return 0
 
 
 def _cmd_order(args) -> int:
-    datum = cartan_datum(args.type)
+    datum = _read(cartan_datum, args.type)
     if (args.word is None) == (args.adapted is None):
         raise _UsageError("give exactly one of WORD or --adapted QUIVERFILE")
     if args.adapted is not None:
@@ -80,7 +89,7 @@ def _cmd_order(args) -> int:
             word = tuple(int(x) for x in args.word.split(","))
         except ValueError as exc:
             raise _UsageError(f"bad word {args.word!r}") from exc
-        order = build_order(datum, word)
+        order = _read(build_order, datum, word)
     print("word: " + " ".join(str(i) for i in order.word))
     print("beta:")
     for k, b in enumerate(order.beta):
@@ -120,7 +129,8 @@ def _cmd_calibrate(args) -> int:
     Q = _load_quiver(args.quiver)
     datum = Q.datum
     order = adapted_order(Q)
-    ledger = calibrate(datum, Q, order, default_test_nus(datum, args.nu_max))
+    # too small a --nu-max leaves the evidence without comparable pairs
+    ledger = _read(calibrate, datum, Q, order, default_test_nus(datum, args.nu_max))
     print(f"order_direction: {ledger.order_direction}")
     print(f"hom_formula_direction: {ledger.hom_formula_direction}")
     print(f"res_large_side: {ledger.res_large_side}")
@@ -134,6 +144,7 @@ def _cmd_verify(args) -> int:
     Q = _load_quiver(args.quiver)
     datum = Q.datum
     order = adapted_order(Q)
+    nus = ((0,) * datum.n,) + default_test_nus(datum, args.nu_max)
     failures = 0
     checks = 0
 
@@ -149,14 +160,14 @@ def _cmd_verify(args) -> int:
         note(True, f"hom formula direction: {report.direction}")
     elif args.check == "baumann":
         ledger = _load_ledger(args.ledger)
-        for nu in ((0,) * datum.n,) + default_test_nus(datum, args.nu_max):
+        for nu in nus:
             note(
                 baumann_check(datum, Q, order, nu, ledger),
                 f"partition order equals closure order at nu={nu}",
             )
     elif args.check == "mackey":
         ledger = _load_ledger(args.ledger)
-        for nu in ((0,) * datum.n,) + default_test_nus(datum, args.nu_max):
+        for nu in nus:
             for m in enumerate_kp(datum, nu, order):
                 report = mackey_dominance_check(m, ledger, cap=args.cap)
                 note(
@@ -166,7 +177,7 @@ def _cmd_verify(args) -> int:
     elif args.check == "reflection":
         ledger = _load_ledger(args.ledger)
         fields = (galois_field(2), galois_field(3), RATIONALS)
-        for nu in ((0,) * datum.n,) + default_test_nus(datum, args.nu_max):
+        for nu in nus:
             for i in sinks(Q):
                 for lam in enumerate_kp(datum, nu, order):
                     if not in_ker_locus(lam, i):
@@ -182,9 +193,10 @@ def _cmd_verify(args) -> int:
                 )
     elif args.check == "evenness":
         q_list = _parse_q_list(args.q_list)
-        for nu in ((0,) * datum.n,) + default_test_nus(datum, args.nu_max):
+        for nu in nus:
             for lam in enumerate_kp(datum, nu, order):
-                report = interpolate_fiber_polynomial(lam, q_list)
+                # a q list too short for the degree bound is bad input
+                report = _read(interpolate_fiber_polynomial, lam, q_list)
                 note(
                     report.verdict == "consistent-with-even",
                     f"fiber counts of {lam.counts} interpolate ({report.verdict})",
@@ -201,7 +213,7 @@ def _parse_q_list(text: str | None):
     except ValueError as exc:
         raise _UsageError(f"bad q list {text!r}") from exc
     for q in qs:
-        galois_field(q)
+        _read(galois_field, q)
     return qs
 
 
@@ -286,10 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (_UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, CalibrationError, VerificationError) as exc:

@@ -8,6 +8,10 @@ quiver backwards with reflection functors, one simple at a time; by Gabriel's
 theorem this yields one indecomposable per positive root over any field.
 Reflection functors are built at sources only; a sink is handled by duality,
 S+_i = D S-_i D, where D reverses every arrow and transposes every matrix.
+Isomorphism classes are read off Hom counts: in the adapted order the Hom
+matrix of the indecomposables is upper unitriangular (the Hom order of a
+Dynkin quiver is directed), so summand multiplicities follow by integer
+forward substitution.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .convex_order import adapted_order
 from .errors import VerificationError
 from .fields import RATIONALS, field_from_spec
 from .kostant import KostantPartition
-from .linalg import Matrix, mat, nullspace, rref, solve, transpose, zeros
+from .linalg import Matrix, nullspace, rref, transpose, zeros
 from .quivers import Quiver, reflect_quiver, sinks, sources
 from .root_system import Root, reflect_root
 
@@ -211,13 +215,20 @@ def indecomposable(Q: Quiver, beta: Root, field) -> QuiverRep:
 
 @functools.cache
 def hom_matrix(Q: Quiver, field) -> tuple[tuple[int, ...], ...]:
-    """G[k][l] = dim Hom(M(beta_k), M(beta_l)) over the adapted enumeration."""
+    """G[k][l] = dim Hom(M(beta_k), M(beta_l)) over the adapted enumeration.
+
+    G is checked to be upper unitriangular, which `iso_class` relies on.
+    """
     order = adapted_order(Q)
     reps = all_indecomposables(Q, field)
-    return tuple(
+    G = tuple(
         tuple(hom_dim(reps[bk], reps[bl]) for bl in order.beta)
         for bk in order.beta
     )
+    for k, row in enumerate(G):
+        if row[k] != 1 or any(row[:k]):
+            raise VerificationError(f"Hom matrix is not upper unitriangular in row {k + 1}")
+    return G
 
 
 def rep_of_kp(lam: KostantPartition, field) -> QuiverRep:
@@ -236,26 +247,19 @@ def rep_of_kp(lam: KostantPartition, field) -> QuiverRep:
 def iso_class(M: QuiverRep) -> KostantPartition:
     """Multiplicities of the indecomposable summands of M, via Hom counts.
 
-    Solves the triangular system hom(M, M(beta_l)) =
-    sum_k n_k hom(M(beta_k), M(beta_l)) exactly; the solution is checked to
-    be a non-negative integer vector of the right dimension vector.
+    hom(M, M(beta_l)) = sum_k n_k G[k][l] with G upper unitriangular, so
+    n_l = hom(M, M(beta_l)) - sum_{k<l} n_k G[k][l] in adapted order; the
+    result is checked to be non-negative and to add up to M's dims.
     """
     order = adapted_order(M.quiver)
     reps = all_indecomposables(M.quiver, M.field)
     G = hom_matrix(M.quiver, M.field)
-    N = order.length
-    h = tuple(Fraction(hom_dim(M, reps[b])) for b in order.beta)
-    A = mat(
-        (Fraction(G[k][l]) for k in range(N)) for l in range(N)
-    )
-    x = solve(RATIONALS, A, h)
-    if x is None:
-        raise VerificationError("Hom-count system is inconsistent")
-    counts = []
-    for v in x:
-        if v.denominator != 1 or v < 0:
-            raise VerificationError(f"non-integral or negative multiplicity {v}")
-        counts.append(int(v))
+    counts: list[int] = []
+    for l, b in enumerate(order.beta):
+        n = hom_dim(M, reps[b]) - sum(c * G[k][l] for k, c in enumerate(counts))
+        if n < 0:
+            raise VerificationError(f"negative multiplicity {n}")
+        counts.append(n)
     lam = KostantPartition(order, tuple(counts))
     if lam.nu != M.dims:
         raise VerificationError("summand multiplicities do not add up to the dims")

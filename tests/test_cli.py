@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from quiver_orders import cli
 from quiver_orders.cli import main
 from quiver_orders.kostant import OrientationLedger
 
@@ -184,6 +185,31 @@ def test_count_z(capsys, a2_file):
 
 def test_missing_quiver_file(capsys):
     assert main(["kp", "/nonexistent/path.quiver", "1,1"]) == 2
+
+
+def test_bad_input_is_a_usage_error(capsys, a2_file, tmp_path):
+    bad_quiver = tmp_path / "bad.quiver"
+    bad_quiver.write_text("type A2\n1 -> 3\n")
+    bad_ledger = tmp_path / "bad.json"
+    bad_ledger.write_text('{"order_direction": "sideways"}')
+    assert main(["kp", str(bad_quiver), "1,1"]) == 2
+    assert main(["verify", "baumann", a2_file, "--ledger", str(bad_ledger)]) == 2
+    assert main(["order", "A2", "1,1,1"]) == 2
+    assert main(["calibrate", a2_file, "--nu-max", "1"]) == 2
+    assert main(["verify", "evenness", a2_file, "--nu-max", "3", "--q-list", "2,3"]) == 2
+    assert main(["count", "z", a2_file, "1,1", "--q", "2,x"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("usage error") == 6
+    assert "no comparable pairs" in err and "insufficient q values" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, a2_file):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "enumerate_kp", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["kp", a2_file, "1,1"])
 
 
 def test_seed_flag_rejected(capsys):

@@ -12,19 +12,7 @@ from quiver_orders.fields import (
     field_from_spec,
     galois_field,
 )
-from quiver_orders.linalg import (
-    identity,
-    mat,
-    mat_mul,
-    mat_vec,
-    nullity,
-    nullspace,
-    rank,
-    rref,
-    solve,
-    solve_matrix,
-    transpose,
-)
+from quiver_orders.linalg import nullspace, rank, rref, transpose
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -105,7 +93,7 @@ def test_frobenius_in_gf4():
 
 
 def _frac_mat(rows):
-    return mat([[Fraction(x) for x in row] for row in rows])
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def test_rref_and_rank_rationals():
@@ -113,14 +101,13 @@ def test_rref_and_rank_rationals():
     R, pivots = rref(RATIONALS, A)
     assert pivots == (0, 1)
     assert rank(RATIONALS, A) == 2
-    assert nullity(RATIONALS, A) == 1
     (v,) = nullspace(RATIONALS, A)
-    assert mat_vec(RATIONALS, A, v) == (Fraction(0),) * 3
+    assert tuple(sum(a * x for a, x in zip(row, v)) for row in A) == (Fraction(0),) * 3
 
 
 def test_rref_is_idempotent():
     F = galois_field(5)
-    A = mat([[1, 2, 3], [4, 0, 1], [2, 4, 4]])
+    A = ((1, 2, 3), (4, 0, 1), (2, 4, 4))
     R, _ = rref(F, A)
     R2, _ = rref(F, R)
     assert R == R2
@@ -128,7 +115,7 @@ def test_rref_is_idempotent():
 
 def test_nullspace_over_prime_field():
     F = PrimeField(2)
-    A = mat([[1, 1, 0], [0, 1, 1]])
+    A = ((1, 1, 0), (0, 1, 1))
     basis = nullspace(F, A)
     assert len(basis) == 1
     assert basis[0] == (1, 1, 1)
@@ -138,39 +125,17 @@ def test_nullspace_of_zero_row_matrix_needs_ncols():
     # an empty matrix with 3 columns has the whole space as kernel
     basis = nullspace(RATIONALS, (), ncols=3)
     assert len(basis) == 3
-    assert nullity(RATIONALS, (), ncols=3) == 3
     assert rank(RATIONALS, ()) == 0
 
 
-def test_solve_consistent_and_inconsistent():
-    A = _frac_mat([[2, 1], [1, 3]])
-    b = (Fraction(5), Fraction(10))
-    x = solve(RATIONALS, A, b)
-    assert x is not None
-    assert mat_vec(RATIONALS, A, x) == b
-    A2 = _frac_mat([[1, 1], [2, 2]])
-    assert solve(RATIONALS, A2, (Fraction(1), Fraction(3))) is None
-
-
-def test_solve_matrix_gives_inverse():
-    F = galois_field(9)
-    two = F.from_int(2)
-    A = mat([[two, F.one], [F.one, F.one]])  # determinant 1 in char 3
-    X = solve_matrix(F, A, identity(F, 2))
-    assert X is not None
-    assert mat_mul(F, A, X) == identity(F, 2)
-
-
-def test_transpose_and_mat_mul_shapes():
-    A = mat([[1, 2, 3], [4, 5, 6]])
+def test_transpose_shape():
+    A = ((1, 2, 3), (4, 5, 6))
     assert transpose(A) == ((1, 4), (2, 5), (3, 6))
-    B = mat([[1, 0], [0, 1], [1, 1]])
-    assert mat_mul(PrimeField(7), A, B) == ((4, 5), (3, 4))
 
 
 def test_rank_fullness_over_all_small_fields():
     for q in [2, 3, 4, 5]:
         F = galois_field(q)
-        I3 = identity(F, 3)
+        I3 = tuple(tuple(F.one if i == j else F.zero for j in range(3)) for i in range(3))
         assert rank(F, I3) == 3
-        assert nullity(F, I3) == 0
+        assert nullspace(F, I3) == []

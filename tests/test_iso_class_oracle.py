@@ -1,0 +1,121 @@
+"""Oracle for `iso_class` by forward substitution.
+
+`iso_class` reads summand multiplicities off the upper unitriangular Hom
+matrix G by integer forward substitution.  The reference below is the
+earlier rational version: it solves hom(M, M(beta_l)) = sum_k n_k G[k][l]
+over Q by reducing an augmented matrix, and checks that the solution is a
+non-negative integer vector.  Both must agree on every partition with
+|nu| <= 4 of A2, A3, A4 and two orientations of D4, over Q and three finite
+fields, and on every sink and source reflection of each such module.
+"""
+
+from __future__ import annotations
+
+import functools
+from fractions import Fraction
+
+import pytest
+
+from quiver_orders import reps
+from quiver_orders.convex_order import adapted_order
+from quiver_orders.errors import VerificationError
+from quiver_orders.fields import RATIONALS, galois_field
+from quiver_orders.geometry import default_test_nus
+from quiver_orders.kostant import KostantPartition, enumerate_kp
+from quiver_orders.linalg import rref
+from quiver_orders.quivers import linear_quiver, quiver, sinks, sources
+from quiver_orders.reps import (
+    all_indecomposables,
+    bgp_reflect_rep,
+    hom_dim,
+    hom_matrix,
+    iso_class,
+    rep_of_kp,
+)
+
+
+@functools.cache
+def rational_inverse(G) -> tuple[tuple[Fraction, ...], ...] | None:
+    """The inverse of G^T over Q, by reducing the augmented matrix [G^T | I];
+    None if G^T is singular.
+
+    Reducing [G^T | h] applies the same row operations to h, so when G^T is
+    invertible the rational solve of G^T x = h is x = (G^T)^-1 h.
+    """
+    N = len(G)
+    aug = tuple(
+        tuple(Fraction(G[k][l]) for k in range(N))
+        + tuple(Fraction(int(l == j)) for j in range(N))
+        for l in range(N)
+    )
+    R, pivots = rref(RATIONALS, aug)
+    if pivots != tuple(range(N)):
+        return None
+    return tuple(row[N:] for row in R)
+
+
+def reference_iso_class(M: reps.QuiverRep) -> KostantPartition:
+    """Multiplicities by an exact rational solve of the Hom-count system
+    hom(M, M(beta_l)) = sum_k n_k G[k][l]."""
+    order = adapted_order(M.quiver)
+    indecs = all_indecomposables(M.quiver, M.field)
+    G = hom_matrix(M.quiver, M.field)
+    h = tuple(reps.hom_dim(M, indecs[b]) for b in order.beta)
+    inv = rational_inverse(G)
+    if inv is None:
+        raise VerificationError("Hom-count system is singular")
+    x = tuple(sum(e * v for e, v in zip(row, h) if e) for row in inv)
+    counts = []
+    for v in x:
+        if v.denominator != 1 or v < 0:
+            raise VerificationError(f"non-integral or negative multiplicity {v}")
+        counts.append(int(v))
+    lam = KostantPartition(order, tuple(counts))
+    if lam.nu != M.dims:
+        raise VerificationError("summand multiplicities do not add up to the dims")
+    return lam
+
+
+QUIVERS = {
+    "A2": linear_quiver("A2"),
+    "A3": linear_quiver("A3"),
+    "A4": linear_quiver("A4"),
+    "D4-star": quiver("D4", ((1, 2), (3, 2), (4, 2))),
+    "D4-path": quiver("D4", ((1, 2), (2, 4), (3, 2))),
+}
+FIELDS = {
+    "Q": RATIONALS,
+    "F2": galois_field(2),
+    "F3": galois_field(3),
+    "GF4": galois_field(4),
+}
+
+
+def sweep(Q, F):
+    """M(lam) for every partition with |nu| <= 4, then each module's sink
+    and source reflections."""
+    order = adapted_order(Q)
+    modules = [
+        rep_of_kp(lam, F)
+        for nu in default_test_nus(Q.datum, 4)
+        for lam in enumerate_kp(Q.datum, nu, order)
+    ]
+    turns = sinks(Q) + sources(Q)
+    return modules + [bgp_reflect_rep(i, M) for M in modules for i in turns]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("label", QUIVERS)
+def test_substitution_matches_rational_solve(label, field, monkeypatch):
+    # both sides read Hom dimensions through one cache
+    monkeypatch.setattr(reps, "hom_dim", functools.cache(hom_dim))
+    modules = sweep(QUIVERS[label], FIELDS[field])
+    assert modules
+    for M in modules:
+        assert iso_class(M) == reference_iso_class(M)
+
+
+def test_hom_matrix_rejects_a_matrix_that_is_not_unitriangular(monkeypatch):
+    monkeypatch.setattr(reps, "hom_dim", lambda M, N: 1)
+    with pytest.raises(VerificationError, match="unitriangular"):
+        reps.hom_matrix.__wrapped__(QUIVERS["A3"], RATIONALS)
