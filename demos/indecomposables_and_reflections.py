@@ -30,7 +30,7 @@ def show_indecomposables(Q):
 
 def show_hom_matrix(Q):
     order = adapted_order(Q)
-    G = hom_matrix(Q, RATIONALS)
+    G = hom_matrix(Q)
     print("Hom-dimension matrix G[k][l] = dim Hom(M(beta_k), M(beta_l)):")
     for row in G:
         print("   ", "\t".join(str(v) for v in row))

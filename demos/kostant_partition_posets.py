@@ -48,7 +48,7 @@ def main():
     print()
 
     print("the same poset as DOT text:")
-    print(hasse_dot(datum, nu, order, ledger))
+    print(hasse_dot(kps, ledger))
 
 
 if __name__ == "__main__":

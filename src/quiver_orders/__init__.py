@@ -29,12 +29,10 @@ from .kostant import (
     enumerate_kp,
     hasse_dot,
     kp_leq,
-    kp_leq_printed,
     kpf,
     mackey_dominance_check,
     order_invariant_on_class,
     prefix_statistics,
-    restriction_dominates,
 )
 from .pbw import in_ker_locus, order_compat, reflect_kp, verify_reflection
 from .quivers import (

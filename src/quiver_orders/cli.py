@@ -17,7 +17,9 @@ from .convex_order import adapted_order, build_order, pairing_sign_report
 from .errors import CalibrationError, CapExceeded, VerificationError
 from .fields import RATIONALS, galois_field
 from .flag_fibers import (
+    _enough_q_values,
     fiber_point_count,
+    flag_degree_bound,
     interpolate_fiber_polynomial,
     z_point_count,
 )
@@ -119,7 +121,7 @@ def _cmd_kp(args) -> int:
     print(f"kpf: {len(kps)}")
     if args.hasse is not None:
         ledger = _load_ledger(args.ledger)
-        dot = hasse_dot(datum, nu, order, ledger, cap=args.cap)
+        dot = hasse_dot(kps, ledger, cap=args.cap)
         Path(args.hasse).write_text(dot)
         print(f"hasse: wrote {args.hasse}")
     return 0
@@ -168,12 +170,10 @@ def _cmd_verify(args) -> int:
     elif args.check == "mackey":
         ledger = _load_ledger(args.ledger)
         for nu in nus:
-            for m in enumerate_kp(datum, nu, order):
-                report = mackey_dominance_check(m, ledger, cap=args.cap)
-                note(
-                    not report.violations,
-                    f"achievable partitions dominate m={m.counts} at nu={nu}",
-                )
+            kps = enumerate_kp(datum, nu, order)
+            violations = mackey_dominance_check(kps, ledger.res_large_side, cap=args.cap)
+            for m, bad in zip(kps, violations):
+                note(not bad, f"achievable partitions dominate m={m.counts} at nu={nu}")
     elif args.check == "reflection":
         ledger = _load_ledger(args.ledger)
         fields = (galois_field(2), galois_field(3), RATIONALS)
@@ -193,10 +193,11 @@ def _cmd_verify(args) -> int:
                 )
     elif args.check == "evenness":
         q_list = _parse_q_list(args.q_list)
+        # a q list too short for the largest degree bound of the sweep is bad input
+        _read(_enough_q_values, q_list, max(flag_degree_bound(nu) for nu in nus))
         for nu in nus:
             for lam in enumerate_kp(datum, nu, order):
-                # a q list too short for the degree bound is bad input
-                report = _read(interpolate_fiber_polynomial, lam, q_list)
+                report = interpolate_fiber_polynomial(lam, q_list)
                 note(
                     report.verdict == "consistent-with-even",
                     f"fiber counts of {lam.counts} interpolate ({report.verdict})",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .convex_order import ConvexOrder, adapted_order
 from .errors import CalibrationError
-from .fields import RATIONALS
 from .kostant import (
     HOM_DIRECTIONS,
     ORDER_DIRECTIONS,
@@ -31,11 +30,10 @@ from .kostant import (
     KostantPartition,
     OrientationLedger,
     _require_comparable,
-    achievable_prefix_sums,
     enumerate_kp,
     leq_bitsets,
+    mackey_dominance_check,
     order_keys,
-    prefix_flags,
 )
 from .quivers import Quiver, is_adapted
 from .reps import hom_matrix
@@ -65,7 +63,7 @@ def ringel_check(datum, Q: Quiver, order: ConvexOrder) -> RingelReport:
         raise ValueError("mismatched Cartan data")
     if not is_adapted(order.word, Q):
         raise ValueError("order is not adapted to the quiver")
-    G = hom_matrix(Q, RATIONALS)
+    G = hom_matrix(Q)
     pos = [adapted_order(Q).index_of(b) for b in order.beta]
     H = tuple(tuple(G[k][l] for l in pos) for k in pos)
     N = order.length
@@ -85,12 +83,12 @@ def ringel_check(datum, Q: Quiver, order: ConvexOrder) -> RingelReport:
     )
 
 
-def hom_profile(lam: KostantPartition, field=RATIONALS) -> tuple[int, ...]:
+def hom_profile(lam: KostantPartition) -> tuple[int, ...]:
     """dim Hom(M(lam), M(beta_l)) for each l, via additivity in the first slot."""
     Q = lam.order.quiver
     if Q is None:
         raise ValueError("partition's order has no quiver attached")
-    G = hom_matrix(Q, field)
+    G = hom_matrix(Q)
     N = lam.order.length
     return tuple(
         sum(lam.counts[k] * G[k][l] for k in range(N)) for l in range(N)
@@ -103,7 +101,7 @@ def closure_keys(kps) -> list[tuple[int, ...]]:
     return [tuple(-h for h in hom_profile(lam)) for lam in kps]
 
 
-def closure_leq(lam: KostantPartition, mu: KostantPartition, field=RATIONALS) -> bool:
+def closure_leq(lam: KostantPartition, mu: KostantPartition) -> bool:
     """Orbit-closure order, closed orbits minimal: the orbit of M(lam) lies in
     the closure of the orbit of M(mu).
 
@@ -111,8 +109,8 @@ def closure_leq(lam: KostantPartition, mu: KostantPartition, field=RATIONALS) ->
     increase them, and for Dynkin quivers the comparison is exact.
     """
     _require_comparable(lam, mu)
-    pl = hom_profile(lam, field)
-    pm = hom_profile(mu, field)
+    pl = hom_profile(lam)
+    pm = hom_profile(mu)
     return all(a >= b for a, b in zip(pl, pm))
 
 
@@ -170,19 +168,12 @@ def calibrate(
         if len(kps) >= 2:
             nontrivial = True
         closure = leq_bitsets(closure_keys(kps))
-        relation = {d: leq_bitsets(order_keys(kps, d)) for d in ORDER_DIRECTIONS}
-        order_alive = {d for d in order_alive if relation[d] == closure}
-        # bit j of dominates[i] is restriction_dominates(kps[j], kps[i])
-        dominates = relation["reversed"]
-        for side in tuple(side_alive):
-            for i, m in enumerate(kps):
-                S = achievable_prefix_sums(m, side)
-                if any(
-                    all(prefix_flags(n, S)) and not dominates[i] >> j & 1
-                    for j, n in enumerate(kps)
-                ):
-                    side_alive.discard(side)
-                    break
+        order_alive = {
+            d for d in order_alive if leq_bitsets(order_keys(kps, d)) == closure
+        }
+        side_alive = {
+            s for s in side_alive if not any(mackey_dominance_check(kps, s))
+        }
     if not nontrivial:
         raise ValueError("calibration evidence has no comparable pairs")
     if not hom_alive or not order_alive or not side_alive:

@@ -171,17 +171,10 @@ def _require_comparable(lam: KostantPartition, mu: KostantPartition) -> None:
         raise ValueError("partitions have different dimension vectors")
 
 
-def kp_leq_printed(lam: KostantPartition, mu: KostantPartition) -> bool:
-    """The prefix-statistic order exactly as written: T_k(lam) <= T_k(mu) for all k."""
-    _require_comparable(lam, mu)
-    return all(a <= b for a, b in zip(prefix_statistics(lam), prefix_statistics(mu)))
-
-
 def kp_leq(lam: KostantPartition, mu: KostantPartition, ledger: OrientationLedger) -> bool:
     """The partition order in the calibrated direction."""
-    if ledger.order_direction == "as-printed":
-        return kp_leq_printed(lam, mu)
-    return kp_leq_printed(mu, lam)
+    a, b = order_keys((lam, mu), ledger.order_direction)
+    return all(x <= y for x, y in zip(a, b))
 
 
 def leq_bitsets(keys) -> list[int]:
@@ -224,20 +217,15 @@ def cover_relations(
 
 
 def hasse_dot(
-    datum,
-    nu: tuple[int, ...],
-    order: ConvexOrder,
-    ledger: OrientationLedger,
-    cap: int = 200,
+    kps: tuple[KostantPartition, ...], ledger: OrientationLedger, cap: int = 200
 ) -> str:
-    """Hasse diagram of the partition order on KP(nu), as DOT text.
+    """Hasse diagram of the partition order on kps, one KP(nu), as DOT text.
 
     Edges point from lower to higher element; nodes are labelled by their
     multiplicity vectors.
     """
-    kps = enumerate_kp(datum, nu, order)
     if len(kps) > cap:
-        raise CapExceeded(f"KP({nu}) has {len(kps)} elements, over the cap {cap}")
+        raise CapExceeded(f"KP({kps[0].nu}) has {len(kps)} elements, over the cap {cap}")
     name = lambda lam: " ".join(str(c) for c in lam.counts)
     lines = ["digraph kostant {", "  rankdir=BT;"]
     for lam in kps:
@@ -344,72 +332,29 @@ def prefix_flags(lam: KostantPartition, sums) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def restriction_dominates(n: KostantPartition, m: KostantPartition) -> bool:
-    """Dominance conclusion for partitions achievable from a restriction of m.
-
-    This is the prefix-statistic inequality in its native direction
-    (T_k(n) <= T_k(m)); under a calibrated ledger with order_direction
-    "reversed" it coincides with kp_leq(m, n), i.e. achievable partitions sit
-    at or above m in the closure-normalized order.
-    """
-    return kp_leq_printed(n, m)
-
-
-@dataclass(frozen=True)
-class MackeyRow:
-    counts: tuple[int, ...]
-    prefix_flags: tuple[bool, ...]
-    achievable: bool
-    dominates: bool
-    kp_leq_ledger: bool
-
-
-@dataclass(frozen=True)
-class MackeyReport:
-    m: KostantPartition
-    side: str
-    rows: tuple[MackeyRow, ...]
-
-    @property
-    def violations(self) -> tuple[MackeyRow, ...]:
-        return tuple(r for r in self.rows if r.achievable and not r.dominates)
-
-    def to_tsv(self) -> str:
-        lines = ["n\tprefixes-achievable\tdominates"]
-        for r in self.rows:
-            flags = "".join("1" if f else "0" for f in r.prefix_flags)
-            lines.append(
-                "{}\t{}\t{}".format(
-                    " ".join(str(c) for c in r.counts),
-                    flags,
-                    "yes" if r.dominates else "no",
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-
 def mackey_dominance_check(
-    m: KostantPartition, ledger: OrientationLedger, cap: int = 1_000_000
-) -> MackeyReport:
-    """Compare restriction-achievable partitions of m against the dominance order.
+    kps: tuple[KostantPartition, ...], side: str, cap: int = 1_000_000
+) -> list[tuple[KostantPartition, ...]]:
+    """Restriction-achievable partitions that fail to dominate, for each m of
+    one KP(nu).
 
-    For each Kostant partition n of the same dimension vector, records
-    whether every prefix sum_{t<=k} n_t beta_t is an achievable first-part
-    sum, and whether n dominates per restriction_dominates.  The
-    kp_leq_ledger column is the raw kp_leq(n, m) under the ledger direction,
-    kept for audit; the verdict column is `dominates`.
+    Entry i lists the n in kps whose every prefix sum_{t<=k} n_t beta_t is an
+    achievable first-part sum of a restriction of m = kps[i] (with `side` as
+    the res_large_side) but with T_k(n) <= T_k(m) failing for some k.  Under
+    the calibrated "reversed" order direction, T(n) <= T(m) says n sits at or
+    above m, so every entry is empty when restrictions only reach partitions
+    that dominate m.
     """
-    S = achievable_prefix_sums(m, ledger.res_large_side, cap=cap)
-    rows = []
-    for n in enumerate_kp(m.order.datum, m.nu, m.order):
-        flags = prefix_flags(n, S)
-        rows.append(
-            MackeyRow(
-                counts=n.counts,
-                prefix_flags=flags,
-                achievable=all(flags),
-                dominates=restriction_dominates(n, m),
-                kp_leq_ledger=kp_leq(n, m, ledger),
+    # bit j of dominated[i] is set iff T(kps[j]) <= T(kps[i])
+    dominated = leq_bitsets(order_keys(kps, "reversed"))
+    out = []
+    for m, below in zip(kps, dominated):
+        S = achievable_prefix_sums(m, side, cap=cap)
+        out.append(
+            tuple(
+                n
+                for j, n in enumerate(kps)
+                if not below >> j & 1 and all(prefix_flags(n, S))
             )
         )
-    return MackeyReport(m=m, side=ledger.res_large_side, rows=tuple(rows))
+    return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .convex_order import adapted_order
 from .errors import VerificationError
-from .fields import RATIONALS
 from .kostant import (
     KostantPartition,
     OrientationLedger,
@@ -32,32 +31,13 @@ def _alpha_multiplicity(lam: KostantPartition, i: int) -> int:
 
 def _no_alpha_part(lam: KostantPartition, i: int) -> bool:
     """True iff lam has no alpha_i part; i must be a sink or a source of lam's
-    quiver.
-
-    The combinatorial test is cross-checked on the rational model of M(lam):
-    the assembled map at i (the maps into a sink side by side, or the maps
-    out of a source stacked) must have rank dim M_i exactly when there is no
-    alpha_i part.
-    """
+    quiver."""
     Q = lam.order.quiver
     if Q is None:
         raise ValueError("partition's order has no quiver attached")
-    M = rep_of_kp(lam, RATIONALS)
-    if i in sinks(Q):
-        assembled = tuple(
-            tuple(x for a in Q.arrows_into(i) for x in M.mats[a][r])
-            for r in range(M.dims[i - 1])
-        )
-    elif i in sources(Q):
-        assembled = tuple(row for a in Q.arrows_out_of(i) for row in M.mats[a])
-    else:
+    if i not in sinks(Q) and i not in sources(Q):
         raise ValueError(f"vertex {i} is neither a sink nor a source")
-    combinatorial = _alpha_multiplicity(lam, i) == 0
-    if combinatorial != (rank(RATIONALS, assembled) == M.dims[i - 1]):
-        raise VerificationError(
-            f"alpha_{i} multiplicity disagrees with the rank of the assembled map"
-        )
-    return combinatorial
+    return _alpha_multiplicity(lam, i) == 0
 
 
 def in_ker_locus(lam: KostantPartition, i: int) -> bool:
@@ -88,8 +68,26 @@ def reflect_kp(i: int, lam: KostantPartition) -> KostantPartition:
 
 
 def verify_reflection(i: int, lam: KostantPartition, field) -> bool:
-    """Whether reflecting the module of lam matches reflecting lam partwise."""
+    """Whether reflecting the module of lam matches reflecting lam partwise.
+
+    The alpha_i multiplicity is first cross-checked on M(lam): the assembled
+    map at i (the maps into a sink side by side, or the maps out of a source
+    stacked) must have rank dim M_i exactly when there is no alpha_i part.
+    """
+    no_alpha = _no_alpha_part(lam, i)
     M = rep_of_kp(lam, field)
+    Q = M.quiver
+    if i in sinks(Q):
+        assembled = tuple(
+            tuple(x for a in Q.arrows_into(i) for x in M.mats[a][r])
+            for r in range(M.dims[i - 1])
+        )
+    else:
+        assembled = tuple(row for a in Q.arrows_out_of(i) for row in M.mats[a])
+    if no_alpha != (rank(field, assembled) == M.dims[i - 1]):
+        raise VerificationError(
+            f"alpha_{i} multiplicity disagrees with the rank of the assembled map"
+        )
     reflected = bgp_reflect_rep(i, M)
     return iso_class(reflected) == reflect_kp(i, lam)
 

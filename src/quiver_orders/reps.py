@@ -214,13 +214,15 @@ def indecomposable(Q: Quiver, beta: Root, field) -> QuiverRep:
 
 
 @functools.cache
-def hom_matrix(Q: Quiver, field) -> tuple[tuple[int, ...], ...]:
+def hom_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
     """G[k][l] = dim Hom(M(beta_k), M(beta_l)) over the adapted enumeration.
 
-    G is checked to be upper unitriangular, which `iso_class` relies on.
+    Computed over Q; for a Dynkin quiver the indecomposables and their Hom
+    dimensions do not depend on the field, so G serves every field.  G is
+    checked to be upper unitriangular, which `iso_class` relies on.
     """
     order = adapted_order(Q)
-    reps = all_indecomposables(Q, field)
+    reps = all_indecomposables(Q, RATIONALS)
     G = tuple(
         tuple(hom_dim(reps[bk], reps[bl]) for bl in order.beta)
         for bk in order.beta
@@ -253,7 +255,7 @@ def iso_class(M: QuiverRep) -> KostantPartition:
     """
     order = adapted_order(M.quiver)
     reps = all_indecomposables(M.quiver, M.field)
-    G = hom_matrix(M.quiver, M.field)
+    G = hom_matrix(M.quiver)
     counts: list[int] = []
     for l, b in enumerate(order.beta):
         n = hom_dim(M, reps[b]) - sum(c * G[k][l] for k, c in enumerate(counts))
@@ -289,7 +291,7 @@ def orbit_point_count(lam: KostantPartition, q: int) -> int:
     Q = lam.order.quiver
     if Q is None:
         raise ValueError("partition's order has no quiver attached")
-    G = hom_matrix(Q, RATIONALS)
+    G = hom_matrix(Q)
     n = lam.counts
     N = len(n)
     e = sum(n[k] * n[l] * G[k][l] for k in range(N) for l in range(N))

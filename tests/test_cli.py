@@ -207,9 +207,20 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, a2_file):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
+    monkeypatch.setattr(cli, "interpolate_fiber_polynomial", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["verify", "evenness", a2_file, "--nu-max", "1"])
     monkeypatch.setattr(cli, "enumerate_kp", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["kp", a2_file, "1,1"])
+
+
+def test_short_q_list_rejected_before_any_output(capsys, a2_file):
+    # nu=(3,0) needs four q values; smaller nus of the sweep need fewer
+    assert main(["verify", "evenness", a2_file, "--nu-max", "3", "--q-list", "2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "insufficient q values: need at least 4, got 2" in captured.err
 
 
 def test_seed_flag_rejected(capsys):

@@ -6,7 +6,9 @@ earlier rational version: it solves hom(M, M(beta_l)) = sum_k n_k G[k][l]
 over Q by reducing an augmented matrix, and checks that the solution is a
 non-negative integer vector.  Both must agree on every partition with
 |nu| <= 4 of A2, A3, A4 and two orientations of D4, over Q and three finite
-fields, and on every sink and source reflection of each such module.
+fields, and on every sink and source reflection of each such module.  The
+reference builds its own G over the module's field, so it also checks that
+G over each field equals `hom_matrix`, which is computed over Q.
 """
 
 from __future__ import annotations
@@ -59,7 +61,12 @@ def reference_iso_class(M: reps.QuiverRep) -> KostantPartition:
     hom(M, M(beta_l)) = sum_k n_k G[k][l]."""
     order = adapted_order(M.quiver)
     indecs = all_indecomposables(M.quiver, M.field)
-    G = hom_matrix(M.quiver, M.field)
+    G = tuple(
+        tuple(reps.hom_dim(indecs[bk], indecs[bl]) for bl in order.beta)
+        for bk in order.beta
+    )
+    if G != hom_matrix(M.quiver):
+        raise VerificationError(f"Hom matrix over {M.field!r} differs from the one over Q")
     h = tuple(reps.hom_dim(M, indecs[b]) for b in order.beta)
     inv = rational_inverse(G)
     if inv is None:
@@ -118,4 +125,4 @@ def test_substitution_matches_rational_solve(label, field, monkeypatch):
 def test_hom_matrix_rejects_a_matrix_that_is_not_unitriangular(monkeypatch):
     monkeypatch.setattr(reps, "hom_dim", lambda M, N: 1)
     with pytest.raises(VerificationError, match="unitriangular"):
-        reps.hom_matrix.__wrapped__(QUIVERS["A3"], RATIONALS)
+        reps.hom_matrix.__wrapped__(QUIVERS["A3"])

@@ -16,17 +16,17 @@ from quiver_orders.kostant import (
     enumerate_kp,
     hasse_dot,
     kp_leq,
-    kp_leq_printed,
     kpf,
     mackey_dominance_check,
     order_invariant_on_class,
+    prefix_flags,
     prefix_statistics,
-    restriction_dominates,
 )
 from quiver_orders.quivers import linear_quiver, quiver
 from quiver_orders.root_system import cartan_datum
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
+PRINTED = OrientationLedger("as-printed", "transposed", "first-factor")
 
 
 def _a2_order():
@@ -76,20 +76,18 @@ def test_kp_leq_directions():
     order = _a2_order()
     semisimple = KostantPartition(order, (1, 0, 1))
     dense = KostantPartition(order, (0, 1, 0))
-    assert kp_leq_printed(dense, semisimple)
-    assert not kp_leq_printed(semisimple, dense)
+    assert kp_leq(dense, semisimple, PRINTED)
+    assert not kp_leq(semisimple, dense, PRINTED)
     # calibrated order reverses the printed comparison
     assert kp_leq(semisimple, dense, CALIBRATED)
     assert not kp_leq(dense, semisimple, CALIBRATED)
-    printed = OrientationLedger("as-printed", "transposed", "first-factor")
-    assert kp_leq(dense, semisimple, printed)
 
 
 def test_kp_leq_requires_same_dimension_vector():
     order = _a2_order()
     with pytest.raises(ValueError):
-        kp_leq_printed(
-            KostantPartition(order, (1, 0, 0)), KostantPartition(order, (0, 0, 1))
+        kp_leq(
+            KostantPartition(order, (1, 0, 0)), KostantPartition(order, (0, 0, 1)), PRINTED
         )
 
 
@@ -113,8 +111,8 @@ def test_cover_relations_a3_diamond():
 
 
 def test_hasse_dot_output():
-    datum = cartan_datum("A2")
-    dot = hasse_dot(datum, (1, 1), _a2_order(), CALIBRATED)
+    kps = enumerate_kp(cartan_datum("A2"), (1, 1), _a2_order())
+    dot = hasse_dot(kps, CALIBRATED)
     assert dot.startswith("digraph")
     assert '"1 0 1"' in dot and '"0 1 0"' in dot
     assert '"1 0 1" -> "0 1 0"' in dot  # closed orbit below dense orbit
@@ -124,7 +122,7 @@ def test_hasse_dot_cap():
     datum = cartan_datum("A3")
     order = adapted_order(linear_quiver("A3"))
     with pytest.raises(CapExceeded):
-        hasse_dot(datum, (3, 3, 3), order, CALIBRATED, cap=5)
+        hasse_dot(enumerate_kp(datum, (3, 3, 3), order), CALIBRATED, cap=5)
 
 
 def test_order_invariance_on_commutation_class():
@@ -169,52 +167,34 @@ def test_decomposition_first_parts_a2():
 
 def test_mackey_clean_under_calibrated_ledger():
     order = _a2_order()
-    for counts in itertools.product(range(3), repeat=3):
-        m = KostantPartition(order, counts)
-        if sum(m.nu) == 0 or sum(m.nu) > 4:
+    datum = cartan_datum("A2")
+    for nu in itertools.product(range(5), repeat=2):
+        if not 0 < sum(nu) <= 4:
             continue
-        report = mackey_dominance_check(m, CALIBRATED)
-        assert report.violations == (), (counts, report.violations)
+        kps = enumerate_kp(datum, nu, order)
+        violations = mackey_dominance_check(kps, CALIBRATED.res_large_side)
+        assert len(violations) == len(kps)
+        assert not any(violations), (nu, violations)
 
 
 def test_mackey_audit_row_for_dense_orbit():
     # the dense orbit's restriction dominates the semisimple one even though
-    # the raw ledger-direction comparison is false; both columns are reported
+    # the raw ledger-direction comparison is false
     order = _a2_order()
-    m = KostantPartition(order, (1, 0, 1))
-    report = mackey_dominance_check(m, CALIBRATED)
-    rows = {r.counts: r for r in report.rows}
-    row = rows[(0, 1, 0)]
-    assert row.achievable
-    assert row.dominates
-    assert not row.kp_leq_ledger
-    assert report.violations == ()
+    kps = enumerate_kp(cartan_datum("A2"), (1, 1), order)
+    assert [k.counts for k in kps] == [(0, 1, 0), (1, 0, 1)]
+    dense, m = kps
+    sums = achievable_prefix_sums(m, CALIBRATED.res_large_side)
+    assert all(prefix_flags(dense, sums))
+    assert not kp_leq(dense, m, CALIBRATED)
+    assert mackey_dominance_check(kps, CALIBRATED.res_large_side) == [(), ()]
 
 
 def test_mackey_violation_under_second_factor_convention():
     # with the opposite large-side convention the same input produces a
     # genuine violation, which is how the convention is calibrated away
     order = _a2_order()
-    wrong = OrientationLedger("reversed", "transposed", "second-factor")
+    kps = enumerate_kp(cartan_datum("A2"), (1, 1), order)
     m = KostantPartition(order, (0, 1, 0))
-    report = mackey_dominance_check(m, wrong)
-    assert len(report.violations) == 1
-    assert report.violations[0].counts == (1, 0, 1)
-
-
-def test_restriction_dominates_matches_printed_comparison():
-    order = _a2_order()
-    a = KostantPartition(order, (0, 1, 0))
-    b = KostantPartition(order, (1, 0, 1))
-    assert restriction_dominates(a, b) == kp_leq_printed(a, b)
-
-
-def test_mackey_report_tsv():
-    order = _a2_order()
-    m = KostantPartition(order, (1, 0, 1))
-    report = mackey_dominance_check(m, CALIBRATED)
-    tsv = report.to_tsv()
-    lines = tsv.strip().splitlines()
-    assert lines[0] == "n\tprefixes-achievable\tdominates"
-    assert len(lines) == 1 + len(report.rows)
-    assert lines[1].endswith(("yes", "no"))
+    violations = dict(zip(kps, mackey_dominance_check(kps, "second-factor")))
+    assert violations[m] == (KostantPartition(order, (1, 0, 1)),)

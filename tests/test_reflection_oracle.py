@@ -6,14 +6,23 @@ reference below is the earlier two-branch version, with its own kernel
 construction at sinks, kept verbatim; every sink and source reflection of
 every indecomposable and of a fixed set of direct sums must come out
 identical, matrix entry for matrix entry.
+
+The reflection locus (no alpha_i part) is read off the partition; the
+earlier test, the rank of the assembled map at i on the rational model of
+M(lam), is kept below as its reference over every partition with |nu| <= 4
+at every sink and source.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from quiver_orders.convex_order import adapted_order
 from quiver_orders.fields import RATIONALS, galois_field
-from quiver_orders.linalg import nullspace, rref, transpose
+from quiver_orders.geometry import default_test_nus
+from quiver_orders.kostant import KostantPartition, enumerate_kp
+from quiver_orders.linalg import nullspace, rank, rref, transpose
+from quiver_orders.pbw import _no_alpha_part
 from quiver_orders.quivers import Quiver, linear_quiver, reflect_quiver, sinks, sources
 from quiver_orders.reps import (
     QuiverRep,
@@ -22,6 +31,7 @@ from quiver_orders.reps import (
     direct_sum,
     dual_rep,
     hom_dim,
+    rep_of_kp,
     simple_rep,
 )
 from quiver_orders.root_system import cartan_datum
@@ -179,3 +189,39 @@ def test_dual_keeps_shapes_at_a_zero_vertex():
     assert D.quiver.arrows == ((2, 1), (3, 2))
     assert D.mats == ((), ((),))  # 0x1 and 1x0
     assert dual_rep(D) == M
+
+
+def reference_no_alpha_part(lam: KostantPartition, i: int) -> bool:
+    """True iff the assembled map at i of the rational model of M(lam) (the
+    maps into a sink side by side, or the maps out of a source stacked) has
+    rank dim M_i."""
+    Q = lam.order.quiver
+    M = rep_of_kp(lam, RATIONALS)
+    if i in sinks(Q):
+        assembled = tuple(
+            tuple(x for a in Q.arrows_into(i) for x in M.mats[a][r])
+            for r in range(M.dims[i - 1])
+        )
+    elif i in sources(Q):
+        assembled = tuple(row for a in Q.arrows_out_of(i) for row in M.mats[a])
+    else:
+        raise ValueError(f"vertex {i} is neither a sink nor a source")
+    return rank(RATIONALS, assembled) == M.dims[i - 1]
+
+
+LOCUS_CASES = [(label, orient) for label in LABELS if label != "E7" for orient in ORIENTATIONS]
+
+
+@pytest.mark.parametrize(("label", "orient"), LOCUS_CASES, ids=["-".join(c) for c in LOCUS_CASES])
+def test_locus_matches_rank_on_rational_model(label, orient):
+    Q = ORIENTATIONS[orient](label)
+    order = adapted_order(Q)
+    vertices = sinks(Q) + sources(Q)
+    outside = 0
+    for nu in default_test_nus(Q.datum, 4):
+        for lam in enumerate_kp(Q.datum, nu, order):
+            for i in vertices:
+                expected = reference_no_alpha_part(lam, i)
+                assert _no_alpha_part(lam, i) == expected, (lam.counts, i)
+                outside += not expected
+    assert outside > 0

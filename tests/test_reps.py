@@ -124,20 +124,26 @@ def test_hom_dim_brute_force_d4_highest_root():
 
 def test_a2_hom_matrix_frozen():
     # adapted order for 1 -> 2 lists beta = (a2, a1+a2, a1)
-    G = hom_matrix(A2, RATIONALS)
+    G = hom_matrix(A2)
     assert G == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 
 
 def test_hom_matrix_field_independent():
     for Q in [A2, A3LIN, D4STAR]:
-        G_q = hom_matrix(Q, RATIONALS)
-        assert G_q == hom_matrix(Q, PrimeField(2))
-        assert G_q == hom_matrix(Q, PrimeField(3))
+        G_q = hom_matrix(Q)
+        order = adapted_order(Q)
+        for F in (PrimeField(2), PrimeField(3)):
+            table = all_indecomposables(Q, F)
+            G_f = tuple(
+                tuple(hom_dim(table[bk], table[bl]) for bl in order.beta)
+                for bk in order.beta
+            )
+            assert G_q == G_f
 
 
 def test_hom_matrix_unitriangular():
     for Q in [A2, A3LIN, D4STAR]:
-        G = hom_matrix(Q, RATIONALS)
+        G = hom_matrix(Q)
         N = len(G)
         assert all(G[k][k] == 1 for k in range(N))
         assert all(G[k][l] == 0 for k in range(N) for l in range(k))
