@@ -29,7 +29,6 @@ from .kostant import (
     enumerate_kp,
     hasse_dot,
     kp_leq,
-    kpf,
     mackey_dominance_check,
     order_invariant_on_class,
     prefix_statistics,

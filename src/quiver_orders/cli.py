@@ -178,8 +178,9 @@ def _cmd_verify(args) -> int:
         ledger = _load_ledger(args.ledger)
         fields = (galois_field(2), galois_field(3), RATIONALS)
         for nu in nus:
+            kps = enumerate_kp(datum, nu, order)
             for i in sinks(Q):
-                for lam in enumerate_kp(datum, nu, order):
+                for lam in kps:
                     if not in_ker_locus(lam, i):
                         continue
                     for F in fields:
@@ -188,7 +189,7 @@ def _cmd_verify(args) -> int:
                             f"reflection at {i} matches on {lam.counts} over {F!r}",
                         )
                 note(
-                    order_compat(i, nu, order, ledger),
+                    order_compat(i, kps, ledger),
                     f"order compatible with reflection at {i}, nu={nu}",
                 )
     elif args.check == "evenness":

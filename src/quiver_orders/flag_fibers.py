@@ -9,12 +9,20 @@ hyperplanes through U_i, enumerated by projective classes of functionals
 vanishing on U_i; the representation restricts to the hyperplane and the
 count recurses.
 
+The count F(M) depends only on the isomorphism class of M, so
+F(M) = sum_i sum_H F(M|_H) is a recursion over classes (the Hall-number
+form, Ringel 1990): each class is expanded once, and its count is kept in
+one table per (quiver, field), keyed by the summand multiplicities that
+`reps.iso_class` reads off.  The table is shared by every count of the
+process over that quiver and field.
+
 When every arrow matrix is zero there is no stability constraint and the
 count has the closed form multinomial(|d|; d) * prod_i [d_i]_q!.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +33,7 @@ from .fields import galois_field
 from .kostant import KostantPartition, enumerate_kp
 from .linalg import nullspace
 from .quivers import Quiver
-from .reps import QuiverRep, orbit_point_count, rep_of_kp, rep_space_dim
+from .reps import QuiverRep, iso_class, orbit_point_count, rep_of_kp, rep_space_dim
 
 
 def q_factorial(d: int, q: int) -> int:
@@ -62,11 +70,22 @@ def fiber_point_count(M: QuiverRep) -> int:
     return _count(M.quiver, F, M.dims, M.mats)
 
 
+@functools.cache
+def _fiber_table(Q: Quiver, F) -> dict[tuple[int, ...], int]:
+    """Fiber counts of the classes of representations of Q over F met so far,
+    keyed by their summand multiplicities."""
+    return {}
+
+
 def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
     if all(d == 0 for d in dims):
         return 1
     if all(x == F.zero for m in mats for row in m for x in row):
         return shuffle_flag_count(dims, F.order)
+    table = _fiber_table(Q, F)
+    key = iso_class(QuiverRep(Q, F, dims, mats)).counts
+    if key in table:
+        return table[key]
     total = 0
     for i in Q.datum.vertices():
         d = dims[i - 1]
@@ -109,6 +128,7 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
                     for row in m
                 )
             total += _count(Q, F, new_dims, tuple(new_mats))
+    table[key] = total
     return total
 
 

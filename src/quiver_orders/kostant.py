@@ -150,11 +150,6 @@ def enumerate_kp(
     return tuple(out)
 
 
-def kpf(datum, nu: tuple[int, ...], order: ConvexOrder) -> int:
-    """Number of Kostant partitions of nu."""
-    return len(enumerate_kp(datum, nu, order))
-
-
 def prefix_statistics(lam: KostantPartition) -> tuple[int, ...]:
     """T_k(lam) = sum_{t<=k} C[k][t] lam_t for each k."""
     C = lam.order.pairings

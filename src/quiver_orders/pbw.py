@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from .convex_order import adapted_order
 from .errors import VerificationError
-from .kostant import (
-    KostantPartition,
-    OrientationLedger,
-    enumerate_kp,
-    leq_bitsets,
-    order_keys,
-)
+from .kostant import KostantPartition, OrientationLedger, leq_bitsets, order_keys
 from .linalg import rank
 from .quivers import reflect_quiver, sinks, sources
 from .reps import bgp_reflect_rep, iso_class, rep_of_kp
@@ -93,19 +87,12 @@ def verify_reflection(i: int, lam: KostantPartition, field) -> bool:
 
 
 def order_compat(
-    i: int, nu: tuple[int, ...], order, ledger: OrientationLedger
+    i: int, kps: tuple[KostantPartition, ...], ledger: OrientationLedger
 ) -> bool:
     """Whether reflection at sink i preserves the calibrated partition order
-    on the no-alpha_i-part locus of KP(nu)."""
-    Q = order.quiver
-    if Q is None:
-        raise ValueError("order has no quiver attached")
-    if i not in sinks(Q):
-        raise ValueError(f"vertex {i} is not a sink")
-    datum = order.datum
-    locus = [
-        lam for lam in enumerate_kp(datum, nu, order) if in_ker_locus(lam, i)
-    ]
+    on the no-alpha_i-part locus of the enumerated partitions kps of one
+    KP(nu); i must be a sink of their quiver."""
+    locus = [lam for lam in kps if in_ker_locus(lam, i)]
     reflected = [reflect_kp(i, lam) for lam in locus]
     d = ledger.order_direction
     return leq_bitsets(order_keys(locus, d)) == leq_bitsets(order_keys(reflected, d))

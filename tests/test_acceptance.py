@@ -236,13 +236,14 @@ def test_criterion_09_reflection_shadow():
         order = adapted_order(Q)
         for i in sinks(Q):
             for nu in _nus(Q.datum, 4):
-                for lam in enumerate_kp(Q.datum, nu, order):
+                kps = enumerate_kp(Q.datum, nu, order)
+                for lam in kps:
                     if not in_ker_locus(lam, i):
                         continue
                     for F in fields:
                         ok = ok and verify_reflection(i, lam, F)
                         module_checks += 1
-                ok = ok and order_compat(i, nu, order, EXPECTED_LEDGER)
+                ok = ok and order_compat(i, kps, EXPECTED_LEDGER)
                 order_checks += 1
     dt = time.perf_counter() - t0
     ok = ok and dt < 120.0

@@ -1,0 +1,148 @@
+"""The class-memoized fiber recursion against the plain hyperplane recursion.
+
+`flag_fibers._count` expands each isomorphism class once and keeps its count
+in one table per (quiver, field).  The reference below is the recursion it
+replaced, kept verbatim: it expands every stable hyperplane of every
+restriction, so its node count grows with the count itself.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from quiver_orders import flag_fibers
+from quiver_orders.convex_order import adapted_order
+from quiver_orders.fields import galois_field
+from quiver_orders.flag_fibers import (
+    _projective_coefficients,
+    fiber_point_count,
+    shuffle_flag_count,
+    y_total_count,
+    z_point_count,
+)
+from quiver_orders.kostant import enumerate_kp
+from quiver_orders.linalg import nullspace
+from quiver_orders.quivers import Quiver, linear_quiver, quiver
+from quiver_orders.reps import orbit_point_count, rep_of_kp
+
+A2 = quiver("A2", ((1, 2),))
+A3LIN = linear_quiver("A3")
+A3ZIG = quiver("A3", ((1, 2), (3, 2)))
+D4STAR = quiver("D4", ((1, 2), (3, 2), (4, 2)))
+
+
+def _reference_count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
+    if all(d == 0 for d in dims):
+        return 1
+    if all(x == F.zero for m in mats for row in m for x in row):
+        return shuffle_flag_count(dims, F.order)
+    total = 0
+    for i in Q.datum.vertices():
+        d = dims[i - 1]
+        if d == 0:
+            continue
+        in_idx = Q.arrows_into(i)
+        out_idx = Q.arrows_out_of(i)
+        image_rows = []
+        for a in in_idx:
+            src_dim = dims[Q.arrows[a][0] - 1]
+            m = mats[a]
+            for c in range(src_dim):
+                image_rows.append(tuple(m[r][c] for r in range(d)))
+        functionals = nullspace(F, tuple(image_rows), ncols=d)
+        if not functionals:
+            continue
+        for coeffs in _projective_coefficients(F, len(functionals)):
+            phi = [F.zero] * d
+            for s, cf in enumerate(coeffs):
+                if cf != F.zero:
+                    basis = functionals[s]
+                    for j in range(d):
+                        phi[j] = F.add(phi[j], F.mul(cf, basis[j]))
+            jstar = next(j for j in range(d) if phi[j] != F.zero)
+            inv = F.inv(phi[jstar])
+            ratio = [F.mul(inv, phi[j]) for j in range(d)]
+            new_dims = tuple(d - 1 if v == i - 1 else dims[v] for v in range(Q.datum.n))
+            new_mats = list(mats)
+            for a in in_idx:
+                m = mats[a]
+                new_mats[a] = tuple(m[r] for r in range(d) if r != jstar)
+            for a in out_idx:
+                m = mats[a]
+                new_mats[a] = tuple(
+                    tuple(
+                        F.sub(row[j], F.mul(ratio[j], row[jstar]))
+                        for j in range(d)
+                        if j != jstar
+                    )
+                    for row in m
+                )
+            total += _reference_count(Q, F, new_dims, tuple(new_mats))
+    return total
+
+
+def _reference_fiber(M) -> int:
+    return _reference_count(M.quiver, M.field, M.dims, M.mats)
+
+
+@pytest.fixture(autouse=True)
+def empty_tables():
+    """Start every test from empty fiber tables, so the recursion runs."""
+    flag_fibers._fiber_table.cache_clear()
+    yield
+    flag_fibers._fiber_table.cache_clear()
+
+
+def _assert_fibers_match(Q, nu, q):
+    F = galois_field(q)
+    for lam in enumerate_kp(Q.datum, nu, adapted_order(Q)):
+        M = rep_of_kp(lam, F)
+        assert fiber_point_count(M) == _reference_fiber(M), (Q.arrows, nu, q, lam.counts)
+
+
+@pytest.mark.parametrize(
+    "nu,q", [((2, 2, 2), q) for q in (2, 3, 4, 5, 7)] + [((2, 3, 2), q) for q in (2, 3)]
+)
+def test_a3_zigzag_matches_reference(nu, q):
+    _assert_fibers_match(A3ZIG, nu, q)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("Q", [A2, A3LIN, D4STAR], ids=["A2", "A3lin", "D4star"])
+def test_small_nus_match_reference(Q, q):
+    for nu in itertools.product(range(4), repeat=Q.datum.n):
+        if 0 < sum(nu) <= 3:
+            _assert_fibers_match(Q, nu, q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_y_and_z_match_reference_sums(q):
+    nu = (2, 2, 2)
+    F = galois_field(q)
+    terms = [
+        (orbit_point_count(lam, q), _reference_fiber(rep_of_kp(lam, F)))
+        for lam in enumerate_kp(A3ZIG.datum, nu, adapted_order(A3ZIG))
+    ]
+    assert y_total_count(A3ZIG.datum, A3ZIG, nu, q) == sum(o * f for o, f in terms)
+    assert z_point_count(A3ZIG.datum, A3ZIG, nu, q) == sum(o * f * f for o, f in terms)
+
+
+def test_recursion_visits_few_nodes(monkeypatch):
+    # The plain recursion makes 20,983 calls here; each class is expanded once.
+    calls = 0
+    original = flag_fibers._count
+
+    def counting(Q, F, dims, mats):
+        nonlocal calls
+        calls += 1
+        return original(Q, F, dims, mats)
+
+    monkeypatch.setattr(flag_fibers, "_count", counting)
+    F = galois_field(7)
+    kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG))
+    for lam in kps:
+        fiber_point_count(rep_of_kp(lam, F))
+    # more calls than partitions: the recursion looks `_count` up as a module global
+    assert len(kps) < calls <= 1_000

@@ -16,7 +16,6 @@ from quiver_orders.kostant import (
     enumerate_kp,
     hasse_dot,
     kp_leq,
-    kpf,
     mackey_dominance_check,
     order_invariant_on_class,
     prefix_flags,
@@ -37,7 +36,7 @@ def test_enumerate_kp_a2():
     order = _a2_order()
     kps = enumerate_kp(cartan_datum("A2"), (1, 1), order)
     assert [k.counts for k in kps] == [(0, 1, 0), (1, 0, 1)]
-    assert kpf(cartan_datum("A2"), (1, 1), order) == 2
+    assert len(kps) == 2
 
 
 def test_kp_counts_independent_of_word():
@@ -45,16 +44,16 @@ def test_kp_counts_independent_of_word():
     nus = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)]
     words = [(1, 2, 1, 3, 2, 1), (3, 2, 1, 3, 2, 3), (2, 1, 3, 2, 1, 3)]
     for nu in nus:
-        counts = {kpf(datum, nu, build_order(datum, w)) for w in words}
+        counts = {len(enumerate_kp(datum, nu, build_order(datum, w))) for w in words}
         assert len(counts) == 1
 
 
 def test_kpf_values_a3():
     datum = cartan_datum("A3")
     order = build_order(datum, (1, 2, 1, 3, 2, 1))
-    assert kpf(datum, (1, 1, 1), order) == 4
-    assert kpf(datum, (0, 0, 0), order) == 1
-    assert kpf(datum, (1, 0, 1), order) == 1  # only alpha_1 + alpha_3
+    assert len(enumerate_kp(datum, (1, 1, 1), order)) == 4
+    assert len(enumerate_kp(datum, (0, 0, 0), order)) == 1
+    assert len(enumerate_kp(datum, (1, 0, 1), order)) == 1  # only alpha_1 + alpha_3
 
 
 def test_kp_nu_and_parts():

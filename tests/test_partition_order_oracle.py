@@ -129,5 +129,5 @@ def test_order_compat_matches_pairwise(Q, nu_max):
             nontrivial += sum(in_ker_locus(lam, i) for lam in kps) >= 2
             for ledger in LEDGERS:
                 expected = reference_order_compat(i, nu, order, ledger)
-                assert order_compat(i, nu, order, ledger) == expected
+                assert order_compat(i, kps, ledger) == expected
     assert nontrivial > 0

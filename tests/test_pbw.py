@@ -112,10 +112,10 @@ def test_order_compat_small():
             for nu in itertools.product(range(3), repeat=Q.datum.n):
                 if not 0 < sum(nu) <= 3:
                     continue
-                assert order_compat(i, nu, order, CALIBRATED)
+                assert order_compat(i, enumerate_kp(Q.datum, nu, order), CALIBRATED)
 
 
 def test_order_compat_requires_sink():
     order = adapted_order(A2)
     with pytest.raises(ValueError):
-        order_compat(1, (1, 1), order, CALIBRATED)
+        order_compat(1, enumerate_kp(A2.datum, (1, 1), order), CALIBRATED)
