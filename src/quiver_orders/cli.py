@@ -50,14 +50,30 @@ def _read(parse, *args):
         raise _UsageError(str(exc)) from exc
 
 
+def _read_text(path: str) -> str:
+    """Contents of an input file; a file that cannot be read is a usage error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _load_quiver(path: str):
-    return _read(parse_quiver_file, Path(path).read_text())
+    return _read(parse_quiver_file, _read_text(path))
 
 
 def _load_ledger(path: str | None) -> OrientationLedger:
     if path is None:
         raise _UsageError("this command needs --ledger (run `calibrate` first)")
-    return _read(OrientationLedger.from_json, Path(path).read_text())
+    return _read(OrientationLedger.from_json, _read_text(path))
+
+
+def _non_negative(text: str) -> int:
+    """argparse type of --nu-max and --cap."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def _parse_nu(text: str, datum) -> tuple[int, ...]:
@@ -265,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu", help="comma-separated dimension vector")
     p.add_argument("--hasse", metavar="OUT.dot", default=None)
     p.add_argument("--ledger", default=None)
-    p.add_argument("--cap", type=int, default=200)
+    p.add_argument("--cap", type=_non_negative, default=200)
     p.set_defaults(func=_cmd_kp)
 
     p = sub.add_parser("calibrate", help="fix order/hom/restriction conventions")
     p.add_argument("quiver")
     p.add_argument("--out", default=None, help="write the ledger JSON here")
-    p.add_argument("--nu-max", type=int, default=3)
+    p.add_argument("--nu-max", type=_non_negative, default=3)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("verify", help="run a verification sweep")
@@ -280,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("quiver")
     p.add_argument("--ledger", default=None)
-    p.add_argument("--nu-max", type=int, default=4)
+    p.add_argument("--nu-max", type=_non_negative, default=4)
     p.add_argument("--q-list", default=None, help="comma-separated prime powers")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_non_negative, default=1_000_000)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="point counts over finite fields")

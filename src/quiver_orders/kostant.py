@@ -311,7 +311,10 @@ def achievable_prefix_sums(
             for x in options:
                 work += 1
                 if work > cap:
-                    raise CapExceeded("restriction decomposition sweep over cap")
+                    raise CapExceeded(
+                        f"restriction decomposition sweep of m={m.counts} reached "
+                        f"{work} steps, over the cap {cap}"
+                    )
                 new_sums.add(tuple(a + b for a, b in zip(s, x)))
         sums = new_sums
     return frozenset(sums)

@@ -2,9 +2,14 @@
 
 Matrices are tuples of row tuples (possibly with zero rows or columns).
 Everything is deterministic: elimination always picks the first usable pivot.
+A matrix over Q whose entries are all integers is eliminated fraction-free on
+Python ints (Bareiss, Math. Comp. 22, 1968); every other matrix, over Q, F_p
+or GF(p^r), takes the generic loop over the field's operations.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 Matrix = tuple[tuple[object, ...], ...]
 Vector = tuple[object, ...]
@@ -28,10 +33,12 @@ def rref(F, A: Matrix, ncols: int | None = None) -> tuple[Matrix, tuple[int, ...
 
     `ncols` disambiguates the width of a matrix with no rows.
     """
-    rows = [list(r) for r in A]
     nr, nc = shape(A)
     if not A and ncols is not None:
         nc = ncols
+    if F.order is None and all(x.denominator == 1 for row in A for x in row):
+        return _rref_integral(A, nr, nc)
+    rows = [list(r) for r in A]
     pivots: list[int] = []
     r = 0
     for c in range(nc):
@@ -54,6 +61,45 @@ def rref(F, A: Matrix, ncols: int | None = None) -> tuple[Matrix, tuple[int, ...
         if r == nr:
             break
     return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _rref_integral(A: Matrix, nr: int, nc: int) -> tuple[Matrix, tuple[int, ...]]:
+    """`rref` over Q of an integer matrix, by fraction-free Gauss-Jordan.
+
+    Every row but the pivot row becomes (p*row - f*pivot_row) // prev, where
+    p is the new pivot and prev the one before it; the division is exact
+    because each entry is then a minor of A.  Rows with f == 0 are rescaled
+    too, or a later division would not be exact; only when p == prev is that
+    update the identity and the row is left as it is.  So every pivot entry
+    ends equal to the last pivot d, and the reduced rows are the rows over d.
+    """
+    rows = [[x.numerator for x in r] for r in A]
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(nc):
+        pivot_row = None
+        for i in range(r, nr):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nr):
+            f = rows[i][c]
+            if i != r and (f or p != prev):
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], prow)]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    zero = Fraction(0)
+    R = tuple(tuple(Fraction(x, prev) if x else zero for x in row) for row in rows)
+    return R, tuple(pivots)
 
 
 def rank(F, A: Matrix) -> int:

@@ -203,6 +203,39 @@ def test_bad_input_is_a_usage_error(capsys, a2_file, tmp_path):
     assert "no comparable pairs" in err and "insufficient q values" in err
 
 
+def test_unreadable_input_file_is_a_usage_error(capsys, a2_file, tmp_path):
+    binary = tmp_path / "binary.quiver"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert main(["verify", "ringel", str(tmp_path)]) == 2
+    assert main(["verify", "baumann", a2_file, "--ledger", str(tmp_path)]) == 2
+    assert main(["kp", str(binary), "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage error") == 3
+    assert "Is a directory" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "baumann", "{quiver}", "--ledger", "{ledger}", "--nu-max", "-1"],
+        ["verify", "mackey", "{quiver}", "--ledger", "{ledger}", "--cap", "-1"],
+        ["calibrate", "{quiver}", "--nu-max", "-1"],
+        ["kp", "{quiver}", "1,1", "--hasse", "{out}", "--ledger", "{ledger}", "--cap", "-1"],
+    ],
+)
+def test_negative_nu_max_and_cap_rejected(capsys, a2_file, ledger_file, tmp_path, argv):
+    out_dot = tmp_path / "h.dot"
+    argv = [a.format(quiver=a2_file, ledger=ledger_file, out=out_dot) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-1 is negative" in captured.err
+    assert not out_dot.exists()
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, a2_file):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")

@@ -124,6 +124,17 @@ def test_hasse_dot_cap():
         hasse_dot(enumerate_kp(datum, (3, 3, 3), order), CALIBRATED, cap=5)
 
 
+def test_achievable_prefix_sums_cap_names_partition_and_cap():
+    datum = cartan_datum("A3")
+    order = adapted_order(linear_quiver("A3"))
+    m = enumerate_kp(datum, (2, 2, 2), order)[0]
+    with pytest.raises(CapExceeded) as exc:
+        achievable_prefix_sums(m, "first-factor", cap=3)
+    assert str(exc.value) == (
+        f"restriction decomposition sweep of m={m.counts} reached 4 steps, over the cap 3"
+    )
+
+
 def test_order_invariance_on_commutation_class():
     datum = cartan_datum("A3")
     assert order_invariant_on_class(datum, (1, 1, 1), (2, 1, 3, 2, 1, 3), cap=50)

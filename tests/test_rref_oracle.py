@@ -1,0 +1,183 @@
+"""Oracle for the fraction-free integer path of `linalg.rref` over Q.
+
+`_reference_rref` is the generic Gauss-Jordan loop over the field's
+operations, as `rref` ran it on every matrix before integer matrices over Q
+got their own path.  The reduced row echelon form is unique, so the RREF,
+the pivots, the rank and the nullspace must agree exactly on every input.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from quiver_orders import linalg
+from quiver_orders.convex_order import adapted_order
+from quiver_orders.fields import RATIONALS, galois_field
+from quiver_orders.linalg import nullspace, rank, rref, shape
+from quiver_orders.quivers import quiver
+from quiver_orders.reps import all_indecomposables, hom_dim, hom_matrix
+
+Q = RATIONALS
+
+
+def _reference_rref(F, A, ncols=None):
+    rows = [list(r) for r in A]
+    nr, nc = shape(A)
+    if not A and ncols is not None:
+        nc = ncols
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        pivot_row = None
+        for i in range(r, nr):
+            if rows[i][c] != F.zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != F.zero:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _reference_nullspace(A, nc):
+    R, pivots = _reference_rref(Q, A, ncols=nc)
+    basis = []
+    for free in range(nc):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * nc
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _matrix(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def _random_matrix(rng, nr, nc, density=1.0):
+    return _matrix(
+        [
+            [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+    )
+
+
+def _product(rng, nr, k, nc):
+    """An nr x nc integer matrix of rank at most k."""
+    B = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+    C = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+    return _matrix(
+        [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+    )
+
+
+def _with_zero_lines(rng, A):
+    """A with a zero row and a zero column inserted at random places."""
+    rows = [list(r) for r in A]
+    nc = len(rows[0])
+    col = rng.randint(0, nc)
+    rows = [r[:col] + [Fraction(0)] + r[col:] for r in rows]
+    rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * (nc + 1))
+    return tuple(tuple(r) for r in rows)
+
+
+def _cases():
+    rng = random.Random(20260418)
+    cases = []
+    for _ in range(150):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        cases.append(_random_matrix(rng, nr, nc, density=rng.choice((0.2, 0.5, 1.0))))
+    for _ in range(60):
+        nr, nc = rng.randint(2, 12), rng.randint(2, 12)
+        cases.append(_product(rng, nr, rng.randint(1, min(nr, nc) - 1), nc))
+    for _ in range(30):
+        A = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+        cases.append(_with_zero_lines(rng, A))
+    cases.append(_matrix([[0] * 5] * 4))
+    cases.append(_matrix([[2, 4, 6], [1, 2, 3], [-3, -6, -9]]))
+    return cases
+
+
+CASES = _cases()
+
+
+def _assert_matches(A, ncols=None):
+    R, pivots = rref(Q, A, ncols=ncols)
+    assert (R, pivots) == _reference_rref(Q, A, ncols=ncols)
+    assert all(type(x) is Fraction for row in R for x in row)
+    nc = ncols if (not A and ncols is not None) else shape(A)[1]
+    assert rank(Q, A) == len(pivots)
+    basis = nullspace(Q, A, ncols=ncols)
+    assert basis == _reference_nullspace(A, nc)
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
+
+
+def test_integer_matrices_match_reference():
+    ranks = set()
+    for A in CASES:
+        _assert_matches(A)
+        ranks.add(min(shape(A)) - rank(Q, A))
+    # the sweep covers full-rank and rank-deficient matrices
+    assert 0 in ranks and max(ranks) >= 3
+
+
+def test_rowless_matrices():
+    for nc in (0, 1, 4):
+        assert rref(Q, (), ncols=nc) == ((), ())
+        _assert_matches((), ncols=nc)
+        assert len(nullspace(Q, (), ncols=nc)) == nc
+
+
+def test_integer_path_taken_only_for_integer_matrices_over_q(monkeypatch):
+    calls = []
+    original = linalg._rref_integral
+
+    def spy(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "_rref_integral", spy)
+    A = _matrix([[1, 2], [3, 4]])
+    half = ((Fraction(1, 2), Fraction(1)), (Fraction(3), Fraction(-2, 3)))
+    F5 = galois_field(5)
+    A5 = ((1, 2), (3, 4))
+    assert rref(Q, A) == _reference_rref(Q, A)
+    assert rref(Q, half) == _reference_rref(Q, half)
+    assert rref(F5, A5) == _reference_rref(F5, A5)
+    assert calls == [A]
+
+
+def test_non_integral_matrices_match_reference():
+    rng = random.Random(7)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        A = tuple(
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nc))
+            for _ in range(nr)
+        )
+        _assert_matches(A)
+
+
+def test_e6_hom_matrix_equals_hom_dims_over_f101():
+    Q6 = quiver("E6", ((1, 3), (4, 2), (4, 3), (5, 4), (5, 6)))
+    F = galois_field(101)
+    reps = all_indecomposables(Q6, F)
+    beta = adapted_order(Q6).beta
+    G101 = tuple(tuple(hom_dim(reps[a], reps[b]) for b in beta) for a in beta)
+    assert hom_matrix(Q6) == G101
