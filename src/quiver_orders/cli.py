@@ -58,6 +58,14 @@ def _read_text(path: str) -> str:
         raise _UsageError(str(exc)) from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a file that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _load_quiver(path: str):
     return _read(parse_quiver_file, _read_text(path))
 
@@ -127,6 +135,8 @@ def _cmd_kp(args) -> int:
     Q = _load_quiver(args.quiver)
     datum = Q.datum
     nu = _parse_nu(args.nu, datum)
+    # a missing --ledger is rejected before any output
+    ledger = _load_ledger(args.ledger) if args.hasse is not None else None
     order = adapted_order(Q)
     kps = enumerate_kp(datum, nu, order)
     for lam in kps:
@@ -135,10 +145,8 @@ def _cmd_kp(args) -> int:
         )
         print(" ".join(str(c) for c in lam.counts) + "\t" + parts)
     print(f"kpf: {len(kps)}")
-    if args.hasse is not None:
-        ledger = _load_ledger(args.ledger)
-        dot = hasse_dot(kps, ledger, cap=args.cap)
-        Path(args.hasse).write_text(dot)
+    if ledger is not None:
+        _write_text(args.hasse, hasse_dot(kps, ledger, cap=args.cap))
         print(f"hasse: wrote {args.hasse}")
     return 0
 
@@ -153,7 +161,7 @@ def _cmd_calibrate(args) -> int:
     print(f"hom_formula_direction: {ledger.hom_formula_direction}")
     print(f"res_large_side: {ledger.res_large_side}")
     if args.out is not None:
-        Path(args.out).write_text(ledger.to_json() + "\n")
+        _write_text(args.out, ledger.to_json() + "\n")
         print(f"ledger: wrote {args.out}")
     return 0
 
@@ -316,7 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, FileNotFoundError) as exc:
+    except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, CalibrationError, VerificationError) as exc:

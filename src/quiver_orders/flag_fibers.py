@@ -14,7 +14,11 @@ F(M) = sum_i sum_H F(M|_H) is a recursion over classes (the Hall-number
 form, Ringel 1990): each class is expanded once, and its count is kept in
 one table per (quiver, field), keyed by the summand multiplicities that
 `reps.iso_class` reads off.  The table is shared by every count of the
-process over that quiver and field.
+process over that quiver and field.  Hyperplanes of one expansion that
+restrict to the same (dims, mats) give the same child (at a sink the
+restriction depends only on the leading index of the functional), so each
+distinct restriction is counted once and weighted by how many hyperplanes
+give it.
 
 When every arrow matrix is zero there is no stability constraint and the
 count has the closed form multinomial(|d|; d) * prod_i [d_i]_q!.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,7 +91,7 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
     key = iso_class(QuiverRep(Q, F, dims, mats)).counts
     if key in table:
         return table[key]
-    total = 0
+    children: Counter = Counter()
     for i in Q.datum.vertices():
         d = dims[i - 1]
         if d == 0:
@@ -127,7 +132,11 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
                     )
                     for row in m
                 )
-            total += _count(Q, F, new_dims, tuple(new_mats))
+            children[new_dims, tuple(new_mats)] += 1
+    total = sum(
+        m * _count(Q, F, sub_dims, sub_mats)
+        for (sub_dims, sub_mats), m in children.items()
+    )
     table[key] = total
     return total
 

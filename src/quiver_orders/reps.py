@@ -11,7 +11,9 @@ S+_i = D S-_i D, where D reverses every arrow and transposes every matrix.
 Isomorphism classes are read off Hom counts: in the adapted order the Hom
 matrix of the indecomposables is upper unitriangular (the Hom order of a
 Dynkin quiver is directed), so summand multiplicities follow by integer
-forward substitution.
+forward substitution.  Hom into an injective indecomposable I(j) is dim M_j
+for every M, so the n columns of injectives, found in the Hom matrix, are
+read off the dims; only the other columns need an elimination.
 """
 
 from __future__ import annotations
@@ -246,19 +248,49 @@ def rep_of_kp(lam: KostantPartition, field) -> QuiverRep:
     return acc
 
 
+@functools.cache
+def injective_columns(Q: Quiver) -> dict[int, int]:
+    """{l: j - 1} for the columns l of `hom_matrix(Q)` whose M(beta_l) is the
+    injective indecomposable I(j).
+
+    hom(X, I(j)) = dim X_j for every X, so column l belongs to vertex j when
+    G[k][l] = beta_k[j] for every k; by Krull-Schmidt and additivity,
+    hom(M, M(beta_l)) = M.dims[j - 1] for every module M.  Exactly one column
+    must match each vertex.
+    """
+    beta = adapted_order(Q).beta
+    G = hom_matrix(Q)
+    vertex_of = {tuple(b[v] for b in beta): v for v in range(Q.datum.n)}
+    cols = {}
+    for l in range(len(beta)):
+        v = vertex_of.get(tuple(row[l] for row in G))
+        if v is not None:
+            cols[l] = v
+    if sorted(cols.values()) != list(range(Q.datum.n)):
+        raise VerificationError(
+            f"Hom matrix columns match vertices {sorted(cols.values())}, "
+            "not one injective per vertex"
+        )
+    return cols
+
+
 def iso_class(M: QuiverRep) -> KostantPartition:
     """Multiplicities of the indecomposable summands of M, via Hom counts.
 
     hom(M, M(beta_l)) = sum_k n_k G[k][l] with G upper unitriangular, so
     n_l = hom(M, M(beta_l)) - sum_{k<l} n_k G[k][l] in adapted order; the
-    result is checked to be non-negative and to add up to M's dims.
+    result is checked to be non-negative and to add up to M's dims.  Hom into
+    an injective I(j) is read off the dims as dim M_j (`injective_columns`),
+    so only the other N - n columns take a `hom_dim` elimination.
     """
     order = adapted_order(M.quiver)
     reps = all_indecomposables(M.quiver, M.field)
     G = hom_matrix(M.quiver)
+    injective = injective_columns(M.quiver)
     counts: list[int] = []
     for l, b in enumerate(order.beta):
-        n = hom_dim(M, reps[b]) - sum(c * G[k][l] for k, c in enumerate(counts))
+        h = M.dims[injective[l]] if l in injective else hom_dim(M, reps[b])
+        n = h - sum(c * G[k][l] for k, c in enumerate(counts))
         if n < 0:
             raise VerificationError(f"negative multiplicity {n}")
         counts.append(n)

@@ -79,8 +79,9 @@ def test_kp_listing(capsys, a2_file):
 def test_kp_hasse_needs_ledger(capsys, a2_file, tmp_path):
     out_dot = str(tmp_path / "h.dot")
     assert main(["kp", a2_file, "1,1", "--hasse", out_dot]) == 2
-    err = capsys.readouterr().err
-    assert "usage error" in err and "--ledger" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "--ledger" in captured.err
 
 
 def test_kp_hasse_writes_dot(capsys, a2_file, ledger_file, tmp_path):
@@ -213,6 +214,28 @@ def test_unreadable_input_file_is_a_usage_error(capsys, a2_file, tmp_path):
     assert captured.out == ""
     assert captured.err.count("usage error") == 3
     assert "Is a directory" in captured.err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kp", "{quiver}", "1,1", "--ledger", "{ledger}", "--hasse", "{out}"],
+        ["calibrate", "{quiver}", "--out", "{out}"],
+    ],
+    ids=["kp-hasse", "calibrate-out"],
+)
+def test_unwritable_output_file_is_a_usage_error(
+    capsys, a2_file, ledger_file, tmp_path, argv, target
+):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+    argv = [a.format(quiver=a2_file, ledger=ledger_file, out=out) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err.startswith("usage error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize(

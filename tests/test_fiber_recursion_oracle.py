@@ -109,6 +109,12 @@ def test_a3_zigzag_matches_reference(nu, q):
     _assert_fibers_match(A3ZIG, nu, q)
 
 
+def test_a3_linear_over_gf4_matches_reference():
+    # an extension field: entries of the restrictions, and so the keys that
+    # merge hyperplanes of one expansion, are GF(4) elements
+    _assert_fibers_match(A3LIN, (2, 2, 2), 4)
+
+
 @pytest.mark.parametrize("q", [2, 4])
 @pytest.mark.parametrize("Q", [A2, A3LIN, D4STAR], ids=["A2", "A3lin", "D4star"])
 def test_small_nus_match_reference(Q, q):
@@ -129,8 +135,8 @@ def test_y_and_z_match_reference_sums(q):
     assert z_point_count(A3ZIG.datum, A3ZIG, nu, q) == sum(o * f * f for o, f in terms)
 
 
-def test_recursion_visits_few_nodes(monkeypatch):
-    # The plain recursion makes 20,983 calls here; each class is expanded once.
+def _zigzag_q7_calls(monkeypatch) -> tuple[int, int]:
+    """(partitions, `_count` calls) for every lam of A3 1->2<-3, nu=(2,2,2), q=7."""
     calls = 0
     original = flag_fibers._count
 
@@ -144,5 +150,18 @@ def test_recursion_visits_few_nodes(monkeypatch):
     kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG))
     for lam in kps:
         fiber_point_count(rep_of_kp(lam, F))
+    return len(kps), calls
+
+
+def test_recursion_visits_few_nodes(monkeypatch):
+    # The plain recursion makes 20,983 calls here; each class is expanded once.
+    partitions, calls = _zigzag_q7_calls(monkeypatch)
     # more calls than partitions: the recursion looks `_count` up as a module global
-    assert len(kps) < calls <= 1_000
+    assert partitions < calls <= 1_000
+
+
+def test_identical_restrictions_are_counted_once(monkeypatch):
+    # 446 calls when every hyperplane recurses on its own; 350 when the
+    # hyperplanes of one expansion with the same restriction share one call.
+    partitions, calls = _zigzag_q7_calls(monkeypatch)
+    assert partitions < calls <= 360

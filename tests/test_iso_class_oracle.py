@@ -9,11 +9,19 @@ non-negative integer vector.  Both must agree on every partition with
 fields, and on every sink and source reflection of each such module.  The
 reference builds its own G over the module's field, so it also checks that
 G over each field equals `hom_matrix`, which is computed over Q.
+
+`iso_class` reads Hom into an injective indecomposable off the dims, through
+the columns `injective_columns` finds in G.  Those columns are checked here on
+every orientation of A2-A5, D4-D6 and E6 against the dimension vectors of the
+injectives, counted by paths (dim I(j)_i is the number of paths from i to j,
+at most one in a tree), and the shortcut hom(M, I(j)) = dim M_j against
+`hom_dim` on every partition with |nu| <= 4 of A3, A4 and the D4 star.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,12 +33,14 @@ from quiver_orders.fields import RATIONALS, galois_field
 from quiver_orders.geometry import default_test_nus
 from quiver_orders.kostant import KostantPartition, enumerate_kp
 from quiver_orders.linalg import rref
-from quiver_orders.quivers import linear_quiver, quiver, sinks, sources
+from quiver_orders.quivers import Quiver, linear_quiver, quiver, sinks, sources
+from quiver_orders.root_system import cartan_datum
 from quiver_orders.reps import (
     all_indecomposables,
     bgp_reflect_rep,
     hom_dim,
     hom_matrix,
+    injective_columns,
     iso_class,
     rep_of_kp,
 )
@@ -126,3 +136,60 @@ def test_hom_matrix_rejects_a_matrix_that_is_not_unitriangular(monkeypatch):
     monkeypatch.setattr(reps, "hom_dim", lambda M, N: 1)
     with pytest.raises(VerificationError, match="unitriangular"):
         reps.hom_matrix.__wrapped__(QUIVERS["A3"])
+
+
+def orientations(label: str):
+    datum = cartan_datum(label)
+    for flips in itertools.product((False, True), repeat=len(datum.edges)):
+        yield Quiver(
+            datum, tuple((j, i) if f else (i, j) for (i, j), f in zip(datum.edges, flips))
+        )
+
+
+def injective_dims(Q: Quiver, j: int) -> tuple[int, ...]:
+    """dim I(j): 1 at every vertex with a path to j (j included), else 0."""
+    reach = {j}
+    while True:
+        more = {s for s, t in Q.arrows if t in reach} - reach
+        if not more:
+            return tuple(int(i in reach) for i in Q.datum.vertices())
+        reach |= more
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"])
+def test_injective_columns_one_per_vertex(label):
+    for Q in orientations(label):
+        beta = adapted_order(Q).beta
+        cols = injective_columns(Q)
+        assert sorted(cols.values()) == list(range(Q.datum.n))
+        for l, v in cols.items():
+            assert beta[l] == injective_dims(Q, v + 1), (Q.arrows, l, v)
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "Q"])
+@pytest.mark.parametrize("label", ["A3", "D4-star", "A4"])
+def test_hom_into_injective_is_dim_at_its_vertex(label, field):
+    Q, F = QUIVERS[label], FIELDS[field]
+    order = adapted_order(Q)
+    indecs = all_indecomposables(Q, F)
+    cols = injective_columns(Q)
+    for nu in default_test_nus(Q.datum, 4):
+        for lam in enumerate_kp(Q.datum, nu, order):
+            M = rep_of_kp(lam, F)
+            for l, v in cols.items():
+                assert hom_dim(M, indecs[order.beta[l]]) == M.dims[v], (lam.counts, l)
+
+
+@pytest.mark.parametrize("change", ["perturbed", "duplicated"])
+def test_injective_columns_reject_a_matrix_without_one_per_vertex(change, monkeypatch):
+    Q = QUIVERS["A3"]
+    G = [list(row) for row in hom_matrix(Q)]
+    l = min(injective_columns(Q))
+    for row in G:
+        if change == "perturbed":
+            row[l] += 1
+        else:
+            row[l + 1 if l == 0 else l - 1] = row[l]
+    monkeypatch.setattr(reps, "hom_matrix", lambda Q: tuple(map(tuple, G)))
+    with pytest.raises(VerificationError, match="one injective per vertex"):
+        reps.injective_columns.__wrapped__(Q)
