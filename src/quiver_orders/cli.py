@@ -3,8 +3,9 @@
 Subcommands: roots, order, kp, calibrate, verify {ringel, baumann, mackey,
 reflection, evenness}, count {fibers, z}.  Output is deterministic; exit code
 0 on success, 1 when a verification fails or a cap is exceeded, 2 on usage
-errors.  Only a ValueError raised while reading command-line input is a
-usage error; any other exception is a bug and propagates with a traceback.
+errors.  Only a ValueError raised while reading command-line input and a
+file the command cannot read or write are usage errors; any other exception
+is a bug and propagates with a traceback.
 """
 
 from __future__ import annotations
