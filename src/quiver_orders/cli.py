@@ -136,10 +136,16 @@ def _cmd_kp(args) -> int:
     Q = _load_quiver(args.quiver)
     datum = Q.datum
     nu = _parse_nu(args.nu, datum)
-    # a missing --ledger is rejected before any output
+    # stray options and a missing --ledger are rejected before any output
+    if args.hasse is None and (args.ledger is not None or args.cap is not None):
+        raise _UsageError("--ledger and --cap apply only with --hasse")
     ledger = _load_ledger(args.ledger) if args.hasse is not None else None
     order = adapted_order(Q)
     kps = enumerate_kp(datum, nu, order)
+    # the DOT file is written before any output, so a failed write prints nothing
+    if ledger is not None:
+        cap = 200 if args.cap is None else args.cap
+        _write_text(args.hasse, hasse_dot(kps, ledger, cap=cap))
     for lam in kps:
         parts = ", ".join(
             "(" + " ".join(str(c) for c in b) + ")" for b in lam.parts()
@@ -147,7 +153,6 @@ def _cmd_kp(args) -> int:
         print(" ".join(str(c) for c in lam.counts) + "\t" + parts)
     print(f"kpf: {len(kps)}")
     if ledger is not None:
-        _write_text(args.hasse, hasse_dot(kps, ledger, cap=args.cap))
         print(f"hasse: wrote {args.hasse}")
     return 0
 
@@ -158,11 +163,12 @@ def _cmd_calibrate(args) -> int:
     order = adapted_order(Q)
     # too small a --nu-max leaves the evidence without comparable pairs
     ledger = _read(calibrate, datum, Q, order, default_test_nus(datum, args.nu_max))
+    if args.out is not None:
+        _write_text(args.out, ledger.to_json() + "\n")
     print(f"order_direction: {ledger.order_direction}")
     print(f"hom_formula_direction: {ledger.hom_formula_direction}")
     print(f"res_large_side: {ledger.res_large_side}")
     if args.out is not None:
-        _write_text(args.out, ledger.to_json() + "\n")
         print(f"ledger: wrote {args.out}")
     return 0
 
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu", help="comma-separated dimension vector")
     p.add_argument("--hasse", metavar="OUT.dot", default=None)
     p.add_argument("--ledger", default=None)
-    p.add_argument("--cap", type=_non_negative, default=200)
+    p.add_argument("--cap", type=_non_negative, default=None, help="with --hasse; default 200")
     p.set_defaults(func=_cmd_kp)
 
     p = sub.add_parser("calibrate", help="fix order/hom/restriction conventions")

@@ -89,10 +89,11 @@ def hom_profile(lam: KostantPartition) -> tuple[int, ...]:
     if Q is None:
         raise ValueError("partition's order has no quiver attached")
     G = hom_matrix(Q)
-    N = lam.order.length
-    return tuple(
-        sum(lam.counts[k] * G[k][l] for k in range(N)) for l in range(N)
-    )
+    profile = [0] * lam.order.length
+    for row, c in zip(G, lam.counts):
+        if c:
+            profile = [h + c * g for h, g in zip(profile, row)]
+    return tuple(profile)
 
 
 def closure_keys(kps) -> list[tuple[int, ...]]:

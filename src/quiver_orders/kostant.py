@@ -98,11 +98,10 @@ class KostantPartition:
 
     @property
     def nu(self) -> tuple[int, ...]:
-        n = self.order.datum.n
-        total = [0] * n
+        total = [0] * self.order.datum.n
         for c, b in zip(self.counts, self.order.beta):
-            for j in range(n):
-                total[j] += c * b[j]
+            if c:
+                total = [t + c * x for t, x in zip(total, b)]
         return tuple(total)
 
     def parts(self) -> tuple[Root, ...]:
@@ -120,30 +119,56 @@ class KostantPartition:
 
 
 def enumerate_kp(
-    datum, nu: tuple[int, ...], order: ConvexOrder
+    datum, nu: tuple[int, ...], order: ConvexOrder, cap: int = 1_000_000
 ) -> tuple[KostantPartition, ...]:
-    """All Kostant partitions of nu, ascending in the multiplicity vector."""
+    """All Kostant partitions of nu, ascending in the multiplicity vector.
+
+    A depth-first search over n_1, n_2, ... that prunes at each vertex's last
+    root: once no later beta has a nonzero j-th entry, n_k beta_k[j] must use
+    up what is left of nu[j], so n_k is at least its ceiling quotient, and at
+    most the floor quotient of every entry of beta_k's support.  Every vertex
+    has a last root (alpha_j is among the beta), so each leaf is a partition.
+    For a reduced word of w0 that entry beta_k[j] is 1 (the roots after beta_k
+    avoid j, so the tail of the word lies in the parabolic subgroup of the
+    other vertices), so the bound pins n_k to what is left of nu[j].
+
+    Raises CapExceeded once there are more than `cap` partitions.
+    """
     if datum != order.datum:
         raise ValueError("datum does not match the order")
     if len(nu) != datum.n or any(x < 0 for x in nu):
         raise ValueError(f"bad dimension vector {nu}")
     N = order.length
-    beta = order.beta
+    support = [tuple((j, x) for j, x in enumerate(b) if x > 0) for b in order.beta]
+    last = {j: k for k, supp in enumerate(support) for j, _ in supp}
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(N)]
+    for j, k in last.items():
+        closing[k].append((j, order.beta[k][j]))
     out: list[KostantPartition] = []
     counts = [0] * N
 
     def search(k: int, remaining: tuple[int, ...]) -> None:
         if k == N:
-            if all(x == 0 for x in remaining):
-                out.append(KostantPartition(order, tuple(counts)))
+            if len(out) == cap:
+                raise CapExceeded(
+                    f"KP({nu}) reached {cap + 1} partitions, over the cap {cap}"
+                )
+            out.append(KostantPartition(order, tuple(counts)))
             return
-        b = beta[k]
-        top = min(
-            (rem // c for rem, c in zip(remaining, b) if c > 0), default=0
-        )
-        for c in range(top + 1):
+        supp = support[k]
+        low = 0
+        for j, x in closing[k]:
+            low = max(low, -(-remaining[j] // x))
+        top = min([remaining[j] // x for j, x in supp])
+        if low == 0:
+            search(k + 1, remaining)
+            low = 1
+        for c in range(low, top + 1):
             counts[k] = c
-            search(k + 1, tuple(r - c * x for r, x in zip(remaining, b)))
+            rest = list(remaining)
+            for j, x in supp:
+                rest[j] -= c * x
+            search(k + 1, tuple(rest))
         counts[k] = 0
 
     search(0, tuple(nu))
@@ -151,19 +176,22 @@ def enumerate_kp(
 
 
 def prefix_statistics(lam: KostantPartition) -> tuple[int, ...]:
-    """T_k(lam) = sum_{t<=k} C[k][t] lam_t for each k."""
+    """T_k(lam) = sum_{t<=k} C[k][t] lam_t for each k, summed over the
+    nonzero lam_t only."""
     C = lam.order.pairings
-    n = lam.counts
+    parts = [(t, c) for t, c in enumerate(lam.counts) if c]
     return tuple(
-        sum(C[k][t] * n[t] for t in range(k + 1)) for k in range(len(n))
+        sum(row[t] * c for t, c in parts if t <= k) for k, row in enumerate(C)
     )
 
 
-def _require_comparable(lam: KostantPartition, mu: KostantPartition) -> None:
-    if lam.order != mu.order:
-        raise ValueError("partitions live over different convex orders")
-    if lam.nu != mu.nu:
-        raise ValueError("partitions have different dimension vectors")
+def _require_comparable(lam: KostantPartition, *others: KostantPartition) -> None:
+    nu = lam.nu
+    for mu in others:
+        if lam.order != mu.order:
+            raise ValueError("partitions live over different convex orders")
+        if mu.nu != nu:
+            raise ValueError("partitions have different dimension vectors")
 
 
 def kp_leq(lam: KostantPartition, mu: KostantPartition, ledger: OrientationLedger) -> bool:
@@ -185,8 +213,8 @@ def order_keys(kps, direction: str) -> list[tuple[int, ...]]:
     """Key vectors whose componentwise order is the partition order in the
     given order_direction: T(lam), negated for "reversed"."""
     sign = 1 if direction == "as-printed" else -1
-    for lam in kps:
-        _require_comparable(kps[0], lam)
+    if kps:
+        _require_comparable(kps[0], *kps[1:])
     return [tuple(sign * t for t in prefix_statistics(lam)) for lam in kps]
 
 

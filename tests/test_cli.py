@@ -92,6 +92,32 @@ def test_kp_hasse_writes_dot(capsys, a2_file, ledger_file, tmp_path):
     assert '"1 0 1" -> "0 1 0"' in text
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--ledger", "/nonexistent"], ["--cap", "0"], ["--ledger", "/nonexistent", "--cap", "0"]],
+    ids=["ledger", "cap", "both"],
+)
+def test_kp_hasse_options_need_hasse(capsys, a2_file, extra):
+    assert main(["kp", a2_file, "1,1", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --ledger and --cap apply only with --hasse\n"
+
+
+@pytest.mark.parametrize("cap, nu, code", [(None, "200,200", 1), (None, "199,199", 0), ("1", "1,1", 1)])
+def test_kp_hasse_cap(capsys, a2_file, ledger_file, tmp_path, cap, nu, code):
+    """KP(n, n) of A2 has n + 1 elements; without --cap the Hasse cap is 200."""
+    out_dot = tmp_path / "h.dot"
+    argv = ["kp", a2_file, nu, "--hasse", str(out_dot), "--ledger", ledger_file]
+    assert main(argv + (["--cap", cap] if cap else [])) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and not out_dot.exists()
+        assert "over the cap" in captured.err
+    else:
+        assert captured.out.endswith(f"kpf: 200\nhasse: wrote {out_dot}\n")
+
+
 def test_kp_bad_nu(capsys, a2_file):
     assert main(["kp", a2_file, "1,1,1"]) == 2
     assert main(["kp", a2_file, "x,y"]) == 2
@@ -232,7 +258,7 @@ def test_unwritable_output_file_is_a_usage_error(
     argv = [a.format(quiver=a2_file, ledger=ledger_file, out=out) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "wrote" not in captured.out
+    assert captured.out == ""
     assert captured.err.startswith("usage error: ")
     assert "Traceback" not in captured.err
     assert not (tmp_path / "missing").exists()

@@ -18,6 +18,7 @@ from quiver_orders.kostant import (
     kp_leq,
     mackey_dominance_check,
     order_invariant_on_class,
+    order_keys,
     prefix_flags,
     prefix_statistics,
 )
@@ -88,6 +89,35 @@ def test_kp_leq_requires_same_dimension_vector():
         kp_leq(
             KostantPartition(order, (1, 0, 0)), KostantPartition(order, (0, 0, 1)), PRINTED
         )
+
+
+def test_order_keys_reject_mixed_lists():
+    """Each partition is checked against the first, whichever position it holds."""
+    datum = cartan_datum("A2")
+    kps = enumerate_kp(datum, (1, 1), _a2_order())
+    other_order = enumerate_kp(datum, (1, 1), build_order(datum, (1, 2, 1)))[0]
+    other_nu = enumerate_kp(datum, (2, 1), _a2_order())[0]
+    for mixed in ([*kps, other_order], [kps[0], other_order, kps[1]], [other_order, *kps]):
+        with pytest.raises(ValueError, match="different convex orders"):
+            order_keys(mixed, "as-printed")
+    for mixed in ([*kps, other_nu], [kps[0], other_nu, kps[1]], [other_nu, *kps]):
+        with pytest.raises(ValueError, match="different dimension vectors"):
+            order_keys(mixed, "reversed")
+    assert order_keys([], "as-printed") == []
+
+
+def test_enumerate_kp_cap_names_nu_count_and_cap():
+    datum = cartan_datum("A3")
+    order = adapted_order(linear_quiver("A3"))
+    kps = enumerate_kp(datum, (2, 2, 2), order)
+    K = len(kps)
+    assert enumerate_kp(datum, (2, 2, 2), order, cap=K) == kps
+    with pytest.raises(
+        CapExceeded, match=rf"KP\(\(2, 2, 2\)\) reached {K} partitions, over the cap {K - 1}$"
+    ):
+        enumerate_kp(datum, (2, 2, 2), order, cap=K - 1)
+    with pytest.raises(CapExceeded, match="reached 1 partitions, over the cap 0"):
+        enumerate_kp(datum, (2, 2, 2), order, cap=0)
 
 
 def test_cover_relations_a3_diamond():
