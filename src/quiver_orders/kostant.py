@@ -124,13 +124,14 @@ def enumerate_kp(
     """All Kostant partitions of nu, ascending in the multiplicity vector.
 
     A depth-first search over n_1, n_2, ... that prunes at each vertex's last
-    root: once no later beta has a nonzero j-th entry, n_k beta_k[j] must use
-    up what is left of nu[j], so n_k is at least its ceiling quotient, and at
-    most the floor quotient of every entry of beta_k's support.  Every vertex
-    has a last root (alpha_j is among the beta), so each leaf is a partition.
-    For a reduced word of w0 that entry beta_k[j] is 1 (the roots after beta_k
-    avoid j, so the tail of the word lies in the parabolic subgroup of the
-    other vertices), so the bound pins n_k to what is left of nu[j].
+    root.  When no beta after beta_k has a nonzero j-th entry, n_k beta_k[j]
+    must use up what is left of nu[j]: n_k is at least that remainder over
+    beta_k[j], rounded up, and at most the remainder over each entry of
+    beta_k's support, rounded down.  Every vertex has a last root (alpha_j is
+    among the beta), so every leaf of the search is a partition.  For a
+    reduced word of w0, beta_k[j] is 1 at the last root of j (the roots after
+    it avoid j, so the tail of the word lies in the parabolic subgroup of the
+    other vertices), and the two bounds pin n_k.
 
     Raises CapExceeded once there are more than `cap` partitions.
     """
