@@ -26,6 +26,7 @@ from .flag_fibers import (
 )
 from .geometry import baumann_check, calibrate, default_test_nus, ringel_check
 from .kostant import (
+    HASSE_CAP,
     OrientationLedger,
     enumerate_kp,
     hasse_dot,
@@ -144,7 +145,7 @@ def _cmd_kp(args) -> int:
     kps = enumerate_kp(datum, nu, order)
     # the DOT file is written before any output, so a failed write prints nothing
     if ledger is not None:
-        cap = 200 if args.cap is None else args.cap
+        cap = HASSE_CAP if args.cap is None else args.cap
         _write_text(args.hasse, hasse_dot(kps, ledger, cap=cap))
     for lam in kps:
         parts = ", ".join(
@@ -296,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu", help="comma-separated dimension vector")
     p.add_argument("--hasse", metavar="OUT.dot", default=None)
     p.add_argument("--ledger", default=None)
-    p.add_argument("--cap", type=_non_negative, default=None, help="with --hasse; default 200")
+    p.add_argument(
+        "--cap", type=_non_negative, default=None, help=f"with --hasse; default {HASSE_CAP}"
+    )
     p.set_defaults(func=_cmd_kp)
 
     p = sub.add_parser("calibrate", help="fix order/hom/restriction conventions")

@@ -29,6 +29,11 @@ ORDER_DIRECTIONS = ("as-printed", "reversed")
 HOM_DIRECTIONS = ("as-printed", "transposed")
 RES_SIDES = ("first-factor", "second-factor")
 
+# enumerate_kp raises CapExceeded past this many partitions
+_KP_CAP = 1_000_000
+# the default bound on the size of one Hasse diagram
+HASSE_CAP = 200
+
 
 @dataclass(frozen=True)
 class OrientationLedger:
@@ -119,32 +124,29 @@ class KostantPartition:
 
 
 def enumerate_kp(
-    datum, nu: tuple[int, ...], order: ConvexOrder, cap: int = 1_000_000
+    datum, nu: tuple[int, ...], order: ConvexOrder
 ) -> tuple[KostantPartition, ...]:
     """All Kostant partitions of nu, ascending in the multiplicity vector.
 
     A depth-first search over n_1, n_2, ... that prunes at each vertex's last
-    root.  When no beta after beta_k has a nonzero j-th entry, n_k beta_k[j]
-    must use up what is left of nu[j]: n_k is at least that remainder over
-    beta_k[j], rounded up, and at most the remainder over each entry of
-    beta_k's support, rounded down.  Every vertex has a last root (alpha_j is
-    among the beta), so every leaf of the search is a partition.  For a
-    reduced word of w0, beta_k[j] is 1 at the last root of j (the roots after
-    it avoid j, so the tail of the word lies in the parabolic subgroup of the
-    other vertices), and the two bounds pin n_k.
+    root.  For a reduced word of w0, the last beta_k with a nonzero j-th entry
+    has beta_k[j] = 1 (the roots after it avoid j, so the tail of the word
+    lies in the parabolic subgroup of the other vertices).  n_k must then use
+    up what is left of nu[j], which pins it; every vertex has a last root
+    (alpha_j is among the beta), so every leaf of the search is a partition.
 
-    Raises CapExceeded once there are more than `cap` partitions.
+    Raises CapExceeded once there are more than _KP_CAP partitions.
     """
     if datum != order.datum:
         raise ValueError("datum does not match the order")
     if len(nu) != datum.n or any(x < 0 for x in nu):
         raise ValueError(f"bad dimension vector {nu}")
     N = order.length
+    cap = _KP_CAP
     support = [tuple((j, x) for j, x in enumerate(b) if x > 0) for b in order.beta]
-    last = {j: k for k, supp in enumerate(support) for j, _ in supp}
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    for j, k in last.items():
-        closing[k].append((j, order.beta[k][j]))
+    closing: list[list[int]] = [[] for _ in range(N)]
+    for j, k in {j: k for k, supp in enumerate(support) for j, _ in supp}.items():
+        closing[k].append(j)
     out: list[KostantPartition] = []
     counts = [0] * N
 
@@ -157,9 +159,7 @@ def enumerate_kp(
             out.append(KostantPartition(order, tuple(counts)))
             return
         supp = support[k]
-        low = 0
-        for j, x in closing[k]:
-            low = max(low, -(-remaining[j] // x))
+        low = max([remaining[j] for j in closing[k]], default=0)
         top = min([remaining[j] // x for j, x in supp])
         if low == 0:
             search(k + 1, remaining)
@@ -241,7 +241,7 @@ def cover_relations(
 
 
 def hasse_dot(
-    kps: tuple[KostantPartition, ...], ledger: OrientationLedger, cap: int = 200
+    kps: tuple[KostantPartition, ...], ledger: OrientationLedger, cap: int = HASSE_CAP
 ) -> str:
     """Hasse diagram of the partition order on kps, one KP(nu), as DOT text.
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from quiver_orders.convex_order import adapted_order, build_order
+from quiver_orders import kostant
 from quiver_orders.errors import CapExceeded
 from quiver_orders.kostant import (
     KostantPartition,
@@ -106,18 +107,21 @@ def test_order_keys_reject_mixed_lists():
     assert order_keys([], "as-printed") == []
 
 
-def test_enumerate_kp_cap_names_nu_count_and_cap():
+def test_enumerate_kp_cap_names_nu_count_and_cap(monkeypatch):
     datum = cartan_datum("A3")
     order = adapted_order(linear_quiver("A3"))
     kps = enumerate_kp(datum, (2, 2, 2), order)
     K = len(kps)
-    assert enumerate_kp(datum, (2, 2, 2), order, cap=K) == kps
+    monkeypatch.setattr(kostant, "_KP_CAP", K)
+    assert enumerate_kp(datum, (2, 2, 2), order) == kps
+    monkeypatch.setattr(kostant, "_KP_CAP", K - 1)
     with pytest.raises(
         CapExceeded, match=rf"KP\(\(2, 2, 2\)\) reached {K} partitions, over the cap {K - 1}$"
     ):
-        enumerate_kp(datum, (2, 2, 2), order, cap=K - 1)
+        enumerate_kp(datum, (2, 2, 2), order)
+    monkeypatch.setattr(kostant, "_KP_CAP", 0)
     with pytest.raises(CapExceeded, match="reached 1 partitions, over the cap 0"):
-        enumerate_kp(datum, (2, 2, 2), order, cap=0)
+        enumerate_kp(datum, (2, 2, 2), order)
 
 
 def test_cover_relations_a3_diamond():
