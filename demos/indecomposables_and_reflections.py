@@ -34,7 +34,7 @@ def show_hom_matrix(Q):
     print("Hom-dimension matrix G[k][l] = dim Hom(M(beta_k), M(beta_l)):")
     for row in G:
         print("   ", "\t".join(str(v) for v in row))
-    report = ringel_check(Q.datum, Q, order)
+    report = ringel_check(Q, order)
     print(
         "  equals max(<gamma, beta>, 0) with indices",
         report.direction,

@@ -21,7 +21,7 @@ def main():
     order = adapted_order(Q)
 
     # the convention ledger is derived from small evidence, never assumed
-    ledger = calibrate(datum, Q, order, default_test_nus(datum))
+    ledger = calibrate(Q, default_test_nus(datum))
     print("calibrated conventions:")
     print("  order_direction:", ledger.order_direction)
     print("  hom_formula_direction:", ledger.hom_formula_direction)

@@ -49,9 +49,8 @@ def fiber_table(Q, nu, qs):
 
 
 def z_table(Q, nu, qs):
-    datum = Q.datum
     print(f"fibre-square point counts for nu={nu}: ", end="")
-    print(", ".join(f"q={q}: {z_point_count(datum, Q, nu, q)}" for q in qs))
+    print(", ".join(f"q={q}: {z_point_count(Q, nu, q)}" for q in qs))
     print()
 
 

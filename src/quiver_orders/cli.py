@@ -86,11 +86,16 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _parse_nu(text: str, datum) -> tuple[int, ...]:
+def _ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; anything else is a usage error naming `what`."""
     try:
-        nu = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise _UsageError(f"bad dimension vector {text!r}") from exc
+        raise _UsageError(f"bad {what} {text!r}") from exc
+
+
+def _parse_nu(text: str, datum) -> tuple[int, ...]:
+    nu = _ints(text, "dimension vector")
     if len(nu) != datum.n or any(x < 0 for x in nu):
         raise _UsageError(f"dimension vector needs {datum.n} non-negative entries")
     return nu
@@ -113,11 +118,7 @@ def _cmd_order(args) -> int:
             raise _UsageError("quiver file type does not match TYPE")
         order = adapted_order(Q)
     else:
-        try:
-            word = tuple(int(x) for x in args.word.split(","))
-        except ValueError as exc:
-            raise _UsageError(f"bad word {args.word!r}") from exc
-        order = _read(build_order, datum, word)
+        order = _read(build_order, datum, _ints(args.word, "word"))
     print("word: " + " ".join(str(i) for i in order.word))
     print("beta:")
     for k, b in enumerate(order.beta):
@@ -160,10 +161,8 @@ def _cmd_kp(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     Q = _load_quiver(args.quiver)
-    datum = Q.datum
-    order = adapted_order(Q)
     # too small a --nu-max leaves the evidence without comparable pairs
-    ledger = _read(calibrate, datum, Q, order, default_test_nus(datum, args.nu_max))
+    ledger = _read(calibrate, Q, default_test_nus(Q.datum, args.nu_max))
     if args.out is not None:
         _write_text(args.out, ledger.to_json() + "\n")
     print(f"order_direction: {ledger.order_direction}")
@@ -190,13 +189,13 @@ def _cmd_verify(args) -> int:
         print(("ok" if ok else "FAIL") + f": {desc}")
 
     if args.check == "ringel":
-        report = ringel_check(datum, Q, order)
+        report = ringel_check(Q, order)
         note(True, f"hom formula direction: {report.direction}")
     elif args.check == "baumann":
         ledger = _load_ledger(args.ledger)
         for nu in nus:
             note(
-                baumann_check(datum, Q, order, nu, ledger),
+                baumann_check(Q, nu, ledger),
                 f"partition order equals closure order at nu={nu}",
             )
     elif args.check == "mackey":
@@ -242,10 +241,7 @@ def _cmd_verify(args) -> int:
 def _parse_q_list(text: str | None):
     if text is None:
         return DEFAULT_Q_LIST
-    try:
-        qs = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"bad q list {text!r}") from exc
+    qs = _ints(text, "q list")
     for q in qs:
         _read(galois_field, q)
     return qs
@@ -270,7 +266,7 @@ def _cmd_count(args) -> int:
         print("nu\tq\tcount")
         for q in qs:
             print(
-                " ".join(str(c) for c in nu) + f"\t{q}\t{z_point_count(datum, Q, nu, q)}"
+                " ".join(str(c) for c in nu) + f"\t{q}\t{z_point_count(Q, nu, q)}"
             )
     return 0
 

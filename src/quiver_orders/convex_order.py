@@ -12,9 +12,9 @@ C drive the partition order in kostant.py.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .quivers import Quiver, adapted_word_of_w0, is_adapted
+from .quivers import Quiver, adapted_word_of_w0
 from .root_system import (
     CartanDatum,
     Coweight,
@@ -31,7 +31,11 @@ from .root_system import (
 
 @dataclass(frozen=True)
 class ConvexOrder:
-    """A reduced word of w0 together with its beta, gamma and pairing data."""
+    """A reduced word of w0 together with its beta, gamma and pairing data.
+
+    quiver is set by `adapted_order` alone, so an order that carries a quiver
+    is its canonical adapted order, the one `reps.hom_matrix` is indexed by.
+    """
 
     datum: CartanDatum
     word: Word
@@ -49,12 +53,8 @@ class ConvexOrder:
         return self.beta.index(root)
 
 
-def build_order(datum: CartanDatum, word: Word, quiver: Quiver | None = None) -> ConvexOrder:
-    """Build the convex-order data of a reduced word of w0.
-
-    If a quiver is supplied the word must be adapted to it; passing the
-    quiver marks the order as usable for representation-theoretic ops.
-    """
+def build_order(datum: CartanDatum, word: Word) -> ConvexOrder:
+    """Build the convex-order data of a reduced word of w0, with no quiver."""
     word = tuple(word)
     if not is_reduced(datum, word):
         raise ValueError(f"word {word} is not reduced")
@@ -63,11 +63,6 @@ def build_order(datum: CartanDatum, word: Word, quiver: Quiver | None = None) ->
     beta = beta_sequence(datum, word)
     if sorted(beta) != sorted(positive_roots(datum)):
         raise ValueError("beta sequence does not enumerate the positive roots")
-    if quiver is not None:
-        if quiver.datum != datum:
-            raise ValueError("quiver type does not match the Cartan datum")
-        if not is_adapted(word, quiver):
-            raise ValueError(f"word {word} is not adapted to the quiver")
     gamma = []
     for k, i in enumerate(word):
         x = datum.omega(i)
@@ -86,14 +81,14 @@ def build_order(datum: CartanDatum, word: Word, quiver: Quiver | None = None) ->
         beta=beta,
         gamma=tuple(gamma),
         pairings=pairings,
-        quiver=quiver,
     )
 
 
 @functools.cache
 def adapted_order(Q: Quiver) -> ConvexOrder:
-    """The convex order of the canonical adapted word of a quiver."""
-    return build_order(Q.datum, adapted_word_of_w0(Q), quiver=Q)
+    """The convex order of the canonical adapted word of a quiver, the only
+    order that carries one."""
+    return replace(build_order(Q.datum, adapted_word_of_w0(Q)), quiver=Q)
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,15 @@ class RingelReport:
         return "as-printed" if self.matches_printed else "transposed"
 
 
-def ringel_check(datum, Q: Quiver, order: ConvexOrder) -> RingelReport:
+def ringel_check(Q: Quiver, order: ConvexOrder) -> RingelReport:
     """Compare the Hom matrix of the indecomposables with max(C, 0).
 
-    Raises CalibrationError when the Hom matrix matches in neither index
-    direction; every entry must agree, not just the sign pattern.
+    order may be any convex order adapted to Q; the Hom matrix is reindexed
+    from Q's canonical adapted order to it.  Raises CalibrationError when the
+    Hom matrix matches in neither index direction; every entry must agree,
+    not just the sign pattern.
     """
-    if order.datum != datum or Q.datum != datum:
+    if order.datum != Q.datum:
         raise ValueError("mismatched Cartan data")
     if not is_adapted(order.word, Q):
         raise ValueError("order is not adapted to the quiver")
@@ -85,10 +87,7 @@ def ringel_check(datum, Q: Quiver, order: ConvexOrder) -> RingelReport:
 
 def hom_profile(lam: KostantPartition) -> tuple[int, ...]:
     """dim Hom(M(lam), M(beta_l)) for each l, via additivity in the first slot."""
-    Q = lam.order.quiver
-    if Q is None:
-        raise ValueError("partition's order has no quiver attached")
-    G = hom_matrix(Q)
+    G = hom_matrix(lam.quiver)
     profile = [0] * lam.order.length
     for row, c in zip(G, lam.counts):
         if c:
@@ -115,11 +114,10 @@ def closure_leq(lam: KostantPartition, mu: KostantPartition) -> bool:
     return all(a >= b for a, b in zip(pl, pm))
 
 
-def baumann_check(
-    datum, Q: Quiver, order: ConvexOrder, nu: tuple[int, ...], ledger: OrientationLedger
-) -> bool:
-    """Whether the calibrated partition order equals the closure order on KP(nu)."""
-    kps = enumerate_kp(datum, nu, order)
+def baumann_check(Q: Quiver, nu: tuple[int, ...], ledger: OrientationLedger) -> bool:
+    """Whether the calibrated partition order equals the closure order on
+    KP(nu), enumerated in Q's canonical adapted order."""
+    kps = enumerate_kp(Q.datum, nu, adapted_order(Q))
     order_relation = leq_bitsets(order_keys(kps, ledger.order_direction))
     return order_relation == leq_bitsets(closure_keys(kps))
 
@@ -141,17 +139,17 @@ def default_test_nus(datum, max_total: int = 3) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def calibrate(
-    datum, Q: Quiver, order: ConvexOrder, test_nus
-) -> OrientationLedger:
+def calibrate(Q: Quiver, test_nus) -> OrientationLedger:
     """Fix the three conventions on the given evidence and freeze them.
 
-    The evidence must contain at least one dimension vector with two or more
-    partitions; survivors in each convention slot are intersected across all
-    evidence and ties are broken toward the earlier-listed value.
+    The evidence is Q's canonical adapted order and the partitions of
+    test_nus in it.  It must contain at least one dimension vector with two
+    or more partitions; survivors in each convention slot are intersected
+    across all evidence and ties are broken toward the earlier-listed value.
     """
     test_nus = tuple(tuple(nu) for nu in test_nus)
-    report = ringel_check(datum, Q, order)
+    order = adapted_order(Q)
+    report = ringel_check(Q, order)
     hom_alive = {
         d
         for d, ok in (
@@ -165,7 +163,7 @@ def calibrate(
     side_alive = set(RES_SIDES)
     nontrivial = False
     for nu in test_nus:
-        kps = enumerate_kp(datum, nu, order)
+        kps = enumerate_kp(Q.datum, nu, order)
         if len(kps) >= 2:
             nontrivial = True
         closure = leq_bitsets(closure_keys(kps))

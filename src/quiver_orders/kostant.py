@@ -21,8 +21,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .convex_order import ConvexOrder
+from .convex_order import ConvexOrder, build_order
 from .errors import CapExceeded
+from .quivers import Quiver, commutation_class
 from .root_system import Root
 
 ORDER_DIRECTIONS = ("as-printed", "reversed")
@@ -100,6 +101,13 @@ class KostantPartition:
             raise ValueError("multiplicity vector length does not match the order")
         if any(c < 0 for c in self.counts):
             raise ValueError("multiplicities must be non-negative")
+
+    @property
+    def quiver(self) -> Quiver:
+        """The quiver of the partition's order; only `adapted_order` sets one."""
+        if self.order.quiver is None:
+            raise ValueError("partition's order has no quiver attached")
+        return self.order.quiver
 
     @property
     def nu(self) -> tuple[int, ...]:
@@ -264,9 +272,6 @@ def order_invariant_on_class(datum, nu: tuple[int, ...], w, cap: int = 10_000) -
     """Whether the partition order on KP(nu) is identical for every word in
     the commutation class of w, after identifying partitions by their root
     multisets."""
-    from .convex_order import build_order
-    from .quivers import commutation_class
-
     words = commutation_class(datum, tuple(w), cap=cap)
     reference = None
     for word in words:

@@ -18,26 +18,18 @@ from .reps import bgp_reflect_rep, iso_class, rep_of_kp
 from .root_system import reflect_root
 
 
-def _alpha_multiplicity(lam: KostantPartition, i: int) -> int:
-    alpha = lam.order.datum.alpha(i)
-    return lam.counts[lam.order.index_of(alpha)]
-
-
 def _no_alpha_part(lam: KostantPartition, i: int) -> bool:
     """True iff lam has no alpha_i part; i must be a sink or a source of lam's
     quiver."""
-    Q = lam.order.quiver
-    if Q is None:
-        raise ValueError("partition's order has no quiver attached")
+    Q = lam.quiver
     if i not in sinks(Q) and i not in sources(Q):
         raise ValueError(f"vertex {i} is neither a sink nor a source")
-    return _alpha_multiplicity(lam, i) == 0
+    return lam.counts[lam.order.index_of(lam.order.datum.alpha(i))] == 0
 
 
 def in_ker_locus(lam: KostantPartition, i: int) -> bool:
     """True iff lam has no alpha_i part; i must be a sink of lam's quiver."""
-    Q = lam.order.quiver
-    if Q is not None and i not in sinks(Q):
+    if i not in sinks(lam.quiver):
         raise ValueError(f"vertex {i} is not a sink")
     return _no_alpha_part(lam, i)
 
@@ -52,7 +44,7 @@ def reflect_kp(i: int, lam: KostantPartition) -> KostantPartition:
     if not _no_alpha_part(lam, i):
         raise ValueError(f"partition has an alpha_{i} part; reflection undefined")
     datum = lam.order.datum
-    new_order = adapted_order(reflect_quiver(i, lam.order.quiver))
+    new_order = adapted_order(reflect_quiver(i, lam.quiver))
     new_counts = [0] * new_order.length
     for c, b in zip(lam.counts, lam.order.beta):
         if c == 0:

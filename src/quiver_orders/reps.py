@@ -237,9 +237,7 @@ def hom_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
 
 def rep_of_kp(lam: KostantPartition, field) -> QuiverRep:
     """Direct sum of indecomposables with the partition's multiplicities."""
-    Q = lam.order.quiver
-    if Q is None:
-        raise ValueError("partition's order has no quiver attached")
+    Q = lam.quiver
     reps = all_indecomposables(Q, field)
     acc = zero_rep(Q, field, tuple(0 for _ in range(Q.datum.n)))
     for c, b in zip(lam.counts, lam.order.beta):
@@ -320,10 +318,7 @@ def orbit_point_count(lam: KostantPartition, q: int) -> int:
     prod_k |GL_{n_k}| where e = dim End(M(lam)); the division is checked to
     be exact.
     """
-    Q = lam.order.quiver
-    if Q is None:
-        raise ValueError("partition's order has no quiver attached")
-    G = hom_matrix(Q)
+    G = hom_matrix(lam.quiver)
     n = lam.counts
     N = len(n)
     e = sum(n[k] * n[l] * G[k][l] for k in range(N) for l in range(N))

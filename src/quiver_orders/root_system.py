@@ -141,12 +141,6 @@ def act_on_root(datum: CartanDatum, w: Word, v: Root) -> Root:
     return v
 
 
-def act_on_coweight(datum: CartanDatum, w: Word, x: Coweight) -> Coweight:
-    for i in reversed(w):
-        x = reflect_coweight(datum, i, x)
-    return x
-
-
 def root_height(v: Root) -> int:
     return sum(v)
 

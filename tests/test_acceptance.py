@@ -108,7 +108,7 @@ def test_criterion_03_hom_formula_direction():
     ok = True
     directions = set()
     for Q in (A2, A2OP, A3LIN, A3ZIG, D4STAR):
-        report = ringel_check(Q.datum, Q, adapted_order(Q))
+        report = ringel_check(Q, adapted_order(Q))
         ok = ok and (report.matches_printed != report.matches_transposed)
         directions.add(report.direction)
     dt = time.perf_counter() - t0
@@ -125,9 +125,8 @@ def test_criterion_04_order_equals_closure():
     ok = True
     pairs = 0
     for Q in SWEEP_QUIVERS:
-        order = adapted_order(Q)
         for nu in _nus(Q.datum, 4):
-            ok = ok and baumann_check(Q.datum, Q, order, nu, EXPECTED_LEDGER)
+            ok = ok and baumann_check(Q, nu, EXPECTED_LEDGER)
             pairs += 1
     dt = time.perf_counter() - t0
     ok = ok and dt < 120.0
@@ -256,10 +255,8 @@ def test_criterion_09_reflection_shadow():
 
 
 def test_criterion_10_calibration_stability(monkeypatch):
-    from_a2 = calibrate(A2.datum, A2, adapted_order(A2), default_test_nus(A2.datum))
-    from_a3 = calibrate(
-        A3LIN.datum, A3LIN, adapted_order(A3LIN), default_test_nus(A3LIN.datum)
-    )
+    from_a2 = calibrate(A2, default_test_nus(A2.datum))
+    from_a3 = calibrate(A3LIN, default_test_nus(A3LIN.datum))
     ok = from_a2 == from_a3 == EXPECTED_LEDGER
 
     # the calibration must abort loudly when no assignment explains the data
@@ -269,7 +266,7 @@ def test_criterion_10_calibration_stability(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "hom_profile", lambda lam, field=None: (0,))
         try:
-            calibrate(A2.datum, A2, adapted_order(A2), default_test_nus(A2.datum))
+            calibrate(A2, default_test_nus(A2.datum))
         except CalibrationError:
             aborted = True
     ok = ok and aborted

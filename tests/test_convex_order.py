@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from quiver_orders.convex_order import adapted_order, build_order, pairing_sign_report
-from quiver_orders.quivers import adapted_word_of_w0, quiver
+from quiver_orders.kostant import KostantPartition
+from quiver_orders.quivers import adapted_word_of_w0, commutation_class, is_adapted, quiver
 from quiver_orders.root_system import cartan_datum, pairing, reduced_words_of_w0
 
 
@@ -61,11 +62,24 @@ def test_build_order_rejects_non_reduced_words():
         build_order(datum, (1, 2))  # too short for w0
 
 
-def test_build_order_rejects_unadapted_word_for_quiver():
-    Q = quiver("A2", ((1, 2),))
-    datum = Q.datum
-    with pytest.raises(ValueError):
-        build_order(datum, (1, 2, 1), quiver=Q)
+@pytest.mark.parametrize(
+    "Q",
+    [quiver("A3", ((1, 2), (3, 2))), quiver("D4", ((1, 2), (3, 2), (4, 2)))],
+    ids=["A3-zigzag", "D4-star"],
+)
+def test_only_adapted_order_attaches_a_quiver(Q):
+    words = [
+        w for w in commutation_class(Q.datum, adapted_word_of_w0(Q)) if is_adapted(w, Q)
+    ]
+    assert len(words) > 1
+    for w in words:
+        order = build_order(Q.datum, w)
+        assert order.quiver is None
+        with pytest.raises(ValueError, match="no quiver attached"):
+            KostantPartition(order, (0,) * order.length).quiver
+        with pytest.raises(TypeError):
+            build_order(Q.datum, w, quiver=Q)
+    assert adapted_order(Q).quiver == Q
 
 
 def test_adapted_order_carries_its_quiver():

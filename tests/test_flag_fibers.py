@@ -169,7 +169,7 @@ def test_y_total_matches_pointwise_enumeration(q):
                 pos += r * c
             M = QuiverRep(Q, F, nu, tuple(mats))
             total += _brute_fiber(M)
-        assert total == y_total_count(Q.datum, Q, nu, q)
+        assert total == y_total_count(Q, nu, q)
 
 
 def test_fiber_spot_values():
@@ -266,12 +266,12 @@ def test_interpolation_verdict_rejects_negative_coefficients():
 
 def test_z_counts_a2():
     for q in [2, 3, 5, 7]:
-        assert z_point_count(A2.datum, A2, (1, 1), q) == q + 3
+        assert z_point_count(A2, (1, 1), q) == q + 3
 
 
 def test_z_polynomial_a2():
     assert z_degree_bound(A2, (1, 1)) == 1
-    report = z_polynomial_report(A2.datum, A2, (1, 1), prime_powers(9))
+    report = z_polynomial_report(A2, (1, 1), prime_powers(9))
     assert report.verdict == "consistent-with-even"
     assert report.integer_coefficients == (3, 1)
     assert report.held_out == (4, 5, 7, 8, 9, 11, 13)

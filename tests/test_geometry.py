@@ -37,7 +37,7 @@ def _all_test_quivers():
 
 
 def test_ringel_direction_a2():
-    report = ringel_check(A2.datum, A2, adapted_order(A2))
+    report = ringel_check(A2, adapted_order(A2))
     assert report.matches_transposed
     assert not report.matches_printed
     assert report.direction == "transposed"
@@ -46,7 +46,7 @@ def test_ringel_direction_a2():
 
 def test_ringel_direction_uniform_across_quivers():
     for Q in _all_test_quivers():
-        report = ringel_check(Q.datum, Q, adapted_order(Q))
+        report = ringel_check(Q, adapted_order(Q))
         assert report.matches_transposed, Q.arrows
         assert not report.matches_printed, Q.arrows
 
@@ -78,15 +78,13 @@ def test_closure_requires_matching_context():
 
 def test_baumann_agreement_small():
     for Q in [A2, A3LIN, A3ZIG, D4STAR]:
-        order = adapted_order(Q)
         for nu in default_test_nus(Q.datum):
-            assert baumann_check(Q.datum, Q, order, nu, CALIBRATED)
+            assert baumann_check(Q, nu, CALIBRATED)
 
 
 def test_baumann_fails_with_printed_direction():
     printed = OrientationLedger("as-printed", "transposed", "first-factor")
-    order = adapted_order(A2)
-    assert not baumann_check(A2.datum, A2, order, (1, 1), printed)
+    assert not baumann_check(A2, (1, 1), printed)
 
 
 def test_order_agreement_on_every_pair():
@@ -139,7 +137,7 @@ def test_ringel_check_reindexes_other_adapted_words():
         assert len(words) > 1
         for w in words[:: max(1, len(words) // 5)]:
             order = build_order(Q.datum, w)
-            report = ringel_check(Q.datum, Q, order)
+            report = ringel_check(Q, order)
             assert report.hom == tuple(
                 tuple(hom_dim(reps[bk], reps[bl]) for bl in order.beta)
                 for bk in order.beta
@@ -148,20 +146,19 @@ def test_ringel_check_reindexes_other_adapted_words():
 
 def test_calibrate_expected_ledger():
     for Q in [A2, A3LIN, D4STAR]:
-        order = adapted_order(Q)
-        ledger = calibrate(Q.datum, Q, order, default_test_nus(Q.datum))
+        ledger = calibrate(Q, default_test_nus(Q.datum))
         assert ledger == CALIBRATED
 
 
 def test_calibrate_stability_between_types():
-    a2 = calibrate(A2.datum, A2, adapted_order(A2), default_test_nus(A2.datum))
-    a3 = calibrate(A3LIN.datum, A3LIN, adapted_order(A3LIN), default_test_nus(A3LIN.datum))
+    a2 = calibrate(A2, default_test_nus(A2.datum))
+    a3 = calibrate(A3LIN, default_test_nus(A3LIN.datum))
     assert a2 == a3
 
 
 def test_calibrate_needs_discriminating_evidence():
     with pytest.raises(ValueError):
-        calibrate(A2.datum, A2, adapted_order(A2), ((1, 0),))
+        calibrate(A2, ((1, 0),))
 
 
 def test_calibrate_aborts_when_no_assignment_fits(monkeypatch):
@@ -169,4 +166,4 @@ def test_calibrate_aborts_when_no_assignment_fits(monkeypatch):
 
     monkeypatch.setattr(geometry, "hom_profile", lambda lam, field=None: (0,))
     with pytest.raises(CalibrationError):
-        calibrate(A2.datum, A2, adapted_order(A2), default_test_nus(A2.datum))
+        calibrate(A2, default_test_nus(A2.datum))

@@ -105,4 +105,4 @@ def test_calibrate_keeps_the_sides_the_pairwise_check_leaves(label, monkeypatch)
     for listed in (RES_SIDES, RES_SIDES[::-1]):
         monkeypatch.setattr(geometry, "RES_SIDES", listed)
         expected = next(side for side in listed if side in survivors)
-        assert calibrate(Q.datum, Q, order, nus).res_large_side == expected
+        assert calibrate(Q, nus).res_large_side == expected

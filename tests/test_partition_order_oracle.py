@@ -118,7 +118,7 @@ def test_closure_relation_matches_pairwise(Q, nu_max):
         assert from_bitsets(kps, leq_bitsets(closure_keys(kps))) == closure
         for ledger in LEDGERS:
             agree = pairwise(kps, lambda a, b: kp_leq(a, b, ledger)) == closure
-            assert baumann_check(Q.datum, Q, order, nu, ledger) == agree
+            assert baumann_check(Q, nu, ledger) == agree
 
 
 @pytest.mark.parametrize("Q,nu_max", SMALL, ids=SMALL_IDS)
