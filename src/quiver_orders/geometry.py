@@ -3,8 +3,8 @@
 Three conventions are fixed empirically, once, on desk-sized evidence:
 
 * hom_formula_direction: dim Hom(M(beta_k), M(beta_l)) agrees with
-  max(C[k][l], 0) either as written or with the indices transposed; the
-  computed Hom matrix decides.
+  max(C[k][l], 0) either as written or with the indices transposed; Hom
+  dimensions computed from the indecomposable modules decide.
 * order_direction: the prefix-statistic partition order either equals the
   orbit-closure order (closed orbits minimal) as written or after reversing
   its arguments; comparing both relations on small dimension vectors decides.
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .convex_order import ConvexOrder, adapted_order
 from .errors import CalibrationError
+from .fields import RATIONALS
 from .kostant import (
     HOM_DIRECTIONS,
     ORDER_DIRECTIONS,
@@ -36,7 +37,7 @@ from .kostant import (
     order_keys,
 )
 from .quivers import Quiver, is_adapted
-from .reps import hom_matrix
+from .reps import all_indecomposables, hom_dim, hom_matrix
 
 
 @dataclass(frozen=True)
@@ -56,18 +57,17 @@ class RingelReport:
 def ringel_check(Q: Quiver, order: ConvexOrder) -> RingelReport:
     """Compare the Hom matrix of the indecomposables with max(C, 0).
 
-    order may be any convex order adapted to Q; the Hom matrix is reindexed
-    from Q's canonical adapted order to it.  Raises CalibrationError when the
-    Hom matrix matches in neither index direction; every entry must agree,
-    not just the sign pattern.
+    order may be any convex order adapted to Q.  The Hom matrix is computed
+    from the indecomposable modules over Q, in order's own enumeration.
+    Raises CalibrationError when it matches in neither index direction; every
+    entry must agree, not just the sign pattern.
     """
     if order.datum != Q.datum:
         raise ValueError("mismatched Cartan data")
     if not is_adapted(order.word, Q):
         raise ValueError("order is not adapted to the quiver")
-    G = hom_matrix(Q)
-    pos = [adapted_order(Q).index_of(b) for b in order.beta]
-    H = tuple(tuple(G[k][l] for l in pos) for k in pos)
+    indecs = all_indecomposables(Q, RATIONALS)
+    H = tuple(tuple(hom_dim(indecs[a], indecs[b]) for b in order.beta) for a in order.beta)
     N = order.length
     C = order.pairings
     printed = all(

@@ -9,11 +9,12 @@ theorem this yields one indecomposable per positive root over any field.
 Reflection functors are built at sources only; a sink is handled by duality,
 S+_i = D S-_i D, where D reverses every arrow and transposes every matrix.
 Isomorphism classes are read off Hom counts: in the adapted order the Hom
-matrix of the indecomposables is upper unitriangular (the Hom order of a
-Dynkin quiver is directed), so summand multiplicities follow by integer
-forward substitution.  Hom into an injective indecomposable I(j) is dim M_j
-for every M, so the n columns of injectives, found in the Hom matrix, are
-read off the dims; only the other columns need an elimination.
+matrix of the indecomposables, read off the Euler form of their dims, is
+upper unitriangular (the Hom order of a Dynkin quiver is directed), so
+summand multiplicities follow by integer forward substitution.  Hom into an
+injective indecomposable I(j) is dim M_j for every M, so the n columns of
+injectives, found in the Hom matrix, are read off the dims; only the other
+columns need an elimination.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .convex_order import adapted_order
 from .errors import VerificationError
-from .fields import RATIONALS, field_from_spec
+from .fields import field_from_spec
 from .kostant import KostantPartition
 from .linalg import Matrix, nullspace, rref, transpose, zeros
 from .quivers import Quiver, reflect_quiver, sinks, sources
@@ -219,16 +220,18 @@ def indecomposable(Q: Quiver, beta: Root, field) -> QuiverRep:
 def hom_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
     """G[k][l] = dim Hom(M(beta_k), M(beta_l)) over the adapted enumeration.
 
-    Computed over Q; for a Dynkin quiver the indecomposables and their Hom
-    dimensions do not depend on the field, so G serves every field.  G is
-    checked to be upper unitriangular, which `iso_class` relies on.
+    A Dynkin quiver is representation-directed: for indecomposables X, Y at
+    most one of Hom(X, Y) and Ext^1(X, Y) is nonzero, and hom - ext is the
+    Euler form <x, y> = sum_i x_i y_i - sum_{s->t} x_s y_t (Ringel, LNM 1099).
+    So G[k][l] = max(<beta_k, beta_l>, 0) over every field; it is checked to
+    be upper unitriangular, which `iso_class` relies on.
     """
-    order = adapted_order(Q)
-    reps = all_indecomposables(Q, RATIONALS)
-    G = tuple(
-        tuple(hom_dim(reps[bk], reps[bl]) for bl in order.beta)
-        for bk in order.beta
-    )
+    beta = adapted_order(Q).beta
+
+    def euler(x: Root, y: Root) -> int:
+        return sum(a * b for a, b in zip(x, y)) - sum(x[s - 1] * y[t - 1] for s, t in Q.arrows)
+
+    G = tuple(tuple(max(euler(x, y), 0) for y in beta) for x in beta)
     for k, row in enumerate(G):
         if row[k] != 1 or any(row[:k]):
             raise VerificationError(f"Hom matrix is not upper unitriangular in row {k + 1}")

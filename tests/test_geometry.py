@@ -17,7 +17,7 @@ from quiver_orders.geometry import (
 from quiver_orders.kostant import KostantPartition, OrientationLedger, enumerate_kp, kp_leq
 from quiver_orders.fields import RATIONALS
 from quiver_orders.quivers import commutation_class, is_adapted, linear_quiver, quiver
-from quiver_orders.reps import all_indecomposables, hom_dim
+from quiver_orders.reps import all_indecomposables, hom_dim, hom_matrix
 from quiver_orders.root_system import cartan_datum
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
@@ -142,6 +142,19 @@ def test_ringel_check_reindexes_other_adapted_words():
                 tuple(hom_dim(reps[bk], reps[bl]) for bl in order.beta)
                 for bk in order.beta
             )
+
+
+def test_ringel_check_reads_the_modules(monkeypatch):
+    Q = D4STAR
+    beta = adapted_order(Q).beta
+    indecs = all_indecomposables(Q, RATIONALS)
+    first, second = indecs[beta[0]], indecs[beta[1]]
+    corrupt = lambda M, N: hom_dim(M, N) + (M is first and N is second)
+    monkeypatch.setattr("quiver_orders.geometry.hom_dim", corrupt)
+    monkeypatch.setattr("quiver_orders.reps.hom_dim", corrupt)
+    with pytest.raises(CalibrationError):
+        ringel_check(Q, adapted_order(Q))
+    assert hom_matrix.__wrapped__(Q) == hom_matrix(Q)
 
 
 def test_calibrate_expected_ledger():

@@ -7,8 +7,9 @@ over Q by reducing an augmented matrix, and checks that the solution is a
 non-negative integer vector.  Both must agree on every partition with
 |nu| <= 4 of A2, A3, A4 and two orientations of D4, over Q and three finite
 fields, and on every sink and source reflection of each such module.  The
-reference builds its own G over the module's field, so it also checks that
-G over each field equals `hom_matrix`, which is computed over Q.
+reference builds its own G from the modules over the module's field, so it
+also checks that G over each field equals `hom_matrix`, which is read off the
+Euler form.
 
 `iso_class` reads Hom into an injective indecomposable off the dims, through
 the columns `injective_columns` finds in G.  Those columns are checked here on
@@ -16,12 +17,17 @@ every orientation of A2-A5, D4-D6 and E6 against the dimension vectors of the
 injectives, counted by paths (dim I(j)_i is the number of paths from i to j,
 at most one in a tree), and the shortcut hom(M, I(j)) = dim M_j against
 `hom_dim` on every partition with |nu| <= 4 of A3, A4 and the D4 star.
+
+`hom_matrix` itself is checked against `hom_dim` over the indecomposables
+over Q on every orientation of A3-A5, D4 and D5 and eight each of D6 and E6,
+and recomputed with `hom_dim` and `all_indecomposables` made to raise.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -76,7 +82,7 @@ def reference_iso_class(M: reps.QuiverRep) -> KostantPartition:
         for bk in order.beta
     )
     if G != hom_matrix(M.quiver):
-        raise VerificationError(f"Hom matrix over {M.field!r} differs from the one over Q")
+        raise VerificationError(f"Hom matrix over {M.field!r} differs from hom_matrix")
     h = tuple(reps.hom_dim(M, indecs[b]) for b in order.beta)
     inv = rational_inverse(G)
     if inv is None:
@@ -133,7 +139,9 @@ def test_substitution_matches_rational_solve(label, field, monkeypatch):
 
 
 def test_hom_matrix_rejects_a_matrix_that_is_not_unitriangular(monkeypatch):
-    monkeypatch.setattr(reps, "hom_dim", lambda M, N: 1)
+    order = adapted_order(QUIVERS["A3"])
+    reversed_order = replace(order, beta=order.beta[::-1])
+    monkeypatch.setattr(reps, "adapted_order", lambda Q: reversed_order)
     with pytest.raises(VerificationError, match="unitriangular"):
         reps.hom_matrix.__wrapped__(QUIVERS["A3"])
 
@@ -154,6 +162,24 @@ def injective_dims(Q: Quiver, j: int) -> tuple[int, ...]:
         if not more:
             return tuple(int(i in reach) for i in Q.datum.vertices())
         reach |= more
+
+
+def _raise(*args):
+    raise AssertionError("hom_matrix built a module")
+
+
+@pytest.mark.parametrize("label", ["A3", "A4", "A5", "D4", "D5", "D6", "E6"])
+def test_euler_hom_matrix_equals_module_hom_dims(label, monkeypatch):
+    every = list(orientations(label))
+    for Q in every if len(every) <= 16 else every[::4]:
+        beta = adapted_order(Q).beta
+        indecs = all_indecomposables(Q, RATIONALS)
+        G = tuple(tuple(hom_dim(indecs[a], indecs[b]) for b in beta) for a in beta)
+        assert hom_matrix(Q) == G, Q.arrows
+        with monkeypatch.context() as m:
+            m.setattr(reps, "hom_dim", _raise)
+            m.setattr(reps, "all_indecomposables", _raise)
+            assert reps.hom_matrix.__wrapped__(Q) == G, Q.arrows
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"])
