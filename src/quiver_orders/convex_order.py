@@ -21,7 +21,7 @@ from .root_system import (
     Root,
     Word,
     beta_sequence,
-    is_reduced,
+    is_positive,
     num_positive_roots,
     pairing,
     positive_roots,
@@ -33,6 +33,10 @@ from .root_system import (
 class ConvexOrder:
     """A reduced word of w0 together with its beta, gamma and pairing data.
 
+    last_root[j] is the last k with beta_k[j] != 0.  That entry is 1 (the
+    tail of the word lies in the parabolic subgroup of the other vertices),
+    and for an adapted order M(beta_k) is the injective I(j + 1).
+
     quiver is set by `adapted_order` alone, so an order that carries a quiver
     is its canonical adapted order, the one `reps.hom_matrix` is indexed by.
     """
@@ -42,6 +46,7 @@ class ConvexOrder:
     beta: tuple[Root, ...]
     gamma: tuple[Coweight, ...]
     pairings: tuple[tuple[int, ...], ...]
+    last_root: tuple[int, ...]
     quiver: Quiver | None = None
 
     @property
@@ -56,11 +61,11 @@ class ConvexOrder:
 def build_order(datum: CartanDatum, word: Word) -> ConvexOrder:
     """Build the convex-order data of a reduced word of w0, with no quiver."""
     word = tuple(word)
-    if not is_reduced(datum, word):
+    beta = beta_sequence(datum, word)
+    if not all(is_positive(b) for b in beta):
         raise ValueError(f"word {word} is not reduced")
     if len(word) != num_positive_roots(datum):
         raise ValueError("word is reduced but not a word of the longest element")
-    beta = beta_sequence(datum, word)
     if sorted(beta) != sorted(positive_roots(datum)):
         raise ValueError("beta sequence does not enumerate the positive roots")
     gamma = []
@@ -81,6 +86,7 @@ def build_order(datum: CartanDatum, word: Word) -> ConvexOrder:
         beta=beta,
         gamma=tuple(gamma),
         pairings=pairings,
+        last_root=tuple(max(k for k, b in enumerate(beta) if b[j]) for j in range(datum.n)),
     )
 
 

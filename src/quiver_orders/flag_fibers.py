@@ -34,12 +34,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convex_order import adapted_order
+from .errors import CapExceeded
 from .fields import galois_field
 from .kostant import KostantPartition, enumerate_kp
 from .linalg import nullspace
 from .quivers import Quiver
 from .reps import QuiverRep, iso_class, orbit_point_count, rep_of_kp, rep_space_dim
 
+# _count raises CapExceeded once one fiber table would hold more classes
+_FIBER_CAP = 1_000_000
 
 def q_factorial(d: int, q: int) -> int:
     """[d]_q! = prod_{m=1}^{d} (1 + q + ... + q^(m-1))."""
@@ -91,6 +94,11 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
     key = iso_class(QuiverRep(Q, F, dims, mats)).counts
     if key in table:
         return table[key]
+    if len(table) >= _FIBER_CAP:
+        raise CapExceeded(
+            f"fiber table of {Q.datum.label} {Q.arrows} over {F!r} reached "
+            f"{len(table) + 1} classes, over the cap {_FIBER_CAP}"
+        )
     children: Counter = Counter()
     for i in Q.datum.vertices():
         d = dims[i - 1]

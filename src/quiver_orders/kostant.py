@@ -137,11 +137,10 @@ def enumerate_kp(
     """All Kostant partitions of nu, ascending in the multiplicity vector.
 
     A depth-first search over n_1, n_2, ... that prunes at each vertex's last
-    root.  For a reduced word of w0, the last beta_k with a nonzero j-th entry
-    has beta_k[j] = 1 (the roots after it avoid j, so the tail of the word
-    lies in the parabolic subgroup of the other vertices).  n_k must then use
-    up what is left of nu[j], which pins it; every vertex has a last root
-    (alpha_j is among the beta), so every leaf of the search is a partition.
+    root k = order.last_root[j]: beta_k[j] = 1 and no later root has a
+    nonzero j-th entry, so n_k must use up what is left of nu[j], which pins
+    it; every vertex has a last root, so every leaf of the search is a
+    partition.
 
     Raises CapExceeded once there are more than _KP_CAP partitions.
     """
@@ -153,7 +152,7 @@ def enumerate_kp(
     cap = _KP_CAP
     support = [tuple((j, x) for j, x in enumerate(b) if x > 0) for b in order.beta]
     closing: list[list[int]] = [[] for _ in range(N)]
-    for j, k in {j: k for k, supp in enumerate(support) for j, _ in supp}.items():
+    for j, k in enumerate(order.last_root):
         closing[k].append(j)
     out: list[KostantPartition] = []
     counts = [0] * N

@@ -11,10 +11,10 @@ S+_i = D S-_i D, where D reverses every arrow and transposes every matrix.
 Isomorphism classes are read off Hom counts: in the adapted order the Hom
 matrix of the indecomposables, read off the Euler form of their dims, is
 upper unitriangular (the Hom order of a Dynkin quiver is directed), so
-summand multiplicities follow by integer forward substitution.  Hom into an
-injective indecomposable I(j) is dim M_j for every M, so the n columns of
-injectives, found in the Hom matrix, are read off the dims; only the other
-columns need an elimination.
+summand multiplicities follow by integer forward substitution.  A root that
+does not fit into what the summands found so far leave of dim M, and each
+vertex's last root (the injective I(j)), is read off the dims; only the
+other roots need an elimination.
 """
 
 from __future__ import annotations
@@ -223,10 +223,12 @@ def hom_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
     A Dynkin quiver is representation-directed: for indecomposables X, Y at
     most one of Hom(X, Y) and Ext^1(X, Y) is nonzero, and hom - ext is the
     Euler form <x, y> = sum_i x_i y_i - sum_{s->t} x_s y_t (Ringel, LNM 1099).
-    So G[k][l] = max(<beta_k, beta_l>, 0) over every field; it is checked to
-    be upper unitriangular, which `iso_class` relies on.
+    So G[k][l] = max(<beta_k, beta_l>, 0) over every field.  It is checked
+    to be upper unitriangular, with (beta_k[j])_k, Hom into I(j + 1), in
+    vertex j's last-root column; `iso_class` relies on both.
     """
-    beta = adapted_order(Q).beta
+    order = adapted_order(Q)
+    beta = order.beta
 
     def euler(x: Root, y: Root) -> int:
         return sum(a * b for a, b in zip(x, y)) - sum(x[s - 1] * y[t - 1] for s, t in Q.arrows)
@@ -235,6 +237,9 @@ def hom_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
     for k, row in enumerate(G):
         if row[k] != 1 or any(row[:k]):
             raise VerificationError(f"Hom matrix is not upper unitriangular in row {k + 1}")
+    for j, l in enumerate(order.last_root):
+        if any(row[l] != b[j] for row, b in zip(G, beta)):
+            raise VerificationError(f"Hom matrix column {l + 1} is not the injective I({j + 1})")
     return G
 
 
@@ -249,56 +254,36 @@ def rep_of_kp(lam: KostantPartition, field) -> QuiverRep:
     return acc
 
 
-@functools.cache
-def injective_columns(Q: Quiver) -> dict[int, int]:
-    """{l: j - 1} for the columns l of `hom_matrix(Q)` whose M(beta_l) is the
-    injective indecomposable I(j).
-
-    hom(X, I(j)) = dim X_j for every X, so column l belongs to vertex j when
-    G[k][l] = beta_k[j] for every k; by Krull-Schmidt and additivity,
-    hom(M, M(beta_l)) = M.dims[j - 1] for every module M.  Exactly one column
-    must match each vertex.
-    """
-    beta = adapted_order(Q).beta
-    G = hom_matrix(Q)
-    vertex_of = {tuple(b[v] for b in beta): v for v in range(Q.datum.n)}
-    cols = {}
-    for l in range(len(beta)):
-        v = vertex_of.get(tuple(row[l] for row in G))
-        if v is not None:
-            cols[l] = v
-    if sorted(cols.values()) != list(range(Q.datum.n)):
-        raise VerificationError(
-            f"Hom matrix columns match vertices {sorted(cols.values())}, "
-            "not one injective per vertex"
-        )
-    return cols
-
-
 def iso_class(M: QuiverRep) -> KostantPartition:
     """Multiplicities of the indecomposable summands of M, via Hom counts.
 
     hom(M, M(beta_l)) = sum_k n_k G[k][l] with G upper unitriangular, so
-    n_l = hom(M, M(beta_l)) - sum_{k<l} n_k G[k][l] in adapted order; the
-    result is checked to be non-negative and to add up to M's dims.  Hom into
-    an injective I(j) is read off the dims as dim M_j (`injective_columns`),
-    so only the other N - n columns take a `hom_dim` elimination.
+    n_l = hom(M, M(beta_l)) - sum_{k<l} n_k G[k][l] in adapted order.  With
+    r = dims - sum_{k<l} n_k beta_k, this is n_l = r[j] at vertex j's last
+    root (M(beta_l) is the injective I(j + 1)), and n_l = 0 when beta_l does
+    not fit into r; only the other roots take a `hom_dim` elimination.  The
+    result is checked to be non-negative and to use up the dims.
     """
     order = adapted_order(M.quiver)
     reps = all_indecomposables(M.quiver, M.field)
     G = hom_matrix(M.quiver)
-    injective = injective_columns(M.quiver)
+    vertex_of = {l: j for j, l in enumerate(order.last_root)}
+    r = M.dims
     counts: list[int] = []
     for l, b in enumerate(order.beta):
-        h = M.dims[injective[l]] if l in injective else hom_dim(M, reps[b])
-        n = h - sum(c * G[k][l] for k, c in enumerate(counts))
+        if l in vertex_of:
+            n = r[vertex_of[l]]
+        elif any(x > y for x, y in zip(b, r)):
+            n = 0
+        else:
+            n = hom_dim(M, reps[b]) - sum(c * G[k][l] for k, c in enumerate(counts))
         if n < 0:
             raise VerificationError(f"negative multiplicity {n}")
         counts.append(n)
-    lam = KostantPartition(order, tuple(counts))
-    if lam.nu != M.dims:
+        r = tuple(y - n * x for x, y in zip(b, r))
+    if any(r):
         raise VerificationError("summand multiplicities do not add up to the dims")
-    return lam
+    return KostantPartition(order, tuple(counts))
 
 
 def gl_order(n: int, q: int) -> int:

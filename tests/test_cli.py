@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
-from quiver_orders import cli
+from quiver_orders import cli, flag_fibers
 from quiver_orders.cli import main
+from quiver_orders.fields import galois_field
 from quiver_orders.kostant import OrientationLedger
+from quiver_orders.quivers import quiver
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
 
@@ -200,6 +202,26 @@ def test_count_fibers(capsys, a2_file):
     assert lines[0] == "lambda\tq\tcount"
     assert "0 1 0\t2\t1" in lines
     assert "1 0 1\t3\t2" in lines
+
+
+def test_count_fibers_stops_at_the_fiber_table_cap(capsys, a2_file, monkeypatch):
+    argv = ["count", "fibers", a2_file, "1,1", "--q", "2"]
+    flag_fibers._fiber_table.cache_clear()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    size = len(flag_fibers._fiber_table(quiver("A2", ((1, 2),)), galois_field(2)))
+    assert size > 0
+    monkeypatch.setattr(flag_fibers, "_FIBER_CAP", size)
+    flag_fibers._fiber_table.cache_clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    monkeypatch.setattr(flag_fibers, "_FIBER_CAP", 0)
+    flag_fibers._fiber_table.cache_clear()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: fiber table of A2 ((1, 2),) over F2 reached 1 classes, over the cap 0\n"
+    )
+    flag_fibers._fiber_table.cache_clear()
 
 
 def test_count_z(capsys, a2_file):

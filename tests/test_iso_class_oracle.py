@@ -11,12 +11,16 @@ reference builds its own G from the modules over the module's field, so it
 also checks that G over each field equals `hom_matrix`, which is read off the
 Euler form.
 
-`iso_class` reads Hom into an injective indecomposable off the dims, through
-the columns `injective_columns` finds in G.  Those columns are checked here on
-every orientation of A2-A5, D4-D6 and E6 against the dimension vectors of the
-injectives, counted by paths (dim I(j)_i is the number of paths from i to j,
-at most one in a tree), and the shortcut hom(M, I(j)) = dim M_j against
+`iso_class` reads the multiplicity of each vertex's last root off the dims,
+since M(beta) there is the injective I(j).  The last roots are checked here
+on every orientation of A2-A5, D4-D6 and E6 against the dimension vectors of
+the injectives, counted by paths (dim I(j)_i is the number of paths from i to
+j, at most one in a tree), and the shortcut hom(M, I(j)) = dim M_j against
 `hom_dim` on every partition with |nu| <= 4 of A3, A4 and the D4 star.
+`iso_class` also skips the roots that do not fit into what is left of the
+dims: it must call `hom_dim` only on indecomposables no larger than M, and
+still recover every partition with |nu| <= 4 of linear D5 and with
+|nu| <= 3 of two E6 orientations, over F_2 and Q.
 
 `hom_matrix` itself is checked against `hom_dim` over the indecomposables
 over Q on every orientation of A3-A5, D4 and D5 and eight each of D6 and E6,
@@ -46,7 +50,6 @@ from quiver_orders.reps import (
     bgp_reflect_rep,
     hom_dim,
     hom_matrix,
-    injective_columns,
     iso_class,
     rep_of_kp,
 )
@@ -185,11 +188,9 @@ def test_euler_hom_matrix_equals_module_hom_dims(label, monkeypatch):
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"])
 def test_injective_columns_one_per_vertex(label):
     for Q in orientations(label):
-        beta = adapted_order(Q).beta
-        cols = injective_columns(Q)
-        assert sorted(cols.values()) == list(range(Q.datum.n))
-        for l, v in cols.items():
-            assert beta[l] == injective_dims(Q, v + 1), (Q.arrows, l, v)
+        order = adapted_order(Q)
+        for j, l in enumerate(order.last_root):
+            assert order.beta[l] == injective_dims(Q, j + 1), (Q.arrows, l, j)
 
 
 @pytest.mark.parametrize("field", ["F2", "F3", "Q"])
@@ -198,24 +199,46 @@ def test_hom_into_injective_is_dim_at_its_vertex(label, field):
     Q, F = QUIVERS[label], FIELDS[field]
     order = adapted_order(Q)
     indecs = all_indecomposables(Q, F)
-    cols = injective_columns(Q)
     for nu in default_test_nus(Q.datum, 4):
         for lam in enumerate_kp(Q.datum, nu, order):
             M = rep_of_kp(lam, F)
-            for l, v in cols.items():
+            for v, l in enumerate(order.last_root):
                 assert hom_dim(M, indecs[order.beta[l]]) == M.dims[v], (lam.counts, l)
 
 
-@pytest.mark.parametrize("change", ["perturbed", "duplicated"])
-def test_injective_columns_reject_a_matrix_without_one_per_vertex(change, monkeypatch):
-    Q = QUIVERS["A3"]
-    G = [list(row) for row in hom_matrix(Q)]
-    l = min(injective_columns(Q))
-    for row in G:
-        if change == "perturbed":
-            row[l] += 1
-        else:
-            row[l + 1 if l == 0 else l - 1] = row[l]
-    monkeypatch.setattr(reps, "hom_matrix", lambda Q: tuple(map(tuple, G)))
-    with pytest.raises(VerificationError, match="one injective per vertex"):
-        reps.injective_columns.__wrapped__(Q)
+def test_hom_matrix_rejects_last_roots_that_are_not_injective(monkeypatch):
+    order = adapted_order(QUIVERS["A3"])
+    last = list(order.last_root)
+    last[0], last[1] = last[1], last[0]
+    swapped = replace(order, last_root=tuple(last))
+    monkeypatch.setattr(reps, "adapted_order", lambda Q: swapped)
+    with pytest.raises(VerificationError, match="injective"):
+        reps.hom_matrix.__wrapped__(QUIVERS["A3"])
+
+
+FITTING = {
+    "D5": (linear_quiver("D5"), 4),
+    "E6": (linear_quiver("E6"), 3),
+    "E6-bipartite": (quiver("E6", ((3, 1), (4, 2), (3, 4), (5, 4), (5, 6))), 3),
+}
+
+
+@pytest.mark.parametrize("field", ["F2", "Q"])
+@pytest.mark.parametrize("label", FITTING)
+def test_iso_class_calls_hom_dim_only_on_roots_that_fit(label, field, monkeypatch):
+    Q, size = FITTING[label]
+    F = FIELDS[field]
+    order = adapted_order(Q)
+    calls = []
+
+    def recording_hom_dim(M, N):
+        calls.append((M.dims, N.dims))
+        return hom_dim(M, N)
+
+    monkeypatch.setattr(reps, "hom_dim", recording_hom_dim)
+    for nu in default_test_nus(Q.datum, size):
+        for lam in enumerate_kp(Q.datum, nu, order):
+            assert iso_class(rep_of_kp(lam, F)) == lam
+    assert calls
+    for m, n in calls:
+        assert all(x <= y for x, y in zip(n, m)), (m, n)

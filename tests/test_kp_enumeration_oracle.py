@@ -106,12 +106,15 @@ def test_large_cases_match_reference(label, nu, size):
 @pytest.mark.parametrize("label", ["A3", "A4", "D4"])
 def test_last_root_of_each_vertex_has_coefficient_one(label):
     """The fact the enumerate_kp docstring cites: on every reduced word of w0,
-    the last beta with a nonzero j-th entry has that entry equal to 1."""
+    the last beta with a nonzero j-th entry has that entry equal to 1, and
+    `last_root` records its position."""
     datum = cartan_datum(label)
     for w in reduced_words_of_w0(datum):
-        beta = build_order(datum, w).beta
+        order = build_order(datum, w)
         for j in range(datum.n):
-            assert [b[j] for b in beta if b[j]][-1] == 1, (w, j)
+            assert [b[j] for b in order.beta if b[j]][-1] == 1, (w, j)
+            last = max(k for k, b in enumerate(order.beta) if b[j] != 0)
+            assert order.last_root[j] == last, (w, j)
 
 
 def dense_checks(lam: KostantPartition, G) -> None:
