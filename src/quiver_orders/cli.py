@@ -143,10 +143,13 @@ def _cmd_kp(args) -> int:
         raise _UsageError("--ledger and --cap apply only with --hasse")
     ledger = _load_ledger(args.ledger) if args.hasse is not None else None
     order = adapted_order(Q)
-    kps = enumerate_kp(datum, nu, order)
-    # the DOT file is written before any output, so a failed write prints nothing
-    if ledger is not None:
+    if ledger is None:
+        kps = enumerate_kp(datum, nu, order)
+    else:
+        # the Hasse cap also stops the enumeration, at cap + 1 partitions
         cap = HASSE_CAP if args.cap is None else args.cap
+        kps = enumerate_kp(datum, nu, order, cap)
+        # the DOT file is written before any output, so a failed write prints nothing
         _write_text(args.hasse, hasse_dot(kps, ledger, cap=cap))
     for lam in kps:
         parts = ", ".join(
@@ -177,7 +180,8 @@ def _cmd_verify(args) -> int:
     Q = _load_quiver(args.quiver)
     datum = Q.datum
     order = adapted_order(Q)
-    nus = ((0,) * datum.n,) + default_test_nus(datum, args.nu_max)
+    if args.check != "ringel":  # ringel reads one Hom table and sweeps no nu
+        nus = ((0,) * datum.n,) + default_test_nus(datum, args.nu_max)
     failures = 0
     checks = 0
 
@@ -202,7 +206,7 @@ def _cmd_verify(args) -> int:
         ledger = _load_ledger(args.ledger)
         for nu in nus:
             kps = enumerate_kp(datum, nu, order)
-            violations = mackey_dominance_check(kps, ledger.res_large_side, cap=args.cap)
+            violations = mackey_dominance_check(kps, ledger.res_large_side)
             for m, bad in zip(kps, violations):
                 note(not bad, f"achievable partitions dominate m={m.counts} at nu={nu}")
     elif args.check == "reflection":
@@ -304,16 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-max", type=_non_negative, default=3)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument(
-        "check", choices=("ringel", "baumann", "mackey", "reflection", "evenness")
+    checks = sub.add_parser("verify", help="run a verification sweep").add_subparsers(
+        dest="check", required=True
     )
-    p.add_argument("quiver")
-    p.add_argument("--ledger", default=None)
-    p.add_argument("--nu-max", type=_non_negative, default=4)
-    p.add_argument("--q-list", default=None, help="comma-separated prime powers")
-    p.add_argument("--cap", type=_non_negative, default=1_000_000)
-    p.set_defaults(func=_cmd_verify)
+    for check in ("ringel", "baumann", "mackey", "reflection", "evenness"):
+        p = checks.add_parser(check)
+        p.add_argument("quiver")
+        if check in ("baumann", "mackey", "reflection"):
+            p.add_argument("--ledger", default=None)
+        if check != "ringel":
+            p.add_argument("--nu-max", type=_non_negative, default=4)
+        if check == "evenness":
+            p.add_argument("--q-list", default=None, help="comma-separated prime powers")
+        p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="point counts over finite fields")
     p.add_argument("what", choices=("fibers", "z"))

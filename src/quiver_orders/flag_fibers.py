@@ -35,9 +35,9 @@ from fractions import Fraction
 
 from .convex_order import adapted_order
 from .errors import CapExceeded
-from .fields import galois_field
+from .fields import RATIONALS, factor_prime_power, galois_field
 from .kostant import KostantPartition, enumerate_kp
-from .linalg import nullspace
+from .linalg import nullspace, rref, transpose
 from .quivers import Quiver
 from .reps import QuiverRep, iso_class, orbit_point_count, rep_of_kp, rep_space_dim
 
@@ -106,13 +106,8 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
             continue
         in_idx = Q.arrows_into(i)
         out_idx = Q.arrows_out_of(i)
-        image_rows = []
-        for a in in_idx:
-            src_dim = dims[Q.arrows[a][0] - 1]
-            m = mats[a]
-            for c in range(src_dim):
-                image_rows.append(tuple(m[r][c] for r in range(d)))
-        functionals = nullspace(F, tuple(image_rows), ncols=d)
+        image_rows = tuple(row for a in in_idx for row in transpose(mats[a]))
+        functionals = nullspace(F, image_rows, ncols=d)
         if not functionals:
             continue
         for coeffs in _projective_coefficients(F, len(functionals)):
@@ -156,21 +151,20 @@ def flag_degree_bound(nu: tuple[int, ...]) -> int:
 
 
 def lagrange_coefficients(points) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the interpolating polynomial, exact."""
+    """Coefficients (ascending) of the interpolating polynomial, exact: the
+    solution of the Vandermonde system, eliminated over Q.
+
+    Raises ValueError when two points share a node.
+    """
     points = list(points)
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] + num
-            num = [a - xj * b for a, b in zip(shifted, num + [Fraction(0)])]
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k in range(len(num)):
-            coeffs[k] += scale * num[k]
+    n = len(points)
+    system = tuple(
+        tuple(Fraction(x) ** k for k in range(n)) + (Fraction(y),) for x, y in points
+    )
+    R, pivots = rref(RATIONALS, system)
+    if pivots != tuple(range(n)):
+        raise ValueError("interpolation nodes must be distinct")
+    coeffs = [row[n] for row in R]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -276,8 +270,6 @@ def z_polynomial_report(Q: Quiver, nu: tuple[int, ...], q_list) -> Interpolation
 
 def prime_powers(count: int) -> tuple[int, ...]:
     """The first `count` prime powers, ascending, starting at 2."""
-    from .fields import factor_prime_power
-
     out: list[int] = []
     q = 2
     while len(out) < count:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .convex_order import ConvexOrder, build_order
 from .errors import CapExceeded
@@ -32,6 +32,8 @@ RES_SIDES = ("first-factor", "second-factor")
 
 # enumerate_kp raises CapExceeded past this many partitions
 _KP_CAP = 1_000_000
+# achievable_prefix_sums raises CapExceeded past this many steps
+_PREFIX_SUM_CAP = 1_000_000
 # the default bound on the size of one Hasse diagram
 HASSE_CAP = 200
 
@@ -67,24 +69,15 @@ class OrientationLedger:
             raise ValueError(f"bad res_large_side: {self.res_large_side!r}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order_direction": self.order_direction,
-                "hom_formula_direction": self.hom_formula_direction,
-                "res_large_side": self.res_large_side,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "OrientationLedger":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("ledger is not a JSON object")
         try:
-            return OrientationLedger(
-                order_direction=data["order_direction"],
-                hom_formula_direction=data["hom_formula_direction"],
-                res_large_side=data["res_large_side"],
-            )
+            return OrientationLedger(**{f.name: data[f.name] for f in fields(OrientationLedger)})
         except KeyError as missing:
             raise ValueError(f"ledger is missing field {missing}") from None
 
@@ -132,7 +125,7 @@ class KostantPartition:
 
 
 def enumerate_kp(
-    datum, nu: tuple[int, ...], order: ConvexOrder
+    datum, nu: tuple[int, ...], order: ConvexOrder, cap: int | None = None
 ) -> tuple[KostantPartition, ...]:
     """All Kostant partitions of nu, ascending in the multiplicity vector.
 
@@ -142,14 +135,15 @@ def enumerate_kp(
     it; every vertex has a last root, so every leaf of the search is a
     partition.
 
-    Raises CapExceeded once there are more than _KP_CAP partitions.
+    Raises CapExceeded once there are more than `cap` partitions; `cap`
+    defaults to, and never goes above, _KP_CAP.
     """
     if datum != order.datum:
         raise ValueError("datum does not match the order")
     if len(nu) != datum.n or any(x < 0 for x in nu):
         raise ValueError(f"bad dimension vector {nu}")
     N = order.length
-    cap = _KP_CAP
+    cap = _KP_CAP if cap is None else min(cap, _KP_CAP)
     support = [tuple((j, x) for j, x in enumerate(b) if x > 0) for b in order.beta]
     closing: list[list[int]] = [[] for _ in range(N)]
     for j, k in enumerate(order.last_root):
@@ -267,11 +261,11 @@ def hasse_dot(
     return "\n".join(lines) + "\n"
 
 
-def order_invariant_on_class(datum, nu: tuple[int, ...], w, cap: int = 10_000) -> bool:
+def order_invariant_on_class(datum, nu: tuple[int, ...], w) -> bool:
     """Whether the partition order on KP(nu) is identical for every word in
     the commutation class of w, after identifying partitions by their root
     multisets."""
-    words = commutation_class(datum, tuple(w), cap=cap)
+    words = commutation_class(datum, tuple(w))
     reference = None
     for word in words:
         order = build_order(datum, word)
@@ -328,10 +322,11 @@ def decomposition_first_parts(
     return tuple(options)
 
 
-def achievable_prefix_sums(
-    m: KostantPartition, side: str, cap: int = 1_000_000
-) -> frozenset[tuple[int, ...]]:
-    """Attainable values of sum_t x_t over blockwise decompositions of m."""
+def achievable_prefix_sums(m: KostantPartition, side: str) -> frozenset[tuple[int, ...]]:
+    """Attainable values of sum_t x_t over blockwise decompositions of m.
+
+    Raises CapExceeded once the sweep takes more than _PREFIX_SUM_CAP steps.
+    """
     n = m.order.datum.n
     sums: set[tuple[int, ...]] = {tuple(0 for _ in range(n))}
     work = 0
@@ -343,10 +338,10 @@ def achievable_prefix_sums(
         for s in sums:
             for x in options:
                 work += 1
-                if work > cap:
+                if work > _PREFIX_SUM_CAP:
                     raise CapExceeded(
                         f"restriction decomposition sweep of m={m.counts} reached "
-                        f"{work} steps, over the cap {cap}"
+                        f"{work} steps, over the cap {_PREFIX_SUM_CAP}"
                     )
                 new_sums.add(tuple(a + b for a, b in zip(s, x)))
         sums = new_sums
@@ -364,7 +359,7 @@ def prefix_flags(lam: KostantPartition, sums) -> tuple[bool, ...]:
 
 
 def mackey_dominance_check(
-    kps: tuple[KostantPartition, ...], side: str, cap: int = 1_000_000
+    kps: tuple[KostantPartition, ...], side: str
 ) -> list[tuple[KostantPartition, ...]]:
     """Restriction-achievable partitions that fail to dominate, for each m of
     one KP(nu).
@@ -380,7 +375,7 @@ def mackey_dominance_check(
     dominated = leq_bitsets(order_keys(kps, "reversed"))
     out = []
     for m, below in zip(kps, dominated):
-        S = achievable_prefix_sums(m, side, cap=cap)
+        S = achievable_prefix_sums(m, side)
         out.append(
             tuple(
                 n

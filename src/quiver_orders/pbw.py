@@ -12,7 +12,7 @@ from __future__ import annotations
 from .convex_order import adapted_order
 from .errors import VerificationError
 from .kostant import KostantPartition, OrientationLedger, leq_bitsets, order_keys
-from .linalg import rank
+from .linalg import rank, transpose
 from .quivers import reflect_quiver, sinks, sources
 from .reps import bgp_reflect_rep, iso_class, rep_of_kp
 from .root_system import reflect_root
@@ -63,11 +63,8 @@ def verify_reflection(i: int, lam: KostantPartition, field) -> bool:
     no_alpha = _no_alpha_part(lam, i)
     M = rep_of_kp(lam, field)
     Q = M.quiver
-    if i in sinks(Q):
-        assembled = tuple(
-            tuple(x for a in Q.arrows_into(i) for x in M.mats[a][r])
-            for r in range(M.dims[i - 1])
-        )
+    if i in sinks(Q):  # the maps into i side by side, transposed: same rank
+        assembled = tuple(row for a in Q.arrows_into(i) for row in transpose(M.mats[a]))
     else:
         assembled = tuple(row for a in Q.arrows_out_of(i) for row in M.mats[a])
     if no_alpha != (rank(field, assembled) == M.dims[i - 1]):

@@ -15,6 +15,9 @@ from .root_system import (
     times_simple,
 )
 
+# commutation_class raises CapExceeded past this many words
+_COMMUTATION_CLASS_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class Quiver:
@@ -117,7 +120,7 @@ def adapted_word_of_w0(Q: Quiver) -> Word:
     return word
 
 
-def commutation_class(datum: CartanDatum, w: Word, cap: int = 10_000) -> tuple[Word, ...]:
+def commutation_class(datum: CartanDatum, w: Word) -> tuple[Word, ...]:
     """All words reachable from w by swapping adjacent commuting letters, sorted."""
     seen = {tuple(w)}
     frontier = [tuple(w)]
@@ -128,8 +131,10 @@ def commutation_class(datum: CartanDatum, w: Word, cap: int = 10_000) -> tuple[W
             if a != b and datum.cartan[a - 1][b - 1] == 0:
                 v = u[:k] + (b, a) + u[k + 2 :]
                 if v not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"commutation class larger than {cap}")
+                    if len(seen) >= _COMMUTATION_CLASS_CAP:
+                        raise CapExceeded(
+                            f"commutation class larger than {_COMMUTATION_CLASS_CAP}"
+                        )
                     seen.add(v)
                     frontier.append(v)
     return tuple(sorted(seen))

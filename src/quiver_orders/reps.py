@@ -29,7 +29,7 @@ from .errors import VerificationError
 from .fields import field_from_spec
 from .kostant import KostantPartition
 from .linalg import Matrix, nullspace, rref, transpose, zeros
-from .quivers import Quiver, reflect_quiver, sinks, sources
+from .quivers import Quiver, quiver, reflect_quiver, sinks, sources
 from .root_system import Root, reflect_root
 
 
@@ -356,10 +356,8 @@ def rep_to_json(M: QuiverRep) -> str:
 
 
 def rep_from_json(text: str) -> QuiverRep:
-    from .quivers import quiver as make_quiver
-
     data = json.loads(text)
-    Q = make_quiver(data["type"], [tuple(a) for a in data["arrows"]])
+    Q = quiver(data["type"], [tuple(a) for a in data["arrows"]])
     F = field_from_spec(data["field"])
     dims = tuple(data["dims"])
     mats = []

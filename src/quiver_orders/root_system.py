@@ -25,6 +25,9 @@ Root = tuple[int, ...]
 Coweight = tuple[int, ...]
 Word = tuple[int, ...]
 
+# reduced_words_of_w0 raises CapExceeded past this many words
+_REDUCED_WORDS_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class CartanDatum:
@@ -208,18 +211,18 @@ def _validate_word(datum: CartanDatum, w: Word) -> None:
             raise ValueError(f"letter {i} outside 1..{datum.n}")
 
 
-def reduced_words_of_w0(datum: CartanDatum, cap: int = 10_000) -> tuple[Word, ...]:
+def reduced_words_of_w0(datum: CartanDatum) -> tuple[Word, ...]:
     """All reduced words for the longest element, in lexicographic order.
 
-    Raises CapExceeded if there are more than `cap` of them.
+    Raises CapExceeded if there are more than _REDUCED_WORDS_CAP of them.
     """
     total = num_positive_roots(datum)
     out: list[Word] = []
 
     def extend(cols: list[Root], word: list[int]) -> None:
         if len(word) == total:
-            if len(out) >= cap:
-                raise CapExceeded(f"more than {cap} reduced words")
+            if len(out) >= _REDUCED_WORDS_CAP:
+                raise CapExceeded(f"more than {_REDUCED_WORDS_CAP} reduced words")
             out.append(tuple(word))
             return
         for i in datum.vertices():

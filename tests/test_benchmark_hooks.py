@@ -1,9 +1,11 @@
-"""The names the benchmark's layer tracer hooks into must still exist.
+"""The names and command lines the benchmark hooks into must still exist.
 
 `benchmarks/layer_trace.py` wraps functions by (module, name) and checks that
 module caches start empty through `cache_info()`; a rename in the package
-would break `benchmarks/run.py --trace 1` and its cache check.  The tracer is
-loaded from its file without writing bytecode next to it.
+would break `benchmarks/run.py --trace 1` and its cache check.  The ops of
+`benchmarks/run.py` are command lines of the CLI; a parser change that
+rejected one would break every run of its workload.  Both files are loaded
+by path without writing bytecode next to them.
 """
 
 from __future__ import annotations
@@ -15,20 +17,28 @@ from pathlib import Path
 
 import pytest
 
-LAYER_TRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "layer_trace.py"
+from quiver_orders.cli import build_parser
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-@pytest.fixture(scope="module")
-def layer_trace():
-    spec = importlib.util.spec_from_file_location("_layer_trace_probe", LAYER_TRACE)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"_{name}_probe", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def layer_trace():
+    return _load("layer_trace")
 
 
 def _package_attr(mod: str, name: str):
@@ -51,3 +61,22 @@ def test_cached_functions_keep_cache_info(layer_trace):
         if not callable(getattr(_package_attr(mod, fn), "cache_info", None))
     ]
     assert missing == []
+
+
+def test_every_seeded_op_parses():
+    run = _load("run")
+    parser = build_parser()
+    parsed = 0
+    for workload, ops in run.WORKLOADS.items():
+        for op in ops:
+            for image in op.images():
+                fill = {
+                    "quiver": "q.quiver",
+                    "ledger": "ledger.json",
+                    "out": "out.dot",
+                    "nu": ",".join(map(str, image.nu or ())),
+                }
+                argv = [a.format(**fill) for a in image.args]
+                assert callable(parser.parse_args(argv).func), (workload, argv)
+                parsed += 1
+    assert parsed >= sum(len(ops) for ops in run.WORKLOADS.values())

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quiver_orders import cli, flag_fibers
+from quiver_orders import cli, flag_fibers, kostant
 from quiver_orders.cli import main
 from quiver_orders.fields import galois_field
 from quiver_orders.kostant import OrientationLedger
@@ -120,6 +120,29 @@ def test_kp_hasse_cap(capsys, a2_file, ledger_file, tmp_path, cap, nu, code):
         assert captured.out.endswith(f"kpf: 200\nhasse: wrote {out_dot}\n")
 
 
+def test_kp_hasse_cap_stops_the_enumeration(capsys, ledger_file, tmp_path, monkeypatch):
+    """KP(2,3,4,6,4,2) of E6 has 58,984 partitions; --cap 5 builds at most 6."""
+    e6 = tmp_path / "e6.quiver"
+    e6.write_text("type E6\n1 -> 3\n2 -> 4\n3 -> 4\n4 -> 5\n5 -> 6\n")
+    built = []
+    kostant_partition = kostant.KostantPartition
+
+    def counting(order, counts):
+        built.append(counts)
+        return kostant_partition(order, counts)
+
+    monkeypatch.setattr(kostant, "KostantPartition", counting)
+    out_dot = tmp_path / "h.dot"
+    argv = ["kp", str(e6), "2,3,4,6,4,2", "--hasse", str(out_dot), "--ledger", ledger_file]
+    assert main(argv + ["--cap", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_dot.exists()
+    assert captured.err == (
+        "error: KP((2, 3, 4, 6, 4, 2)) reached 6 partitions, over the cap 5\n"
+    )
+    assert len(built) <= 6
+
+
 def test_kp_bad_nu(capsys, a2_file):
     assert main(["kp", a2_file, "1,1,1"]) == 2
     assert main(["kp", a2_file, "x,y"]) == 2
@@ -164,6 +187,60 @@ def test_verify_baumann_fails_with_wrong_ledger(capsys, a2_file, tmp_path):
     assert main(["verify", "baumann", a2_file, "--ledger", str(path), "--nu-max", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+VERIFY_OPTIONS = {
+    "ringel": (),
+    "baumann": ("--ledger", "--nu-max"),
+    "mackey": ("--ledger", "--nu-max"),
+    "reflection": ("--ledger", "--nu-max"),
+    "evenness": ("--nu-max", "--q-list"),
+}
+OPTION_VALUES = {"--ledger": "/nonexistent", "--nu-max": "1", "--q-list": "2", "--cap": "5"}
+
+
+@pytest.mark.parametrize(
+    "check, flag",
+    [
+        (check, flag)
+        for check, kept in VERIFY_OPTIONS.items()
+        for flag in OPTION_VALUES
+        if flag not in kept
+    ],
+)
+def test_verify_rejects_options_its_check_does_not_read(capsys, check, flag):
+    """argparse rejects the option before any file is read: the quiver and
+    ledger paths do not exist, and reading either would return exit 2
+    instead of raising SystemExit."""
+    argv = ["verify", check, "/nonexistent.quiver", flag, OPTION_VALUES[flag]]
+    if "--ledger" in VERIFY_OPTIONS[check]:
+        argv += ["--ledger", "/nonexistent"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {OPTION_VALUES[flag]}" in captured.err
+
+
+@pytest.mark.parametrize("check", VERIFY_OPTIONS)
+def test_verify_help_lists_only_its_options(capsys, check):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", check, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = {flag for flag in OPTION_VALUES if flag in out}
+    assert listed == set(VERIFY_OPTIONS[check])
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+def test_ledger_that_is_not_an_object_is_a_usage_error(capsys, a2_file, tmp_path, text):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(text)
+    assert main(["verify", "baumann", a2_file, "--ledger", str(ledger)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: ledger is not a JSON object\n"
 
 
 def test_verify_needs_ledger(capsys, a2_file):
@@ -289,10 +366,14 @@ def test_unwritable_output_file_is_a_usage_error(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "baumann", "{quiver}", "--ledger", "{ledger}", "--nu-max", "-1"],
-        ["verify", "mackey", "{quiver}", "--ledger", "{ledger}", "--cap", "-1"],
-        ["calibrate", "{quiver}", "--nu-max", "-1"],
-        ["kp", "{quiver}", "1,1", "--hasse", "{out}", "--ledger", "{ledger}", "--cap", "-1"],
+        pytest.param(
+            ["verify", "baumann", "{quiver}", "--ledger", "{ledger}", "--nu-max", "-1"], id="argv0"
+        ),
+        pytest.param(["calibrate", "{quiver}", "--nu-max", "-1"], id="argv2"),
+        pytest.param(
+            ["kp", "{quiver}", "1,1", "--hasse", "{out}", "--ledger", "{ledger}", "--cap", "-1"],
+            id="argv3",
+        ),
     ],
 )
 def test_negative_nu_max_and_cap_rejected(capsys, a2_file, ledger_file, tmp_path, argv):

@@ -234,6 +234,41 @@ def test_lagrange_exact():
     assert lagrange_coefficients([(1, 5), (2, 5), (3, 5)]) == (Fraction(5),)
 
 
+def _lagrange_reference(points):
+    """Coefficients of sum_i y_i prod_{j != i} (x - x_j) / (x_i - x_j)."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        num, denom = [Fraction(1)], Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                num = [a - xj * b for a, b in zip([Fraction(0)] + num, num + [Fraction(0)])]
+                denom *= xi - xj
+        coeffs = [c + Fraction(yi) / denom * a for c, a in zip(coeffs, num)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def test_lagrange_matches_the_lagrange_formula():
+    qs = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+    cases = [
+        [],
+        [(3, 4)],
+        [(-1, 2), (0, Fraction(1, 3)), (5, -7)],
+        [(q, q**4 + 3 * q - 1) for q in qs[:5]],
+        [(q, 3**q % 17) for q in qs],
+        [(q, y) for q, y in zip(reversed(qs), range(9))],
+    ]
+    for points in cases:
+        assert lagrange_coefficients(points) == _lagrange_reference(points)
+
+
+@pytest.mark.parametrize("points", [[(2, 1), (2, 1)], [(2, 1), (3, 5), (2, 4)]])
+def test_lagrange_rejects_repeated_nodes(points):
+    with pytest.raises(ValueError, match="interpolation nodes must be distinct"):
+        lagrange_coefficients(points)
+
+
 def test_interpolation_consistent_small():
     order = adapted_order(A2)
     lam = KostantPartition(order, (1, 1, 0))  # nu = (1, 2)

@@ -124,6 +124,19 @@ def test_enumerate_kp_cap_names_nu_count_and_cap(monkeypatch):
         enumerate_kp(datum, (2, 2, 2), order)
 
 
+def test_enumerate_kp_given_cap_stops_at_it_and_never_exceeds_kp_cap(monkeypatch):
+    datum = cartan_datum("A3")
+    order = adapted_order(linear_quiver("A3"))
+    kps = enumerate_kp(datum, (2, 2, 2), order)
+    K = len(kps)
+    assert enumerate_kp(datum, (2, 2, 2), order, K) == kps
+    with pytest.raises(CapExceeded, match=rf"reached {K} partitions, over the cap {K - 1}$"):
+        enumerate_kp(datum, (2, 2, 2), order, K - 1)
+    monkeypatch.setattr(kostant, "_KP_CAP", K - 1)
+    with pytest.raises(CapExceeded, match=rf"reached {K} partitions, over the cap {K - 1}$"):
+        enumerate_kp(datum, (2, 2, 2), order, 10 * K)
+
+
 def test_cover_relations_a3_diamond():
     Q = linear_quiver("A3")
     order = adapted_order(Q)
@@ -158,12 +171,14 @@ def test_hasse_dot_cap():
         hasse_dot(enumerate_kp(datum, (3, 3, 3), order), CALIBRATED, cap=5)
 
 
-def test_achievable_prefix_sums_cap_names_partition_and_cap():
+def test_achievable_prefix_sums_cap_names_partition_and_cap(monkeypatch):
     datum = cartan_datum("A3")
     order = adapted_order(linear_quiver("A3"))
     m = enumerate_kp(datum, (2, 2, 2), order)[0]
+    assert kostant._PREFIX_SUM_CAP == 1_000_000
+    monkeypatch.setattr(kostant, "_PREFIX_SUM_CAP", 3)
     with pytest.raises(CapExceeded) as exc:
-        achievable_prefix_sums(m, "first-factor", cap=3)
+        achievable_prefix_sums(m, "first-factor")
     assert str(exc.value) == (
         f"restriction decomposition sweep of m={m.counts} reached 4 steps, over the cap 3"
     )
@@ -171,7 +186,7 @@ def test_achievable_prefix_sums_cap_names_partition_and_cap():
 
 def test_order_invariance_on_commutation_class():
     datum = cartan_datum("A3")
-    assert order_invariant_on_class(datum, (1, 1, 1), (2, 1, 3, 2, 1, 3), cap=50)
+    assert order_invariant_on_class(datum, (1, 1, 1), (2, 1, 3, 2, 1, 3))
 
 
 def test_ledger_json_round_trip():
@@ -184,8 +199,11 @@ def test_ledger_json_round_trip():
 def test_ledger_rejects_unknown_values():
     with pytest.raises(ValueError):
         OrientationLedger("backwards", "transposed", "first-factor")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ledger is missing field 'hom_formula_direction'"):
         OrientationLedger.from_json('{"order_direction": "reversed"}')
+    for text in ("[1, 2]", '"x"', "3", "null"):
+        with pytest.raises(ValueError, match="ledger is not a JSON object"):
+            OrientationLedger.from_json(text)
 
 
 def test_achievable_prefix_sums_single_part():

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from quiver_orders import geometry
+from quiver_orders import geometry, kostant
 from quiver_orders.convex_order import adapted_order
+from quiver_orders.errors import CapExceeded
 from quiver_orders.geometry import calibrate, default_test_nus
 from quiver_orders.kostant import (
     RES_SIDES,
@@ -29,12 +30,10 @@ from quiver_orders.kostant import (
 from quiver_orders.quivers import linear_quiver, quiver
 
 
-def reference_violations(
-    m: KostantPartition, side: str, cap: int = 1_000_000
-) -> tuple[KostantPartition, ...]:
+def reference_violations(m: KostantPartition, side: str) -> tuple[KostantPartition, ...]:
     """The partitions n of m.nu whose every prefix is an achievable first-part
     sum of a restriction of m, but with T_k(n) <= T_k(m) failing for some k."""
-    S = achievable_prefix_sums(m, side, cap=cap)
+    S = achievable_prefix_sums(m, side)
     rows = []
     for n in enumerate_kp(m.order.datum, m.nu, m.order):
         flags = prefix_flags(n, S)
@@ -106,3 +105,10 @@ def test_calibrate_keeps_the_sides_the_pairwise_check_leaves(label, monkeypatch)
         monkeypatch.setattr(geometry, "RES_SIDES", listed)
         expected = next(side for side in listed if side in survivors)
         assert calibrate(Q, nus).res_large_side == expected
+
+
+def test_dominance_check_stops_at_the_prefix_sum_cap(monkeypatch):
+    kps = next(kps for kps in sweep(QUIVERS["A3-linear"]) if len(kps) > 1)
+    monkeypatch.setattr(kostant, "_PREFIX_SUM_CAP", 0)
+    with pytest.raises(CapExceeded, match=r"reached 1 steps, over the cap 0$"):
+        mackey_dominance_check(kps, "first-factor")

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from quiver_orders import quivers
 from quiver_orders.errors import CapExceeded
 from quiver_orders.quivers import (
     adapted_word_of_w0,
@@ -100,7 +101,7 @@ def test_is_adapted_examples():
 def test_commutation_class_a3():
     datum = cartan_datum("A3")
     w = (2, 1, 3, 2, 1, 3)
-    cls = commutation_class(datum, w, cap=100)
+    cls = commutation_class(datum, w)
     assert w in cls
     assert all(is_reduced(datum, u) for u in cls)
     assert len(cls) == 4
@@ -112,7 +113,7 @@ def test_commutation_class_a3():
     for word in reduced_words_of_w0(datum):
         if word in seen:
             continue
-        c = commutation_class(datum, word, cap=100)
+        c = commutation_class(datum, word)
         sizes.append(len(c))
         assert not (seen & set(c))
         seen.update(c)
@@ -120,10 +121,14 @@ def test_commutation_class_a3():
     assert sum(sizes) == 16
 
 
-def test_commutation_class_cap():
+def test_commutation_class_cap(monkeypatch):
     datum = cartan_datum("A3")
-    with pytest.raises(CapExceeded):
-        commutation_class(datum, (2, 1, 3, 2, 1, 3), cap=3)
+    assert quivers._COMMUTATION_CLASS_CAP == 10_000
+    monkeypatch.setattr(quivers, "_COMMUTATION_CLASS_CAP", 4)
+    assert len(commutation_class(datum, (2, 1, 3, 2, 1, 3))) == 4
+    monkeypatch.setattr(quivers, "_COMMUTATION_CLASS_CAP", 3)
+    with pytest.raises(CapExceeded, match="^commutation class larger than 3$"):
+        commutation_class(datum, (2, 1, 3, 2, 1, 3))
 
 
 def test_parse_quiver_file():

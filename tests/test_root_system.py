@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from quiver_orders import root_system
 from quiver_orders.errors import CapExceeded
 from quiver_orders.root_system import (
     act_on_root,
@@ -215,9 +216,13 @@ def test_reduced_words_of_w0_enumeration():
         assert all(is_positive(b) for b in beta_sequence(d3, w))
 
 
-def test_reduced_words_cap():
-    with pytest.raises(CapExceeded):
-        reduced_words_of_w0(cartan_datum("A3"), cap=7)
+def test_reduced_words_cap(monkeypatch):
+    assert root_system._REDUCED_WORDS_CAP == 10_000
+    monkeypatch.setattr(root_system, "_REDUCED_WORDS_CAP", 16)
+    assert len(reduced_words_of_w0(cartan_datum("A3"))) == 16
+    monkeypatch.setattr(root_system, "_REDUCED_WORDS_CAP", 7)
+    with pytest.raises(CapExceeded, match="^more than 7 reduced words$"):
+        reduced_words_of_w0(cartan_datum("A3"))
 
 
 def test_reduced_words_of_w0_a1():
