@@ -58,8 +58,10 @@ def sources(Q: Quiver) -> tuple[int, ...]:
     return tuple(i for i in Q.datum.vertices() if i not in inc)
 
 
+@functools.cache
 def reflect_quiver(i: int, Q: Quiver) -> Quiver:
-    """Reverse every arrow incident to vertex i (valid at sinks and sources)."""
+    """Reverse every arrow incident to vertex i (valid at sinks and sources);
+    cached, so each (i, Q) has one shared result (at most n * 2^(n-1) of them)."""
     if i not in sinks(Q) and i not in sources(Q):
         raise ValueError(f"vertex {i} is neither a sink nor a source")
     flipped = tuple((t, s) if s == i or t == i else (s, t) for s, t in Q.arrows)

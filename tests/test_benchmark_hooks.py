@@ -5,7 +5,8 @@ module caches start empty through `cache_info()`; a rename in the package
 would break `benchmarks/run.py --trace 1` and its cache check.  The ops of
 `benchmarks/run.py` are command lines of the CLI; a parser change that
 rejected one would break every run of its workload.  Both files are loaded
-by path without writing bytecode next to them.
+by path without writing bytecode next to them.  A traced run of two ops
+through the CLI checks that the wrappers still fit the package's signatures.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from quiver_orders.cli import build_parser
+from quiver_orders import flag_fibers
+from quiver_orders.cli import build_parser, main
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -80,3 +82,29 @@ def test_every_seeded_op_parses():
                 assert callable(parser.parse_args(argv).func), (workload, argv)
                 parsed += 1
     assert parsed >= sum(len(ops) for ops in run.WORKLOADS.values())
+
+
+def test_traced_ops_run_and_record_spans(layer_trace, tmp_path, capsys):
+    d4 = tmp_path / "d4.quiver"
+    d4.write_text("type D4\n1 -> 2\n3 -> 2\n4 -> 2\n")
+    a2 = tmp_path / "a2.quiver"
+    a2.write_text("type A2\n1 -> 2\n")
+    # empty caches, as at the start of a benchmark pass, so every layer runs
+    for mod, fn in layer_trace.CACHED:
+        _package_attr(mod, fn).cache_clear()
+    flag_fibers._fiber_table.cache_clear()
+    tracer = layer_trace.Tracer("test")
+    tracer.install()
+    try:
+        codes = [
+            main(["verify", "ringel", str(d4)]),
+            main(["count", "fibers", str(a2), "1,1", "--q", "2,3"]),
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    stats = tracer.summary()
+    assert sum(s["calls"] for name, s in stats.items() if name.startswith("linalg.rref.")) > 0
+    assert stats["reps.hom_dim"]["calls"] > 0
+    assert layer_trace.leftover_wrappers() == []

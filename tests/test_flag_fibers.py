@@ -98,7 +98,7 @@ def _brute_fiber(M: QuiverRep) -> int:
 
     def is_stable(members):
         for k, (s, t) in enumerate(Q.arrows):
-            mat = M.mat_for(k)
+            mat = M.mats[k]
             for v in members[s - 1]:
                 img = _apply(F, mat, v)
                 if img not in members[t - 1]:
@@ -196,7 +196,7 @@ def test_fiber_invariant_under_basis_change():
         return tuple(tuple(_dot(F, row, col) for col in zip(*B)) for row in A)
 
     assert mul(g1, g1_inv) == ((1, 0), (0, 1))
-    mats = (mul(g2, mul(M.mat_for(0), g1_inv)),)
+    mats = (mul(g2, mul(M.mats[0], g1_inv)),)
     moved = QuiverRep(A2, F, M.dims, mats)
     assert fiber_point_count(moved) == fiber_point_count(M)
 

@@ -1,0 +1,83 @@
+"""Oracle for `reps.hom_dim` by echelon-only elimination.
+
+`_reference_hom_dim` is `hom_dim` as it was before ranks got their own
+echelon-only path: it assembles the same system with `F.sub` on every entry
+and takes the nullity from the pivots of a full `rref`.  Both must agree on
+every ordered pair of indecomposables, and on every ordered pair of direct
+sums `rep_of_kp(lam)` with |nu| <= 3, for A3 in both orientations, the D4
+star and one E6 orientation, over Q, F_2 and GF(4).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from quiver_orders.convex_order import adapted_order
+from quiver_orders.fields import RATIONALS, galois_field
+from quiver_orders.geometry import default_test_nus
+from quiver_orders.kostant import enumerate_kp
+from quiver_orders.linalg import rref
+from quiver_orders.quivers import quiver
+from quiver_orders.reps import _require_same_context, all_indecomposables, hom_dim, rep_of_kp
+
+
+def _reference_hom_dim(M, N) -> int:
+    _require_same_context(M, N)
+    F = M.field
+    n = M.quiver.datum.n
+    sizes = [N.dims[i] * M.dims[i] for i in range(n)]
+    offsets = [0] * n
+    for i in range(1, n):
+        offsets[i] = offsets[i - 1] + sizes[i - 1]
+    total = sum(sizes)
+    rows = []
+    for idx, (s, t) in enumerate(M.quiver.arrows):
+        x = M.mats[idx]
+        y = N.mats[idx]
+        si, ti = s - 1, t - 1
+        for r in range(N.dims[ti]):
+            for c in range(M.dims[si]):
+                row = [F.zero] * total
+                for u in range(M.dims[ti]):
+                    row[offsets[ti] + r * M.dims[ti] + u] = x[u][c]
+                for v in range(N.dims[si]):
+                    pos = offsets[si] + v * M.dims[si] + c
+                    row[pos] = F.sub(row[pos], y[r][v])
+                rows.append(tuple(row))
+    if not rows:
+        return total
+    return total - len(rref(F, tuple(rows))[1])
+
+
+QUIVERS = {
+    "A3-linear": quiver("A3", ((1, 2), (2, 3))),
+    "A3-zigzag": quiver("A3", ((1, 2), (3, 2))),
+    "D4-star": quiver("D4", ((1, 2), (3, 2), (4, 2))),
+    "E6": quiver("E6", ((1, 3), (4, 2), (4, 3), (5, 4), (5, 6))),
+}
+FIELDS = {"Q": RATIONALS, "F2": galois_field(2), "GF4": galois_field(4)}
+
+
+def _assert_agree(modules):
+    for M in modules:
+        for N in modules:
+            assert hom_dim(M, N) == _reference_hom_dim(M, N), (M.dims, N.dims)
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+@pytest.mark.parametrize("Q", QUIVERS.values(), ids=QUIVERS.keys())
+def test_indecomposables(Q, field):
+    _assert_agree(list(all_indecomposables(Q, field).values()))
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+@pytest.mark.parametrize("Q", QUIVERS.values(), ids=QUIVERS.keys())
+def test_kp_sums(Q, field):
+    order = adapted_order(Q)
+    _assert_agree(
+        [
+            rep_of_kp(lam, field)
+            for nu in default_test_nus(Q.datum, 3)
+            for lam in enumerate_kp(Q.datum, nu, order)
+        ]
+    )

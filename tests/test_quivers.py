@@ -63,6 +63,23 @@ def test_reflect_quiver_flips_incident_arrows():
         reflect_quiver(2, Q)  # neither sink nor source
 
 
+def test_reflect_quiver_result_is_shared():
+    Q = quiver("D4", ((1, 2), (3, 2), (4, 2)))
+    twin = quiver("D4", ((1, 2), (3, 2), (4, 2)))
+    assert twin == Q and twin is not Q
+    for i in (1, 2, 3, 4):
+        R = reflect_quiver(i, Q)
+        assert reflect_quiver(i, Q) is R
+        assert reflect_quiver(i, twin) is R
+
+
+def test_reflect_quiver_rejects_inner_vertex_on_every_call():
+    Q = linear_quiver("A3")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="neither a sink nor a source"):
+            reflect_quiver(2, Q)
+
+
 def test_adapted_word_a2():
     Q = quiver("A2", ((2, 1),))
     assert adapted_word_of_w0(Q) == (1, 2, 1)

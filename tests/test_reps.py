@@ -81,10 +81,10 @@ def _brute_hom_count(M: QuiverRep, N: QuiverRep) -> int:
         ok = True
         for k, (s, t) in enumerate(M.quiver.arrows):
             lhs = _shaped_mul(
-                F, mats[t - 1], M.mat_for(k), N.dims[t - 1], M.dims[t - 1], M.dims[s - 1]
+                F, mats[t - 1], M.mats[k], N.dims[t - 1], M.dims[t - 1], M.dims[s - 1]
             )
             rhs = _shaped_mul(
-                F, N.mat_for(k), mats[s - 1], N.dims[t - 1], N.dims[s - 1], M.dims[s - 1]
+                F, N.mats[k], mats[s - 1], N.dims[t - 1], N.dims[s - 1], M.dims[s - 1]
             )
             if lhs != rhs:
                 ok = False
@@ -170,7 +170,7 @@ def test_bgp_reflection_at_sink_examples():
     S1 = simple_rep(A2, F, 1)
     R1 = bgp_reflect_rep(2, S1)
     assert R1.dims == (1, 1)
-    assert R1.mat_for(0) == ((F.one,),)
+    assert R1.mats[0] == ((F.one,),)
     assert end_dim(R1) == 1
 
 
@@ -188,7 +188,7 @@ def test_direct_sum_block_structure():
     M = indecomposable(A2, (1, 1), F)
     S = direct_sum(M, M)
     assert S.dims == (2, 2)
-    assert S.mat_for(0) == ((1, 0), (0, 1))
+    assert S.mats[0] == ((1, 0), (0, 1))
     assert hom_dim(S, S) == 4
 
 

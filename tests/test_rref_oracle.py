@@ -1,15 +1,20 @@
-"""Oracle for the fraction-free integer path of `linalg.rref` over Q.
+"""Oracle for the fraction-free integer path of `linalg.rref` over Q, and for
+the echelon-only elimination of `linalg.rank`.
 
 `_reference_rref` is the generic Gauss-Jordan loop over the field's
 operations, as `rref` ran it on every matrix before integer matrices over Q
 got their own path.  The reduced row echelon form is unique, so the RREF,
 the pivots, the rank and the nullspace must agree exactly on every input.
+`rank` must equal the number of reference pivots over Q, on the same integer
+matrices taken mod 2 and mod 5, and on random matrices over GF(4) and GF(9).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from quiver_orders import linalg
 from quiver_orders.convex_order import adapted_order
@@ -172,6 +177,37 @@ def test_non_integral_matrices_match_reference():
             for _ in range(nr)
         )
         _assert_matches(A)
+
+
+@pytest.mark.parametrize("p", (2, 5))
+def test_rank_mod_p_matches_reference(p):
+    F = galois_field(p)
+    ranks = set()
+    for A in CASES:
+        Ap = tuple(tuple(F.from_int(x.numerator) for x in row) for row in A)
+        assert rank(F, Ap) == len(_reference_rref(F, Ap)[1])
+        ranks.add(rank(F, Ap))
+    assert 0 in ranks and max(ranks) >= 8
+
+
+@pytest.mark.parametrize("q", (4, 9))
+def test_rank_over_extension_fields_matches_reference(q):
+    F = galois_field(q)
+    rng = random.Random(q)
+    deficits = set()
+    for _ in range(100):
+        nr, nc = rng.randint(2, 9), rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 1.0))
+        rows = [
+            [rng.randrange(q) if rng.random() < density else F.zero for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        a = rng.randrange(q)  # one more row, a combination of the first two
+        rows.append([F.add(F.mul(a, x), y) for x, y in zip(rows[0], rows[1])])
+        A = tuple(tuple(row) for row in rows)
+        assert rank(F, A) == len(_reference_rref(F, A)[1])
+        deficits.add(min(nr + 1, nc) - rank(F, A))
+    assert 0 in deficits and max(deficits) >= 3
 
 
 def test_e6_hom_matrix_equals_hom_dims_over_f101():
