@@ -58,10 +58,8 @@ from .reps import (
     indecomposable,
     iso_class,
     orbit_point_count,
-    rep_from_json,
     rep_of_kp,
     rep_space_dim,
-    rep_to_json,
     simple_rep,
     zero_rep,
 )

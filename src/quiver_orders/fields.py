@@ -1,11 +1,15 @@
 """Exact coefficient fields: the rationals, F_p, and small F_{p^r}.
 
-Every field exposes zero/one/add/sub/mul/neg/inv/from_int and an `order`
-attribute (None for the rationals).  Elements are hashable: Fractions for the
-rationals and plain ints for the finite fields.  Extension field elements are
-integer codes 0..q-1 whose base-p digits are the coefficients of the residue
-polynomial, with arithmetic from precomputed tables, so the prime subfield is
-the set of codes 0..p-1 and from_int lands there.
+Every field exposes zero/one/add/sub/mul/neg/inv and an `order` attribute
+(None for the rationals); that is all elimination uses.  Elements are
+hashable: Fractions for the rationals and plain ints for the finite fields.
+Extension field elements are integer codes 0..q-1 whose base-p digits are the
+coefficients of the residue polynomial, with arithmetic from precomputed
+q x q tables, so the prime subfield is the set of codes 0..p-1.  The modulus
+is the least monic polynomial of degree r, in code order, whose
+multiplication table gives every nonzero code an inverse: F_p[x]/(f) is a
+field exactly when f is irreducible.  The tables are built only for
+q <= _MAX_TABLE_ORDER.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ class Rationals:
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
@@ -39,9 +40,6 @@ class Rationals:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def spec(self) -> str:
-        return "rationals"
 
     def __repr__(self) -> str:
         return "Q"
@@ -62,9 +60,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -84,9 +79,6 @@ class PrimeField:
 
     def elements(self) -> range:
         return range(self.p)
-
-    def spec(self) -> str:
-        return f"prime {self.p}"
 
     def __repr__(self) -> str:
         return f"F{self.p}"
@@ -114,32 +106,6 @@ def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ..
     return tuple(prod[:r])
 
 
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1..deg//2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            divisor = _decode(code, p, d) + (1,)
-            if _poly_divides(divisor, poly, p):
-                return False
-    return True
-
-
-def _poly_divides(d: tuple[int, ...], a: tuple[int, ...], p: int) -> bool:
-    rem = list(a)
-    dd = len(d) - 1
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        lead = rem[-1]
-        shift = len(rem) - 1 - dd
-        for k in range(dd + 1):
-            rem[shift + k] = (rem[shift + k] - lead * d[k]) % p
-    return not any(rem)
-
-
 def _decode(code: int, p: int, length: int) -> tuple[int, ...]:
     digits = []
     for _ in range(length):
@@ -155,6 +121,10 @@ def _encode(digits: tuple[int, ...], p: int) -> int:
     return code
 
 
+# ExtensionField refuses q above this; its tables hold 2q^2 + 2q entries
+_MAX_TABLE_ORDER = 1024
+
+
 class ExtensionField:
     """F_{p^r} for small p^r, with table-driven arithmetic on codes 0..q-1."""
 
@@ -164,44 +134,33 @@ class ExtensionField:
         PrimeField(p)  # validates primality
         self.p = p
         self.r = r
-        self.order = p**r
+        q = p**r
+        if q > _MAX_TABLE_ORDER:
+            raise ValueError(f"GF({q}) is too large: field tables stop at q = {_MAX_TABLE_ORDER}")
+        self.order = q
         self.zero = 0
         self.one = 1
-        self.modulus = self._find_modulus()
-        q = self.order
-        decode = {c: _decode(c, p, r) for c in range(q)}
+        decode = [_decode(c, p, r) for c in range(q)]
         self._add = [
-            [
-                _encode(tuple((x + y) % p for x, y in zip(decode[a], decode[b])), p)
-                for b in range(q)
-            ]
-            for a in range(q)
+            [_encode(tuple((x + y) % p for x, y in zip(da, db)), p) for db in decode]
+            for da in decode
         ]
-        self._mul = [
-            [
-                _encode(_poly_mul_mod(decode[a], decode[b], self.modulus, p), p)
-                for b in range(q)
-            ]
-            for a in range(q)
-        ]
-        self._neg = [_encode(tuple((-x) % p for x in decode[a]), p) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
+        self._neg = [_encode(tuple((-x) % p for x in d), p) for d in decode]
+        # the first monic modulus, in code order, under which every nonzero
+        # code has an inverse; a reducible one fails at its first zero divisor
+        for code in range(q):
+            modulus = decode[code] + (1,)
+            mul, inv = [[0] * q], [0] * q
+            for a in range(1, q):
+                row = [_encode(_poly_mul_mod(decode[a], d, modulus, p), p) for d in decode]
+                if 1 not in row:
                     break
-
-    def _find_modulus(self) -> tuple[int, ...]:
-        # least monic irreducible of degree r, by code order
-        for code in range(self.p**self.r):
-            poly = _decode(code, self.p, self.r) + (1,)
-            if _is_irreducible(poly, self.p):
-                return poly
+                mul.append(row)
+                inv[a] = row.index(1)
+            else:
+                self.modulus, self._mul, self._inv = modulus, mul, inv
+                return
         raise RuntimeError("no irreducible polynomial found")
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -223,9 +182,6 @@ class ExtensionField:
     def elements(self) -> range:
         return range(self.order)
 
-    def spec(self) -> str:
-        return f"gf {self.p}^{self.r}"
-
     def __repr__(self) -> str:
         return f"F{self.order}"
 
@@ -237,8 +193,6 @@ class ExtensionField:
 
 
 RATIONALS = Rationals()
-
-Field = Rationals | PrimeField | ExtensionField
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -264,12 +218,3 @@ def galois_field(q: int) -> PrimeField | ExtensionField:
     p, r = factor_prime_power(q)
     return PrimeField(p) if r == 1 else ExtensionField(p, r)
 
-
-def field_from_spec(spec: str) -> Field:
-    """Parse "rationals" or "prime p" (the serialization field tags)."""
-    parts = spec.strip().split()
-    if parts == ["rationals"]:
-        return RATIONALS
-    if len(parts) == 2 and parts[0] == "prime":
-        return PrimeField(int(parts[1]))
-    raise ValueError(f"unknown field spec: {spec!r}")

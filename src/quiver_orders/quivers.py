@@ -145,7 +145,7 @@ def commutation_class(datum: CartanDatum, w: Word) -> tuple[Word, ...]:
 def parse_quiver_file(text: str) -> Quiver:
     """Parse a quiver description.
 
-    Format: a line "type A3", then either one "i -> j" line per edge or the
+    Format: one line "type A3", then either one "i -> j" line per edge or the
     single line "orientation linear".  Blank lines and #-comments ignored.
     """
     label: str | None = None
@@ -157,6 +157,8 @@ def parse_quiver_file(text: str) -> Quiver:
             continue
         parts = line.split()
         if parts[0] == "type" and len(parts) == 2:
+            if label is not None:
+                raise ValueError(f"second 'type' line: {raw!r}")
             label = parts[1]
         elif parts[0] == "orientation" and parts[1:] == ["linear"]:
             linear = True

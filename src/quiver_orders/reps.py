@@ -20,17 +20,14 @@ other roots need an elimination.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .convex_order import adapted_order
 from .errors import VerificationError
-from .fields import field_from_spec
 from .kostant import KostantPartition
 # rref is unused here, but benchmarks/test_benchmark.py checks that tracing rebinds reps.rref
 from .linalg import Matrix, nullspace, rank, rref, transpose, zeros  # noqa: F401
-from .quivers import Quiver, quiver, reflect_quiver, sinks, sources
+from .quivers import Quiver, reflect_quiver, sinks, sources
 from .root_system import Root, reflect_root
 
 
@@ -321,52 +318,3 @@ def orbit_point_count(lam: KostantPartition, q: int) -> int:
         raise VerificationError("automorphism order does not divide the group order")
     return group // aut
 
-
-def rep_to_json(M: QuiverRep) -> str:
-    """Serialize a representation; fields limited to rationals and prime fields.
-
-    Matrices are flat row-major integer lists; rational entries must be
-    integers (all representations built here are).
-    """
-    spec = M.field.spec()
-    if spec.startswith("gf "):
-        raise ValueError("extension-field representations are not serialized")
-    flat_mats = []
-    for m in M.mats:
-        entries = []
-        for row in m:
-            for x in row:
-                if isinstance(x, Fraction):
-                    if x.denominator != 1:
-                        raise ValueError(f"non-integer entry {x}")
-                    entries.append(int(x))
-                else:
-                    entries.append(int(x))
-        flat_mats.append(entries)
-    payload = {
-        "type": M.quiver.datum.label,
-        "arrows": [list(a) for a in M.quiver.arrows],
-        "field": spec,
-        "dims": list(M.dims),
-        "mats": flat_mats,
-    }
-    return json.dumps(payload, indent=2)
-
-
-def rep_from_json(text: str) -> QuiverRep:
-    data = json.loads(text)
-    Q = quiver(data["type"], [tuple(a) for a in data["arrows"]])
-    F = field_from_spec(data["field"])
-    dims = tuple(data["dims"])
-    mats = []
-    for (s, t), flat in zip(Q.arrows, data["mats"]):
-        r, c = dims[t - 1], dims[s - 1]
-        if len(flat) != r * c:
-            raise ValueError(f"matrix for {s}->{t} has {len(flat)} entries, wants {r * c}")
-        mats.append(
-            tuple(
-                tuple(F.from_int(flat[row * c + col]) for col in range(c))
-                for row in range(r)
-            )
-        )
-    return QuiverRep(Q, F, dims, tuple(mats))

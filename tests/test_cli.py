@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from quiver_orders import cli, flag_fibers, kostant
+from quiver_orders import cli, fields, flag_fibers, kostant
 from quiver_orders.cli import main
 from quiver_orders.fields import galois_field
 from quiver_orders.kostant import OrientationLedger
@@ -406,6 +409,40 @@ def test_short_q_list_rejected_before_any_output(capsys, a2_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "insufficient q values: need at least 4, got 2" in captured.err
+
+
+def test_second_type_line_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "two_types.quiver"
+    path.write_text("type A2\ntype A3\n1 -> 2\n3 -> 2\n")
+    assert main(["kp", str(path), "1,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "second 'type' line" in captured.err
+
+
+def test_field_over_the_table_bound_is_a_usage_error(capsys, a2_file, monkeypatch):
+    # a broken bound fails here instead of building 2048 x 2048 tables
+    monkeypatch.setattr(fields, "_decode", lambda *args: pytest.fail("a field table was built"))
+    assert main(["count", "fibers", a2_file, "1,1", "--q", "2,2048"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "GF(2048) is too large" in captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    text = README.read_text()
+    (tmp_path / "q.txt").write_text(re.search(r"```\n(type A3\n.*?)```", text, re.S).group(1))
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+    argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+    # the kp and verify lines read the ledger that calibrate writes
+    argvs.sort(key=lambda argv: argv[0] != "calibrate")
+    assert len(argvs) == 12 and argvs[0][:3] == ["calibrate", "q.txt", "--out"]
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_seed_flag_rejected(capsys):

@@ -4,18 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from quiver_orders import fields
 from quiver_orders.fields import (
     RATIONALS,
     ExtensionField,
     PrimeField,
     factor_prime_power,
-    field_from_spec,
     galois_field,
 )
 from quiver_orders.linalg import nullspace, rank, rref, transpose
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_field_axioms_exhaustively(q):
     F = galois_field(q)
     elems = list(F.elements())
@@ -53,8 +53,6 @@ def test_extension_field_characteristic(q, p, r):
 
 def test_prime_field_basics():
     F = PrimeField(7)
-    assert F.from_int(10) == 3
-    assert F.from_int(-1) == 6
     assert F.inv(3) == 5
     assert F.order == 7
     with pytest.raises(ValueError):
@@ -66,17 +64,61 @@ def test_prime_field_basics():
 def test_rationals_field():
     F = RATIONALS
     assert F.order is None
-    assert F.from_int(3) == Fraction(3)
     assert F.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert F.spec() == "rationals"
 
 
-def test_field_from_spec_round_trip():
-    assert field_from_spec("rationals") is RATIONALS
-    F = field_from_spec("prime 5")
-    assert isinstance(F, PrimeField) and F.p == 5
-    with pytest.raises(ValueError):
-        field_from_spec("gf 2^2")
+def _digits(code, p, length):
+    return tuple(code // p**k % p for k in range(length))
+
+
+def _divides(d, a, p):
+    """Whether the monic polynomial d divides a over F_p (coefficients low to high)."""
+    rem = list(a)
+    while len(rem) >= len(d):
+        lead, shift = rem[-1], len(rem) - len(d)
+        for k, c in enumerate(d):
+            rem[shift + k] = (rem[shift + k] - lead * c) % p
+        rem.pop()
+    return not any(rem)
+
+
+def _reference_modulus(p, r):
+    """The least monic irreducible polynomial of degree r over F_p in code order
+    (coefficients low to high read as base-p digits), by trial division by every
+    monic polynomial of degree 1..r // 2."""
+    for code in range(p**r):
+        poly = _digits(code, p, r) + (1,)
+        if not any(
+            _divides(_digits(c, p, d) + (1,), poly, p)
+            for d in range(1, r // 2 + 1)
+            for c in range(p**d)
+        ):
+            return poly
+    raise AssertionError(f"no irreducible polynomial of degree {r} over F_{p}")
+
+
+# every p^r with r >= 2 and p^r <= 128
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128])
+def test_modulus_is_least_irreducible(q):
+    p, r = factor_prime_power(q)
+    assert galois_field(q).modulus == _reference_modulus(p, r)
+
+
+def test_reference_modulus_known_values():
+    assert _reference_modulus(2, 2) == (1, 1, 1)  # x^2 + x + 1
+    assert _reference_modulus(2, 8) == (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8 + x^4 + x^3 + x + 1
+    assert _reference_modulus(3, 2) == (1, 0, 1)  # x^2 + 1
+    assert _divides((1, 1), (1, 0, 1), 2)  # x^2 + 1 = (x + 1)^2 over F_2
+    assert not _divides((1, 1), (1, 0, 1), 3)
+    assert not _divides((1, 1), (1, 1, 0, 1), 2)
+
+
+def test_extension_field_size_bound(monkeypatch):
+    monkeypatch.setattr(fields, "_MAX_TABLE_ORDER", 8)
+    assert ExtensionField(2, 3).order == 8
+    monkeypatch.setattr(fields, "_decode", lambda *args: pytest.fail("a field table was built"))
+    with pytest.raises(ValueError, match=r"GF\(9\) is too large"):
+        ExtensionField(3, 2)
 
 
 def test_galois_field_rejects_non_prime_powers():

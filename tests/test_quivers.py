@@ -163,3 +163,8 @@ def test_parse_quiver_file_errors():
         parse_quiver_file("type A2\n1 - 2\n")
     with pytest.raises(ValueError):
         parse_quiver_file("type A2\n")  # no arrows
+
+
+def test_parse_quiver_file_rejects_a_second_type_line():
+    with pytest.raises(ValueError, match="second 'type' line"):
+        parse_quiver_file("type A2\ntype A3\n1 -> 2\n3 -> 2\n")

@@ -20,10 +20,8 @@ from quiver_orders.reps import (
     indecomposable,
     iso_class,
     orbit_point_count,
-    rep_from_json,
     rep_of_kp,
     rep_space_dim,
-    rep_to_json,
     simple_rep,
     zero_rep,
 )
@@ -252,22 +250,3 @@ def test_orbit_counts_sum_to_rep_space():
                     for lam in enumerate_kp(datum, nu, order)
                 )
                 assert total == q ** rep_space_dim(Q, nu)
-
-
-def test_rep_json_round_trip():
-    for field in [RATIONALS, PrimeField(3)]:
-        M = indecomposable(A3LIN, (1, 1, 1), field)
-        text = rep_to_json(M)
-        back = rep_from_json(text)
-        assert back == M
-
-
-def test_rep_json_rejects_extension_fields():
-    M = simple_rep(A2, galois_field(4), 1)
-    with pytest.raises(ValueError):
-        rep_to_json(M)
-
-
-def test_rep_from_json_rejects_garbage():
-    with pytest.raises((ValueError, KeyError)):
-        rep_from_json("{}")

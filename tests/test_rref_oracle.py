@@ -184,7 +184,7 @@ def test_rank_mod_p_matches_reference(p):
     F = galois_field(p)
     ranks = set()
     for A in CASES:
-        Ap = tuple(tuple(F.from_int(x.numerator) for x in row) for row in A)
+        Ap = tuple(tuple(x.numerator % p for x in row) for row in A)
         assert rank(F, Ap) == len(_reference_rref(F, Ap)[1])
         ranks.add(rank(F, Ap))
     assert 0 in ranks and max(ranks) >= 8
