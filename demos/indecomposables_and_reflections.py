@@ -9,7 +9,7 @@ from quiver_orders import (
     adapted_order,
     all_indecomposables,
     bgp_reflect_rep,
-    end_dim,
+    hom_dim,
     hom_matrix,
     iso_class,
     quiver,
@@ -24,7 +24,7 @@ def show_indecomposables(Q):
     table = all_indecomposables(Q, RATIONALS)
     for beta, M in table.items():
         dims = " ".join(str(d) for d in M.dims)
-        print(f"  dimension vector ({dims}), End dimension {end_dim(M)}")
+        print(f"  dimension vector ({dims}), End dimension {hom_dim(M, M)}")
     print()
 
 

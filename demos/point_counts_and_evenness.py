@@ -62,7 +62,7 @@ def interpolation_demo(Q, nu):
     for lam in enumerate_kp(datum, nu, order):
         report = interpolate_fiber_polynomial(lam, qs)
         counts = " ".join(str(c) for c in lam.counts)
-        coeffs = report.integer_coefficients
+        coeffs = "(" + ", ".join(str(c) for c in report.coefficients) + ")"
         print(f"  {counts:12}coefficients {coeffs}   verdict: {report.verdict}")
     print("  (ascending coefficients; checked against held-out prime powers)")
 

@@ -52,7 +52,6 @@ from .reps import (
     bgp_reflect_rep,
     direct_sum,
     dual_rep,
-    end_dim,
     hom_dim,
     hom_matrix,
     indecomposable,

@@ -22,6 +22,7 @@ from .flag_fibers import (
     fiber_point_count,
     flag_degree_bound,
     interpolate_fiber_polynomial,
+    prime_powers,
     z_point_count,
 )
 from .geometry import baumann_check, calibrate, default_test_nus, ringel_check
@@ -37,7 +38,7 @@ from .quivers import parse_quiver_file, sinks
 from .reps import rep_of_kp
 from .root_system import cartan_datum, positive_roots
 
-DEFAULT_Q_LIST = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+DEFAULT_Q_LIST = prime_powers(9)
 
 
 class _UsageError(Exception):

@@ -178,12 +178,6 @@ class InterpolationReport:
     held_out: tuple[int, ...]
     verdict: str
 
-    @property
-    def integer_coefficients(self) -> tuple[int, ...] | None:
-        if any(c.denominator != 1 for c in self.coefficients):
-            return None
-        return tuple(int(c) for c in self.coefficients)
-
 
 def _poly_eval(coeffs, x: int) -> Fraction:
     total = Fraction(0)
@@ -199,7 +193,7 @@ def _interpolation_verdict(
     nodes = counts[: bound + 1]
     held = counts[bound + 1 :]
     coeffs = lagrange_coefficients(nodes)
-    ok = all(c.denominator == 1 and c >= 0 for c in coeffs)
+    ok = all(c >= 0 and int(c) == c for c in coeffs)
     ok = ok and all(_poly_eval(coeffs, q) == y for q, y in held)
     return InterpolationReport(
         counts=tuple(counts),

@@ -1,17 +1,19 @@
-"""Exact dense linear algebra over a coefficient field from fields.py.
+"""Exact linear algebra over a coefficient field from fields.py.
 
 Matrices are tuples of row tuples (possibly with zero rows or columns); an
 input may be any sequence of row sequences.
-Everything is deterministic: elimination always picks the first usable pivot.
-A matrix over Q whose entries are all integers is eliminated fraction-free on
-Python ints (Bareiss, Math. Comp. 22, 1968); every other matrix, over Q, F_p
-or GF(p^r), takes the generic loop over the field's operations.  `rref` and
-`rank` share that elimination; `rank` runs it echelon-only, updating only the
-rows below each pivot and building no reduced matrix.
+`rref` and `rank` share one elimination for every field: each row, as a
+`{column: entry}` dict of its nonzero entries, is reduced against an echelon
+basis keyed by leading column, and joins the basis if it is not reduced to
+zero.  Over Q the rows are scaled to Python ints and combined fraction-free;
+over F_p and GF(p^r) each basis row leads with one.  `rank` counts the basis
+rows; `rref` also clears them at the later pivots.  The reduced row echelon
+form is unique, so the order in which rows meet the basis does not show.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = tuple[tuple[object, ...], ...]
@@ -37,88 +39,70 @@ def rref(F, A: Matrix, ncols: int | None = None) -> tuple[Matrix, tuple[int, ...
     `ncols` disambiguates the width of a matrix with no rows.
     """
     nc = ncols if (not A and ncols is not None) else shape(A)[1]
-    return _eliminate(F, A, nc, False)
+    basis = _eliminate(F, A)
+    pivots = sorted(basis)
+    # clearing at a later pivot uses that pivot's row, which is cleared already
+    for k in reversed(range(len(pivots))):
+        for c in pivots[k + 1 :]:
+            if c in basis[pivots[k]]:
+                basis[pivots[k]] = _combine(F, basis[pivots[k]], basis[c], c)
+    rows = []
+    for c in pivots:
+        b, row = basis[c], [F.zero] * nc
+        for j, x in b.items():
+            row[j] = x if F.order is not None else Fraction(x, b[c])
+        rows.append(tuple(row))
+    rows += [(F.zero,) * nc] * (len(A) - len(pivots))
+    return tuple(rows), tuple(pivots)
 
 
 def rank(F, A: Matrix) -> int:
-    """Number of pivots of `rref(F, A)`, by echelon-only elimination: only the
-    rows below each pivot are updated, and no reduced matrix is built."""
-    return len(_eliminate(F, A, shape(A)[1], True)[1])
+    """Number of pivots of `rref(F, A)`: the size of the echelon basis, with
+    no back-substitution and no reduced matrix."""
+    return len(_eliminate(F, A))
 
 
-def _eliminate(F, A: Matrix, nc: int, echelon: bool) -> tuple[Matrix, tuple[int, ...]]:
-    """Gauss-Jordan, or with `echelon` forward elimination that returns its rows
-    as lists; rows below a pivot are updated alike, so the pivots agree."""
-    if F.order is None and all(x.denominator == 1 for row in A for x in row):
-        return _rref_integral(A, nc, echelon)
-    nr = len(A)
-    rows = [list(r) for r in A]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if rows[i][c] != F.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(r + 1 if echelon else 0, nr):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return (rows if echelon else tuple(tuple(row) for row in rows)), tuple(pivots)
+def _eliminate(F, A: Matrix) -> dict[int, dict[int, object]]:
+    """Echelon basis of the row space of A, keyed by leading column.
 
-
-def _rref_integral(A: Matrix, nc: int, echelon: bool) -> tuple[Matrix, tuple[int, ...]]:
-    """`_eliminate` over Q of an integer matrix, by fraction-free elimination.
-
-    Every row updated at a pivot becomes (p*row - f*pivot_row) // prev, where
-    p is the new pivot and prev the one before it; the division is exact
-    because each entry is then a minor of A.  Rows with f == 0 are rescaled
-    too, or a later division would not be exact; only when p == prev is that
-    update the identity and the row is left as it is.  So every pivot entry
-    ends equal to the last pivot d, and the reduced rows are the rows over d.
-    With `echelon` only the rows below each pivot are updated, and the rows
-    are returned as the ints they are, not as reduced `Fraction` rows.
+    Over Q each row is scaled to ints by the lcm of its denominators, and a
+    row joining the basis is divided by the gcd of its entries; over a
+    finite field a joining row is scaled to lead with one.
     """
-    nr = len(A)
-    rows = [[x.numerator for x in r] for r in A]
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pivot_row = i
+    basis: dict[int, dict[int, object]] = {}
+    for row in A:
+        v = {j: x for j, x in enumerate(row) if x}
+        if F.order is None:
+            m = math.lcm(*(x.denominator for x in v.values()))
+            v = {j: x.numerator * (m // x.denominator) for j, x in v.items()}
+        while v:
+            c = min(v)
+            if c not in basis:
+                if F.order is None:
+                    g = math.gcd(*v.values())
+                    basis[c] = {j: x // g for j, x in v.items()}
+                else:
+                    inv = F.inv(v[c])
+                    basis[c] = {j: F.mul(inv, x) for j, x in v.items()}
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(r + 1 if echelon else 0, nr):
-            f = rows[i][c]
-            if i != r and (f or p != prev):
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], prow)]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    if echelon:
-        return rows, tuple(pivots)
-    zero = Fraction(0)
-    R = tuple(tuple(Fraction(x, prev) if x else zero for x in row) for row in rows)
-    return R, tuple(pivots)
+            v = _combine(F, v, basis[c], c)
+    return basis
+
+
+def _combine(F, v: dict, b: dict, c: int) -> dict:
+    """b[c]·v − v[c]·b, which is zero at column c, as a sparse row; over a
+    finite field b[c] is one."""
+    f = v[c]
+    if F.order is None:
+        p = b[c]
+        w = {j: p * x for j, x in v.items()} if p != 1 else dict(v)
+        for j, y in b.items():
+            w[j] = w.get(j, 0) - f * y
+    else:
+        w = dict(v)
+        for j, y in b.items():
+            w[j] = F.sub(w.get(j, 0), F.mul(f, y))
+    return {j: x for j, x in w.items() if x}
 
 
 def nullspace(F, A: Matrix, ncols: int | None = None) -> list[Vector]:

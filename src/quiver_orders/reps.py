@@ -88,7 +88,7 @@ def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
 
 def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     """dim of the space of morphisms M -> N: the nullity of the system below,
-    total - rank, by echelon-only elimination.
+    total - rank, with the rank counted by `linalg.rank`.
 
     A morphism is a tuple of maps f_i: M_i -> N_i with f_t x_a = y_a f_s for
     every arrow a: s -> t.
@@ -117,10 +117,6 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     if not rows:
         return total
     return total - rank(F, rows)
-
-
-def end_dim(M: QuiverRep) -> int:
-    return hom_dim(M, M)
 
 
 def dual_rep(M: QuiverRep) -> QuiverRep:

@@ -46,10 +46,6 @@ class CartanDatum:
         """Coordinates of the fundamental coweight omega_i^vee."""
         return tuple(1 if j == i - 1 else 0 for j in range(self.n))
 
-    def alpha_covec(self, i: int) -> Coweight:
-        """Coordinates of the simple coroot alpha_i^vee (row i of the Cartan matrix)."""
-        return self.cartan[i - 1]
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
@@ -135,13 +131,6 @@ def reflect_coweight(datum: CartanDatum, i: int, x: Coweight) -> Coweight:
     a = datum.cartan[i - 1]
     c = x[i - 1]
     return tuple(x[j] - c * a[j] for j in range(datum.n))
-
-
-def act_on_root(datum: CartanDatum, w: Word, v: Root) -> Root:
-    """Apply the word w = s_{i_1}...s_{i_m} to a root vector."""
-    for i in reversed(w):
-        v = reflect_root(datum, i, v)
-    return v
 
 
 def root_height(v: Root) -> int:

@@ -185,7 +185,7 @@ def test_criterion_07_evenness_evidence():
             for lam in enumerate_kp(Q.datum, nu, order):
                 report = interpolate_fiber_polynomial(lam, q_list)
                 ok = ok and report.verdict == "consistent-with-even"
-                ok = ok and report.integer_coefficients is not None
+                ok = ok and all(c.denominator == 1 for c in report.coefficients)
                 fits += 1
     # spot values over the A2 quiver
     a2_order = adapted_order(A2)

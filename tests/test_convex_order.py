@@ -110,6 +110,6 @@ def test_first_gamma_relates_to_first_coweight():
             i = word[0]
             expected = tuple(
                 a - o
-                for a, o in zip(datum.alpha_covec(i), datum.omega(i))
+                for a, o in zip(datum.cartan[i - 1], datum.omega(i))
             )
             assert order.gamma[0] == expected

@@ -1,11 +1,12 @@
-"""Oracle for `reps.hom_dim` by echelon-only elimination.
+"""Oracle for `reps.hom_dim`.
 
 `_reference_hom_dim` is `hom_dim` as it was before ranks got their own
-echelon-only path: it assembles the same system with `F.sub` on every entry
-and takes the nullity from the pivots of a full `rref`.  Both must agree on
-every ordered pair of indecomposables, and on every ordered pair of direct
-sums `rep_of_kp(lam)` with |nu| <= 3, for A3 in both orientations, the D4
-star and one E6 orientation, over Q, F_2 and GF(4).
+path: it assembles the same system with `F.sub` on every entry and takes
+the nullity from the pivots of a dense Gauss-Jordan loop over the field's
+operations, kept here so that it shares no code with `linalg`.  Both must
+agree on every ordered pair of indecomposables, and on every ordered pair of
+direct sums `rep_of_kp(lam)` with |nu| <= 3, for A3 in both orientations,
+the D4 star and one E6 orientation, over Q, F_2 and GF(4).
 """
 
 from __future__ import annotations
@@ -16,9 +17,26 @@ from quiver_orders.convex_order import adapted_order
 from quiver_orders.fields import RATIONALS, galois_field
 from quiver_orders.geometry import default_test_nus
 from quiver_orders.kostant import enumerate_kp
-from quiver_orders.linalg import rref
 from quiver_orders.quivers import quiver
 from quiver_orders.reps import _require_same_context, all_indecomposables, hom_dim, rep_of_kp
+
+
+def _gauss_jordan_rank(F, rows) -> int:
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != F.zero), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != F.zero:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def _reference_hom_dim(M, N) -> int:
@@ -46,7 +64,7 @@ def _reference_hom_dim(M, N) -> int:
                 rows.append(tuple(row))
     if not rows:
         return total
-    return total - len(rref(F, tuple(rows))[1])
+    return total - _gauss_jordan_rank(F, rows)
 
 
 QUIVERS = {

@@ -23,8 +23,8 @@ still recover every partition with |nu| <= 4 of linear D5 and with
 |nu| <= 3 of two E6 orientations, over F_2 and Q.
 
 `hom_matrix` itself is checked against `hom_dim` over the indecomposables
-over Q on every orientation of A3-A5, D4 and D5 and eight each of D6 and E6,
-and recomputed with `hom_dim` and `all_indecomposables` made to raise.
+over Q on every orientation of A3-A5, D4 and D5, eight each of D6 and E6 and
+linear E7 (63^2 Hom systems), and recomputed with `hom_dim` and `all_indecomposables` made to raise.
 """
 
 from __future__ import annotations
@@ -171,9 +171,9 @@ def _raise(*args):
     raise AssertionError("hom_matrix built a module")
 
 
-@pytest.mark.parametrize("label", ["A3", "A4", "A5", "D4", "D5", "D6", "E6"])
+@pytest.mark.parametrize("label", ["A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7"])
 def test_euler_hom_matrix_equals_module_hom_dims(label, monkeypatch):
-    every = list(orientations(label))
+    every = [linear_quiver(label)] if label == "E7" else list(orientations(label))
     for Q in every if len(every) <= 16 else every[::4]:
         beta = adapted_order(Q).beta
         indecs = all_indecomposables(Q, RATIONALS)

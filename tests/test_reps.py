@@ -13,7 +13,6 @@ from quiver_orders.reps import (
     all_indecomposables,
     bgp_reflect_rep,
     direct_sum,
-    end_dim,
     gl_order,
     hom_dim,
     hom_matrix,
@@ -116,8 +115,8 @@ def test_hom_dim_against_brute_force(p):
 def test_hom_dim_brute_force_d4_highest_root():
     F = PrimeField(2)
     M = indecomposable(D4STAR, (1, 2, 1, 1), F)
-    assert _brute_hom_count(M, M) == 2 ** end_dim(M)
-    assert end_dim(M) == 1
+    assert _brute_hom_count(M, M) == 2 ** hom_dim(M, M)
+    assert hom_dim(M, M) == 1
 
 
 def test_a2_hom_matrix_frozen():
@@ -152,7 +151,7 @@ def test_all_indecomposables_dims_and_end():
         table = all_indecomposables(Q, RATIONALS)
         for beta, M in table.items():
             assert M.dims == beta
-            assert end_dim(M) == 1
+            assert hom_dim(M, M) == 1
 
 
 def test_bgp_reflection_at_sink_examples():
@@ -169,7 +168,7 @@ def test_bgp_reflection_at_sink_examples():
     R1 = bgp_reflect_rep(2, S1)
     assert R1.dims == (1, 1)
     assert R1.mats[0] == ((F.one,),)
-    assert end_dim(R1) == 1
+    assert hom_dim(R1, R1) == 1
 
 
 def test_bgp_reflection_at_source():
