@@ -2,7 +2,8 @@
 
 Every field exposes zero/one/add/sub/mul/neg/inv and an `order` attribute
 (None for the rationals); that is all elimination uses.  Elements are
-hashable: Fractions for the rationals and plain ints for the finite fields.
+hashable: ints or Fractions for the rationals, plain ints for the finite
+fields.
 Extension field elements are integer codes 0..q-1 whose base-p digits are the
 coefficients of the residue polynomial, with arithmetic from precomputed
 q x q tables, so the prime subfield is the set of codes 0..p-1.  The modulus
@@ -19,27 +20,29 @@ from fractions import Fraction
 
 
 class Rationals:
+    """Q, each element an int or a Fraction; zero and one are ints."""
+
     order = None
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
+    def add(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
         return a + b
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
+    def sub(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
         return a - b
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
+    def mul(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
         return a * b
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: int | Fraction) -> int | Fraction:
         return -a
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: int | Fraction) -> Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1) / a
 
     def __repr__(self) -> str:
         return "Q"
@@ -141,18 +144,26 @@ class ExtensionField:
         self.zero = 0
         self.one = 1
         decode = [_decode(c, p, r) for c in range(q)]
-        self._add = [
-            [_encode(tuple((x + y) % p for x, y in zip(da, db)), p) for db in decode]
-            for da in decode
-        ]
+        # digitwise: the low digit of a + d is (a + d) mod p, the rest a // p + d // p
+        self._add = add = [list(range(q))]
+        for a in range(1, q):
+            up = add[a // p]
+            add.append([(a + d) % p + p * up[d // p] for d in range(q)])
         self._neg = [_encode(tuple((-x) % p for x in d), p) for d in decode]
         # the first monic modulus, in code order, under which every nonzero
         # code has an inverse; a reducible one fails at its first zero divisor
         for code in range(q):
             modulus = decode[code] + (1,)
+            times_x = [_encode(_poly_mul_mod(d, decode[p], modulus, p), p) for d in decode]
             mul, inv = [[0] * q], [0] * q
             for a in range(1, q):
-                row = [_encode(_poly_mul_mod(decode[a], d, modulus, p), p) for d in decode]
+                # a·d is linear in d: a·c is a added c times for a scalar c < p,
+                # and a·d = a·(d mod p) + x·(a·(d // p))
+                row = [0]
+                for d in range(1, p):
+                    row.append(add[row[-1]][a])
+                for d in range(p, q):
+                    row.append(add[row[d % p]][times_x[row[d // p]]])
                 if 1 not in row:
                     break
                 mul.append(row)

@@ -1,14 +1,15 @@
 """Exact linear algebra over a coefficient field from fields.py.
 
 Matrices are tuples of row tuples (possibly with zero rows or columns); an
-input may be any sequence of row sequences.
-`rref` and `rank` share one elimination for every field: each row, as a
-`{column: entry}` dict of its nonzero entries, is reduced against an echelon
-basis keyed by leading column, and joins the basis if it is not reduced to
-zero.  Over Q the rows are scaled to Python ints and combined fraction-free;
-over F_p and GF(p^r) each basis row leads with one.  `rank` counts the basis
-rows; `rref` also clears them at the later pivots.  The reduced row echelon
-form is unique, so the order in which rows meet the basis does not show.
+input may be any sequence of row sequences.  Over Q an entry is an int or a
+Fraction; `rref` returns Fractions and `nullspace` writes integral entries
+as ints.  All elimination is `_eliminate`, which reduces sparse rows
+(`{column: entry}` dicts of nonzero entries) against an echelon basis keyed
+by leading column: over Q on Python ints, combined fraction-free; over F_p
+and GF(p^r) with each basis row leading with one.  `rank` and `rref` make
+their rows sparse at the door; `rank` counts the basis rows and `rref` also
+clears them at the later pivots.  The reduced row echelon form is unique,
+so the order in which rows meet the basis does not show.
 """
 
 from __future__ import annotations
@@ -39,40 +40,46 @@ def rref(F, A: Matrix, ncols: int | None = None) -> tuple[Matrix, tuple[int, ...
     `ncols` disambiguates the width of a matrix with no rows.
     """
     nc = ncols if (not A and ncols is not None) else shape(A)[1]
-    basis = _eliminate(F, A)
+    basis = _eliminate(F, _sparse(A))
     pivots = sorted(basis)
     # clearing at a later pivot uses that pivot's row, which is cleared already
     for k in reversed(range(len(pivots))):
         for c in pivots[k + 1 :]:
             if c in basis[pivots[k]]:
                 basis[pivots[k]] = _combine(F, basis[pivots[k]], basis[c], c)
+    zero = F.zero if F.order is not None else Fraction(0)
     rows = []
     for c in pivots:
-        b, row = basis[c], [F.zero] * nc
+        b, row = basis[c], [zero] * nc
         for j, x in b.items():
             row[j] = x if F.order is not None else Fraction(x, b[c])
         rows.append(tuple(row))
-    rows += [(F.zero,) * nc] * (len(A) - len(pivots))
+    rows += [(zero,) * nc] * (len(A) - len(pivots))
     return tuple(rows), tuple(pivots)
 
 
 def rank(F, A: Matrix) -> int:
     """Number of pivots of `rref(F, A)`: the size of the echelon basis, with
     no back-substitution and no reduced matrix."""
-    return len(_eliminate(F, A))
+    return len(_eliminate(F, _sparse(A)))
 
 
-def _eliminate(F, A: Matrix) -> dict[int, dict[int, object]]:
-    """Echelon basis of the row space of A, keyed by leading column.
+def _sparse(A: Matrix):
+    return ({j: x for j, x in enumerate(row) if x} for row in A)
 
-    Over Q each row is scaled to ints by the lcm of its denominators, and a
-    row joining the basis is divided by the gcd of its entries; over a
-    finite field a joining row is scaled to lead with one.
+
+def _eliminate(F, rows) -> dict[int, dict[int, object]]:
+    """Echelon basis of the span of `rows`, each a `{column: entry}` dict of
+    nonzero entries, keyed by leading column.  The rows are not modified.
+
+    Over Q a row with a Fraction entry is scaled to ints by the lcm of its
+    denominators (a sum is an int only if every term is), and a row joining
+    the basis is divided by the gcd of its entries; over a finite field a
+    joining row is scaled to lead with one.
     """
     basis: dict[int, dict[int, object]] = {}
-    for row in A:
-        v = {j: x for j, x in enumerate(row) if x}
-        if F.order is None:
+    for v in rows:
+        if F.order is None and type(sum(v.values())) is not int:
             m = math.lcm(*(x.denominator for x in v.values()))
             v = {j: x.numerator * (m // x.denominator) for j, x in v.items()}
         while v:
@@ -80,7 +87,7 @@ def _eliminate(F, A: Matrix) -> dict[int, dict[int, object]]:
             if c not in basis:
                 if F.order is None:
                     g = math.gcd(*v.values())
-                    basis[c] = {j: x // g for j, x in v.items()}
+                    basis[c] = v if g == 1 else {j: x // g for j, x in v.items()}
                 else:
                     inv = F.inv(v[c])
                     basis[c] = {j: F.mul(inv, x) for j, x in v.items()}
@@ -90,26 +97,34 @@ def _eliminate(F, A: Matrix) -> dict[int, dict[int, object]]:
 
 
 def _combine(F, v: dict, b: dict, c: int) -> dict:
-    """b[c]·v − v[c]·b, which is zero at column c, as a sparse row; over a
-    finite field b[c] is one."""
+    """A sparse row that is zero at column c: v − (v[c]/b[c])·b when b[c]
+    divides v[c], which it always does over a finite field, where b[c] is
+    one; otherwise b[c]·v − v[c]·b."""
     f = v[c]
     if F.order is None:
         p = b[c]
-        w = {j: p * x for j, x in v.items()} if p != 1 else dict(v)
+        if f % p:
+            w = {j: p * x for j, x in v.items()}
+        else:
+            w, f = dict(v), f // p
         for j, y in b.items():
-            w[j] = w.get(j, 0) - f * y
-    else:
-        w = dict(v)
-        for j, y in b.items():
-            w[j] = F.sub(w.get(j, 0), F.mul(f, y))
+            x = w.get(j, 0) - f * y
+            if x:
+                w[j] = x
+            else:
+                del w[j]
+        return w
+    w = dict(v)
+    for j, y in b.items():
+        w[j] = F.sub(w.get(j, 0), F.mul(f, y))
     return {j: x for j, x in w.items() if x}
 
 
 def nullspace(F, A: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of {x : A x = 0}, one vector per free column, in column order.
 
-    `ncols` disambiguates the width of a matrix with no rows (the kernel of
-    an empty map is the whole space).
+    Over Q an integral entry is an int.  `ncols` disambiguates the width of
+    a matrix with no rows (the kernel of an empty map is the whole space).
     """
     R, pivots = rref(F, A, ncols=ncols)
     nc = ncols if (not A and ncols is not None) else shape(A)[1]
@@ -121,6 +136,7 @@ def nullspace(F, A: Matrix, ncols: int | None = None) -> list[Vector]:
         v = [F.zero] * nc
         v[free] = F.one
         for r, pc in enumerate(pivots):
-            v[pc] = F.neg(R[r][free])
+            x = F.neg(R[r][free])
+            v[pc] = x if F.order is not None or x.denominator != 1 else x.numerator
         basis.append(tuple(v))
     return basis

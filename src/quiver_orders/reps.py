@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .convex_order import adapted_order
 from .errors import VerificationError
 from .kostant import KostantPartition
 # rref is unused here, but benchmarks/test_benchmark.py checks that tracing rebinds reps.rref
-from .linalg import Matrix, nullspace, rank, rref, transpose, zeros  # noqa: F401
+from .linalg import Matrix, _eliminate, nullspace, rref, transpose, zeros  # noqa: F401
 from .quivers import Quiver, reflect_quiver, sinks, sources
 from .root_system import Root, reflect_root
 
@@ -72,51 +74,51 @@ def _require_same_context(M: QuiverRep, N: QuiverRep) -> None:
 
 def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
     _require_same_context(M, N)
-    F = M.field
-    dims = tuple(a + b for a, b in zip(M.dims, N.dims))
+    return _block_sum(M.quiver, M.field, (M, N))
+
+
+def _block_sum(Q: Quiver, F, parts) -> QuiverRep:
+    """The direct sum of `parts`, with block-diagonal matrices, in one pass."""
+    dims = tuple(sum(P.dims[i] for P in parts) for i in range(Q.datum.n))
     mats = []
-    for idx, (s, t) in enumerate(M.quiver.arrows):
-        a, b = M.mats[idx], N.mats[idx]
-        rows = []
-        for r in range(M.dims[t - 1]):
-            rows.append(tuple(a[r]) + tuple(F.zero for _ in range(N.dims[s - 1])))
-        for r in range(N.dims[t - 1]):
-            rows.append(tuple(F.zero for _ in range(M.dims[s - 1])) + tuple(b[r]))
+    for idx, (s, t) in enumerate(Q.arrows):
+        rows, left = [], 0
+        for P in parts:
+            width = P.dims[s - 1]
+            pad = (F.zero,) * left, (F.zero,) * (dims[s - 1] - left - width)
+            rows += [pad[0] + tuple(row) + pad[1] for row in P.mats[idx]]
+            left += width
         mats.append(tuple(rows))
-    return QuiverRep(M.quiver, F, dims, tuple(mats))
+    return QuiverRep(Q, F, dims, tuple(mats))
 
 
 def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     """dim of the space of morphisms M -> N: the nullity of the system below,
-    total - rank, with the rank counted by `linalg.rank`.
+    the number of unknowns less the rank counted by `linalg._eliminate`.
 
     A morphism is a tuple of maps f_i: M_i -> N_i with f_t x_a = y_a f_s for
-    every arrow a: s -> t.
+    every arrow a: s -> t; the unknown (f_i)[r][u] is column
+    offsets[i-1] + r*dims(M)_i + u.  Each equation is a sparse row of its
+    nonzero coefficients; s != t, so no two terms share an unknown.
     """
     _require_same_context(M, N)
     F = M.field
-    n = M.quiver.datum.n
-    sizes = [N.dims[i] * M.dims[i] for i in range(n)]
-    offsets = [0] * n
-    for i in range(1, n):
-        offsets[i] = offsets[i - 1] + sizes[i - 1]
-    total = sum(sizes)
+    offsets = list(accumulate(map(mul, M.dims, N.dims), initial=0))
+    if offsets[-1] == 0:
+        return 0
     rows = []
-    for idx, (s, t) in enumerate(M.quiver.arrows):
-        x = M.mats[idx]
-        y = N.mats[idx]
-        si, ti = s - 1, t - 1
-        for r in range(N.dims[ti]):
-            for c in range(M.dims[si]):
-                row = [F.zero] * total
-                for u in range(M.dims[ti]):
-                    row[offsets[ti] + r * M.dims[ti] + u] = x[u][c]
-                for v in range(N.dims[si]):
-                    row[offsets[si] + v * M.dims[si] + c] = F.neg(y[r][v])
-                rows.append(row)
-    if not rows:
-        return total
-    return total - rank(F, rows)
+    for (s, t), x, y in zip(M.quiver.arrows, M.mats, N.mats):
+        ms, mt = M.dims[s - 1], M.dims[t - 1]
+        for r, y_row in enumerate(y):
+            base = offsets[t - 1] + r * mt
+            y_terms = [(offsets[s - 1] + v * ms, F.neg(e)) for v, e in enumerate(y_row) if e]
+            for c in range(ms):
+                row = {base + u: x[u][c] for u in range(mt) if x[u][c]}
+                for k, e in y_terms:
+                    row[k + c] = e
+                if row:
+                    rows.append(row)
+    return offsets[-1] - len(_eliminate(F, rows))
 
 
 def dual_rep(M: QuiverRep) -> QuiverRep:
@@ -236,13 +238,9 @@ def hom_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
 
 def rep_of_kp(lam: KostantPartition, field) -> QuiverRep:
     """Direct sum of indecomposables with the partition's multiplicities."""
-    Q = lam.quiver
-    reps = all_indecomposables(Q, field)
-    acc = zero_rep(Q, field, tuple(0 for _ in range(Q.datum.n)))
-    for c, b in zip(lam.counts, lam.order.beta):
-        for _ in range(c):
-            acc = direct_sum(acc, reps[b])
-    return acc
+    reps = all_indecomposables(lam.quiver, field)
+    parts = [reps[b] for c, b in zip(lam.counts, lam.order.beta) for _ in range(c)]
+    return _block_sum(lam.quiver, field, parts)
 
 
 def iso_class(M: QuiverRep) -> KostantPartition:

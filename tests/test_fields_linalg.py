@@ -65,6 +65,9 @@ def test_rationals_field():
     F = RATIONALS
     assert F.order is None
     assert F.inv(Fraction(2, 3)) == Fraction(3, 2)
+    assert type(F.zero) is int and type(F.one) is int
+    assert type(F.inv(2)) is Fraction and F.inv(2) == Fraction(1, 2)
+    assert type(F.inv(-1)) is Fraction and F.inv(-1) == -1
 
 
 def _digits(code, p, length):
@@ -111,6 +114,39 @@ def test_reference_modulus_known_values():
     assert _divides((1, 1), (1, 0, 1), 2)  # x^2 + 1 = (x + 1)^2 over F_2
     assert not _divides((1, 1), (1, 0, 1), 3)
     assert not _divides((1, 1), (1, 1, 0, 1), 2)
+
+
+def _reference_tables(p, r):
+    """modulus, _add, _neg, _mul and _inv of GF(p^r) as ExtensionField built
+    them before it filled its tables by linearity: every sum digit by digit,
+    every product through `fields._poly_mul_mod`, under the first modulus in
+    code order whose table gives every nonzero code an inverse."""
+    q = p**r
+    decode = [fields._decode(c, p, r) for c in range(q)]
+    add = [
+        [fields._encode(tuple((x + y) % p for x, y in zip(da, db)), p) for db in decode]
+        for da in decode
+    ]
+    neg = [fields._encode(tuple((-x) % p for x in d), p) for d in decode]
+    for code in range(q):
+        modulus = decode[code] + (1,)
+        mul, inv = [[0] * q], [0] * q
+        for a in range(1, q):
+            row = [fields._encode(fields._poly_mul_mod(decode[a], d, modulus, p), p) for d in decode]
+            if 1 not in row:
+                break
+            mul.append(row)
+            inv[a] = row.index(1)
+        else:
+            return modulus, add, neg, mul, inv
+    raise AssertionError(f"no modulus found for GF({q})")
+
+
+# every p^r with r >= 2 and p^r <= 256
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256])
+def test_extension_field_tables_match_polynomial_products(q):
+    F = ExtensionField(*factor_prime_power(q))
+    assert (F.modulus, F._add, F._neg, F._mul, F._inv) == _reference_tables(F.p, F.r)
 
 
 def test_extension_field_size_bound(monkeypatch):

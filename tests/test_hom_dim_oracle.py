@@ -6,10 +6,15 @@ the nullity from the pivots of a dense Gauss-Jordan loop over the field's
 operations, kept here so that it shares no code with `linalg`.  Both must
 agree on every ordered pair of indecomposables, and on every ordered pair of
 direct sums `rep_of_kp(lam)` with |nu| <= 3, for A3 in both orientations,
-the D4 star and one E6 orientation, over Q, F_2 and GF(4).
+the D4 star and one E6 orientation, over Q, F_2 and GF(4).  Over Q they must
+also agree on those direct sums conjugated by diagonal base changes with
+entries such as 1/2, -3/5 and 7, whose matrices are not integral, and such a
+conjugate must have the Hom dimensions of the module it conjugates.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +23,13 @@ from quiver_orders.fields import RATIONALS, galois_field
 from quiver_orders.geometry import default_test_nus
 from quiver_orders.kostant import enumerate_kp
 from quiver_orders.quivers import quiver
-from quiver_orders.reps import _require_same_context, all_indecomposables, hom_dim, rep_of_kp
+from quiver_orders.reps import (
+    QuiverRep,
+    _require_same_context,
+    all_indecomposables,
+    hom_dim,
+    rep_of_kp,
+)
 
 
 def _gauss_jordan_rank(F, rows) -> int:
@@ -99,3 +110,45 @@ def test_kp_sums(Q, field):
             for lam in enumerate_kp(Q.datum, nu, order)
         ]
     )
+
+
+SCALES = (Fraction(1, 2), Fraction(-3, 5), 7, Fraction(2, 3), -1)
+
+
+def _conjugate(M, shift):
+    """M under the base change that scales coordinate k of vertex i by a
+    cyclic pick of SCALES: each x_a: M_s -> M_t becomes D_t x_a D_s^-1."""
+    offsets = [0]
+    for d in M.dims:
+        offsets.append(offsets[-1] + d)
+
+    def scale(i, k):
+        return SCALES[(shift + offsets[i - 1] + k) % len(SCALES)]
+
+    mats = tuple(
+        tuple(
+            tuple(Fraction(x) * scale(t, u) / scale(s, c) for c, x in enumerate(row))
+            for u, row in enumerate(m)
+        )
+        for (s, t), m in zip(M.quiver.arrows, M.mats)
+    )
+    return QuiverRep(M.quiver, M.field, M.dims, mats)
+
+
+@pytest.mark.parametrize("Q", QUIVERS.values(), ids=QUIVERS.keys())
+def test_non_integral_conjugates(Q):
+    order = adapted_order(Q)
+    modules = [
+        rep_of_kp(lam, RATIONALS)
+        for nu in default_test_nus(Q.datum, 3)
+        for lam in enumerate_kp(Q.datum, nu, order)
+    ][:40]
+    conjugates = [_conjugate(M, k) for k, M in enumerate(modules)]
+    assert any(
+        type(x) is Fraction and x.denominator != 1
+        for M in conjugates for m in M.mats for row in m for x in row
+    )
+    _assert_agree(conjugates + modules[:10])
+    for M, C in zip(modules, conjugates):
+        for N in modules[:10]:
+            assert hom_dim(C, N) == hom_dim(M, N) and hom_dim(N, C) == hom_dim(N, M)

@@ -189,6 +189,70 @@ def test_direct_sum_block_structure():
     assert hom_dim(S, S) == 4
 
 
+def _reference_direct_sum(M, N):
+    """`direct_sum` as it was before it became a two-part block sum."""
+    F = M.field
+    dims = tuple(a + b for a, b in zip(M.dims, N.dims))
+    mats = []
+    for idx, (s, t) in enumerate(M.quiver.arrows):
+        a, b = M.mats[idx], N.mats[idx]
+        rows = []
+        for r in range(M.dims[t - 1]):
+            rows.append(tuple(a[r]) + tuple(F.zero for _ in range(N.dims[s - 1])))
+        for r in range(N.dims[t - 1]):
+            rows.append(tuple(F.zero for _ in range(M.dims[s - 1])) + tuple(b[r]))
+        mats.append(tuple(rows))
+    return QuiverRep(M.quiver, F, dims, tuple(mats))
+
+
+def _reference_rep_of_kp(lam, field):
+    """`rep_of_kp` as it was before it built its sum in one pass: one direct
+    sum per summand, starting from the zero representation."""
+    Q = lam.quiver
+    reps = all_indecomposables(Q, field)
+    acc = zero_rep(Q, field, tuple(0 for _ in range(Q.datum.n)))
+    for c, b in zip(lam.counts, lam.order.beta):
+        for _ in range(c):
+            acc = _reference_direct_sum(acc, reps[b])
+    return acc
+
+
+@pytest.mark.parametrize("field", [RATIONALS, galois_field(2), galois_field(4)], ids=["Q", "F2", "GF4"])
+@pytest.mark.parametrize("Q", [A3LIN, quiver("A3", ((1, 2), (3, 2))), D4STAR], ids=["A3", "A3-zigzag", "D4"])
+def test_rep_of_kp_matches_iterated_direct_sum(Q, field):
+    order = adapted_order(Q)
+    seen = 0
+    for nu in itertools.product(range(4), repeat=Q.datum.n):
+        if not 0 < sum(nu) <= 3:
+            continue
+        for lam in enumerate_kp(Q.datum, nu, order):
+            M, R = rep_of_kp(lam, field), _reference_rep_of_kp(lam, field)
+            assert (M.dims, repr(M.mats)) == (R.dims, repr(R.mats))
+            seen += 1
+    assert seen > 20
+    indec = list(all_indecomposables(Q, field).values())
+    for M in indec:
+        for N in indec:
+            assert repr(direct_sum(M, N)) == repr(_reference_direct_sum(M, N))
+
+
+@pytest.mark.parametrize(
+    "Q",
+    [
+        linear_quiver("E6"),
+        linear_quiver("E7"),
+        quiver("D6", ((1, 2), (2, 3), (3, 4), (4, 5), (6, 4))),
+    ],
+    ids=["E6-linear", "E7-linear", "D6"],
+)
+def test_indecomposables_over_q_have_int_entries(Q):
+    """The reflection walk over Q stays on ints, so Hom systems built from
+    these modules never carry a Fraction."""
+    reps = all_indecomposables(Q, RATIONALS)
+    assert all(type(x) is int for M in reps.values() for m in M.mats for row in m for x in row)
+    assert max(abs(x) for M in reps.values() for m in M.mats for row in m for x in row) >= 1
+
+
 def test_iso_class_round_trip():
     for Q in [A2, A3LIN]:
         order = adapted_order(Q)

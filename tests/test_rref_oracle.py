@@ -6,7 +6,9 @@ operations, as `rref` ran it before elimination reduced sparse rows against
 an echelon basis.  The reduced row echelon form is unique, so the RREF, the
 pivots, the rank and the nullspace must agree exactly on every input: over Q
 on integer and non-integral matrices, on the same integer matrices taken
-mod 2 and mod 5, and on random matrices over GF(4) and GF(9).
+mod 2 and mod 5, and on random matrices over GF(4) and GF(9).  Over Q
+`rref` returns Fractions, while `nullspace` writes every integral entry as
+an int and keeps a Fraction only where a quotient is not integral.
 """
 
 from __future__ import annotations
@@ -161,6 +163,22 @@ def test_non_integral_matrices_match_reference():
             for _ in range(nr)
         )
         _assert_matches(A)
+
+
+def test_nullspace_writes_integral_quotients_as_ints():
+    """Integer matrices whose kernels need Fractions: the basis equals the
+    reference's, with every integral entry an int and the others Fractions."""
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(60):
+        nr = rng.randint(1, 5)
+        A = tuple(tuple(rng.choice((0, 2, 3, -4, 6)) for _ in range(nr + 2)) for _ in range(nr))
+        basis = nullspace(Q, A)
+        assert basis == _reference_nullspace(Q, A, nr + 2)
+        for x in (x for v in basis for x in v):
+            assert type(x) is (int if x == int(x) else Fraction)
+            kinds.add(type(x))
+    assert kinds == {int, Fraction}
 
 
 @pytest.mark.parametrize("p", (2, 5))
