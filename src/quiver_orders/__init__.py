@@ -30,7 +30,6 @@ from .kostant import (
     hasse_dot,
     kp_leq,
     mackey_dominance_check,
-    order_invariant_on_class,
     prefix_statistics,
 )
 from .pbw import in_ker_locus, order_compat, reflect_kp, verify_reflection

@@ -14,11 +14,16 @@ F(M) = sum_i sum_H F(M|_H) is a recursion over classes (the Hall-number
 form, Ringel 1990): each class is expanded once, and its count is kept in
 one table per (quiver, field), keyed by the summand multiplicities that
 `reps.iso_class` reads off.  The table is shared by every count of the
-process over that quiver and field.  Hyperplanes of one expansion that
-restrict to the same (dims, mats) give the same child (at a sink the
-restriction depends only on the leading index of the functional), so each
-distinct restriction is counted once and weighted by how many hyperplanes
-give it.
+process over that quiver and field.  A class is expanded through its
+canonical block sum `rep_of_kp`, one block per part.  Scaling one block is
+an automorphism, and every stable functional lies in a single block, so the
+hyperplanes fall into orbits given by a non-empty set S of blocks and a
+projective point of the functionals of each block in S; an orbit holds
+(q - 1)^(|S| - 1) hyperplanes with isomorphic restrictions, and one of them
+is expanded with that weight.  A functional across two blocks, or weights
+that do not add up to the (q^k - 1)/(q - 1) stable hyperplanes, raise
+`VerificationError`.  Orbits whose representatives restrict to the same
+(dims, mats) are counted with one recursive call.
 
 When every arrow matrix is zero there is no stability constraint and the
 count has the closed form multinomial(|d|; d) * prod_i [d_i]_q!.
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convex_order import adapted_order
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationError
 from .fields import RATIONALS, factor_prime_power, galois_field
 from .kostant import KostantPartition, enumerate_kp
 from .linalg import nullspace, rref, transpose
@@ -91,7 +96,8 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
     if all(x == F.zero for m in mats for row in m for x in row):
         return shuffle_flag_count(dims, F.order)
     table = _fiber_table(Q, F)
-    key = iso_class(QuiverRep(Q, F, dims, mats)).counts
+    lam = iso_class(QuiverRep(Q, F, dims, mats))
+    key = lam.counts
     if key in table:
         return table[key]
     if len(table) >= _FIBER_CAP:
@@ -99,6 +105,10 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
             f"fiber table of {Q.datum.label} {Q.arrows} over {F!r} reached "
             f"{len(table) + 1} classes, over the cap {_FIBER_CAP}"
         )
+    # expand the class's canonical block sum, one block per part of lam
+    M = rep_of_kp(lam, F)
+    dims, mats, q = M.dims, M.mats, F.order
+    parts = lam.parts()
     children: Counter = Counter()
     for i in Q.datum.vertices():
         d = dims[i - 1]
@@ -110,13 +120,33 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
         functionals = nullspace(F, image_rows, ncols=d)
         if not functionals:
             continue
-        for coeffs in _projective_coefficients(F, len(functionals)):
-            phi = [F.zero] * d
-            for s, cf in enumerate(coeffs):
-                if cf != F.zero:
-                    basis = functionals[s]
-                    for j in range(d):
-                        phi[j] = F.add(phi[j], F.mul(cf, basis[j]))
+        block_of = [p for p, b in enumerate(parts) for _ in range(b[i - 1])]
+        by_block: dict[int, list] = {}
+        for f in functionals:
+            blocks = {block_of[j] for j in range(d) if f[j] != F.zero}
+            if len(blocks) != 1:
+                raise VerificationError(
+                    f"a stable functional at vertex {i} spans the blocks {sorted(blocks)}"
+                )
+            by_block.setdefault(blocks.pop(), []).append(f)
+        hyperplanes = []  # (phi, weight): one functional per scaling orbit
+        for size in range(1, len(by_block) + 1):
+            for S in itertools.combinations(by_block.values(), size):
+                points = (_projective_coefficients(F, len(g)) for g in S)
+                for coeffs in itertools.product(*points):
+                    phi = [F.zero] * d
+                    for basis, cf in zip(itertools.chain(*S), itertools.chain(*coeffs)):
+                        if cf != F.zero:
+                            for j in range(d):
+                                phi[j] = F.add(phi[j], F.mul(cf, basis[j]))
+                    hyperplanes.append((phi, (q - 1) ** (size - 1)))
+        expected = (q ** len(functionals) - 1) // (q - 1)
+        if sum(w for _, w in hyperplanes) != expected:
+            raise VerificationError(
+                f"orbit weights at vertex {i} do not add up to the {expected} "
+                "stable hyperplanes"
+            )
+        for phi, weight in hyperplanes:
             jstar = next(j for j in range(d) if phi[j] != F.zero)
             inv = F.inv(phi[jstar])
             ratio = [F.mul(inv, phi[j]) for j in range(d)]
@@ -135,7 +165,7 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
                     )
                     for row in m
                 )
-            children[new_dims, tuple(new_mats)] += 1
+            children[new_dims, tuple(new_mats)] += weight
     total = sum(
         m * _count(Q, F, sub_dims, sub_mats)
         for (sub_dims, sub_mats), m in children.items()

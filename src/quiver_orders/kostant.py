@@ -21,9 +21,9 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .convex_order import ConvexOrder, build_order
+from .convex_order import ConvexOrder
 from .errors import CapExceeded
-from .quivers import Quiver, commutation_class
+from .quivers import Quiver
 from .root_system import Root
 
 ORDER_DIRECTIONS = ("as-printed", "reversed")
@@ -259,26 +259,6 @@ def hasse_dot(
         lines.append(f'  "{name(a)}" -> "{name(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def order_invariant_on_class(datum, nu: tuple[int, ...], w) -> bool:
-    """Whether the partition order on KP(nu) is identical for every word in
-    the commutation class of w, after identifying partitions by their root
-    multisets."""
-    words = commutation_class(datum, tuple(w))
-    reference = None
-    for word in words:
-        order = build_order(datum, word)
-        kps = sorted(enumerate_kp(datum, nu, order), key=KostantPartition.support_multiset)
-        relation = (
-            [lam.support_multiset() for lam in kps],
-            leq_bitsets(order_keys(kps, "as-printed")),
-        )
-        if reference is None:
-            reference = relation
-        elif relation != reference:
-            return False
-    return True
 
 
 # --- restriction dominance -------------------------------------------------

@@ -26,7 +26,6 @@ from quiver_orders.kostant import (
     OrientationLedger,
     enumerate_kp,
     mackey_dominance_check,
-    order_invariant_on_class,
 )
 from quiver_orders.pbw import in_ker_locus, order_compat, verify_reflection
 from quiver_orders.quivers import linear_quiver, quiver, sinks
@@ -36,6 +35,7 @@ from quiver_orders.root_system import (
     num_positive_roots,
     reduced_words_of_w0,
 )
+from test_kostant import order_invariant_on_class
 
 EXPECTED_LEDGER = OrientationLedger("reversed", "transposed", "first-factor")
 

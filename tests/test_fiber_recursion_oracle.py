@@ -1,8 +1,9 @@
 """The class-memoized fiber recursion against the plain hyperplane recursion.
 
-`flag_fibers._count` expands each isomorphism class once and keeps its count
-in one table per (quiver, field).  The reference below is the recursion it
-replaced, kept verbatim: it expands every stable hyperplane of every
+`flag_fibers._count` expands the canonical block sum of each isomorphism
+class once, one hyperplane per orbit of its summand scalings, and keeps its
+count in one table per (quiver, field).  The reference below is the recursion
+it replaced, kept verbatim: it expands every stable hyperplane of every
 restriction, so its node count grows with the count itself.
 """
 
@@ -14,6 +15,7 @@ import pytest
 
 from quiver_orders import flag_fibers
 from quiver_orders.convex_order import adapted_order
+from quiver_orders.errors import VerificationError
 from quiver_orders.fields import galois_field
 from quiver_orders.flag_fibers import (
     _projective_coefficients,
@@ -31,6 +33,8 @@ A2 = quiver("A2", ((1, 2),))
 A3LIN = linear_quiver("A3")
 A3ZIG = quiver("A3", ((1, 2), (3, 2)))
 D4STAR = quiver("D4", ((1, 2), (3, 2), (4, 2)))
+D4SOURCE = quiver("D4", ((2, 1), (2, 3), (2, 4)))
+D5LIN = linear_quiver("D5")
 
 
 def _reference_count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
@@ -123,6 +127,19 @@ def test_small_nus_match_reference(Q, q):
             _assert_fibers_match(Q, nu, q)
 
 
+@pytest.mark.parametrize(
+    "Q,nu,q",
+    [(D4SOURCE, nu, q) for nu in ((1, 2, 1, 1), (2, 2, 1, 1), (1, 3, 1, 1), (1, 2, 2, 1))
+     for q in (2, 3, 4)]
+    + [(D5LIN, (1, 1, 2, 1, 1), q) for q in (2, 3)],
+)
+def test_parts_with_larger_tops_match_reference(Q, nu, q):
+    # at the centre 2 of D4SOURCE, a source, M(1,2,1,1) has two stable
+    # functionals in its own block: its q + 1 projective points are q + 1
+    # separate orbits of the scalings
+    _assert_fibers_match(Q, nu, q)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_y_and_z_match_reference_sums(q):
     nu = (2, 2, 2)
@@ -135,8 +152,8 @@ def test_y_and_z_match_reference_sums(q):
     assert z_point_count(A3ZIG, nu, q) == sum(o * f * f for o, f in terms)
 
 
-def _zigzag_q7_calls(monkeypatch) -> tuple[int, int]:
-    """(partitions, `_count` calls) for every lam of A3 1->2<-3, nu=(2,2,2), q=7."""
+def _zigzag_calls(monkeypatch, q: int) -> tuple[int, int]:
+    """(partitions, `_count` calls) for every lam of A3 1->2<-3, nu=(2,2,2)."""
     calls = 0
     original = flag_fibers._count
 
@@ -146,22 +163,65 @@ def _zigzag_q7_calls(monkeypatch) -> tuple[int, int]:
         return original(Q, F, dims, mats)
 
     monkeypatch.setattr(flag_fibers, "_count", counting)
-    F = galois_field(7)
+    flag_fibers._fiber_table.cache_clear()
+    F = galois_field(q)
     kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG))
     for lam in kps:
         fiber_point_count(rep_of_kp(lam, F))
+    monkeypatch.undo()
     return len(kps), calls
 
 
 def test_recursion_visits_few_nodes(monkeypatch):
     # The plain recursion makes 20,983 calls here; each class is expanded once.
-    partitions, calls = _zigzag_q7_calls(monkeypatch)
+    partitions, calls = _zigzag_calls(monkeypatch, 7)
     # more calls than partitions: the recursion looks `_count` up as a module global
     assert partitions < calls <= 1_000
 
 
 def test_identical_restrictions_are_counted_once(monkeypatch):
     # 446 calls when every hyperplane recurses on its own; 350 when the
-    # hyperplanes of one expansion with the same restriction share one call.
-    partitions, calls = _zigzag_q7_calls(monkeypatch)
+    # hyperplanes of one expansion with the same restriction share one call;
+    # 186 when, besides, one hyperplane per orbit of the summand scalings of
+    # the canonical block sum is expanded.
+    partitions, calls = _zigzag_calls(monkeypatch, 7)
     assert partitions < calls <= 360
+
+
+def test_node_count_does_not_grow_with_q(monkeypatch):
+    # In type A every part has at most one stable functional at a vertex, so
+    # an expansion has one child per non-empty set of blocks, whatever q is.
+    counts = {_zigzag_calls(monkeypatch, q) for q in (3, 5, 7, 13)}
+    assert len(counts) == 1
+
+
+def _a2_pair():
+    """M(1,1) + M(1,0) over F_3 for A2 1->2: two blocks with one functional each
+    at the source 1."""
+    kps = enumerate_kp(A2.datum, (2, 1), adapted_order(A2))
+    return rep_of_kp(next(lam for lam in kps if (1, 1) in lam.parts()), galois_field(3))
+
+
+def test_functional_spanning_two_blocks_is_rejected(monkeypatch):
+    original = flag_fibers.nullspace
+
+    def merged(F, rows, ncols):
+        basis = original(F, rows, ncols=ncols)
+        if len(basis) < 2:
+            return basis
+        return [tuple(F.add(x, y) for x, y in zip(basis[0], basis[-1])), *basis[1:]]
+
+    monkeypatch.setattr(flag_fibers, "nullspace", merged)
+    with pytest.raises(VerificationError, match="spans the blocks"):
+        fiber_point_count(_a2_pair())
+
+
+def test_orbit_weights_short_of_the_hyperplanes_are_rejected(monkeypatch):
+    original = flag_fibers._projective_coefficients
+    monkeypatch.setattr(
+        flag_fibers,
+        "_projective_coefficients",
+        lambda F, c: itertools.islice(original(F, c), 1, None),
+    )
+    with pytest.raises(VerificationError, match="do not add up"):
+        fiber_point_count(_a2_pair())
