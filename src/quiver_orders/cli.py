@@ -3,14 +3,16 @@
 Subcommands: roots, order, kp, calibrate, verify {ringel, baumann, mackey,
 reflection, evenness}, count {fibers, z}.  Output is deterministic; exit code
 0 on success, 1 when a verification fails or a cap is exceeded, 2 on usage
-errors.  Only a ValueError raised while reading command-line input and a
-file the command cannot read or write are usage errors; any other exception
-is a bug and propagates with a traceback.
+errors, and 141 (128 + SIGPIPE), with nothing on stderr, when the reader of
+stdout closes it early, as `| head` does.  Only a ValueError raised while
+reading command-line input and a file the command cannot read or write are
+usage errors; any other exception is a bug and propagates with a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -337,13 +339,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here even for short output
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, CalibrationError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to devnull so
+        # the interpreter's last flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

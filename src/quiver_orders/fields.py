@@ -6,11 +6,12 @@ hashable: ints or Fractions for the rationals, plain ints for the finite
 fields.
 Extension field elements are integer codes 0..q-1 whose base-p digits are the
 coefficients of the residue polynomial, with arithmetic from precomputed
-q x q tables, so the prime subfield is the set of codes 0..p-1.  The modulus
-is the least monic polynomial of degree r, in code order, whose
-multiplication table gives every nonzero code an inverse: F_p[x]/(f) is a
-field exactly when f is irreducible.  The tables are built only for
-q <= _MAX_TABLE_ORDER.
+q x q tables, so the prime subfield is the set of codes 0..p-1.  `_tables`
+builds them on codes alone: sums digit by digit, products by linearity from
+multiplication by x.  The modulus is the least monic polynomial of degree r,
+in code order, whose multiplication table gives every nonzero code an
+inverse: F_p[x]/(f) is a field exactly when f is irreducible.  The tables
+are built only for q <= _MAX_TABLE_ORDER.
 """
 
 from __future__ import annotations
@@ -93,39 +94,45 @@ class PrimeField:
         return hash(("prime", self.p))
 
 
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Multiply coefficient tuples mod (modulus, p); modulus is monic."""
-    r = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    for d in range(len(prod) - 1, r - 1, -1):
-        c = prod[d]
-        if c:
-            for k in range(r + 1):
-                prod[d - r + k] = (prod[d - r + k] - c * modulus[k]) % p
-    return tuple(prod[:r])
-
-
-def _decode(code: int, p: int, length: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(length):
-        digits.append(code % p)
-        code //= p
-    return tuple(digits)
-
-
-def _encode(digits: tuple[int, ...], p: int) -> int:
-    code = 0
-    for d in reversed(digits):
-        code = code * p + d
-    return code
-
-
 # ExtensionField refuses q above this; its tables hold 2q^2 + 2q entries
 _MAX_TABLE_ORDER = 1024
+
+
+def _tables(p: int, r: int):
+    """modulus, add, neg, mul and inv tables of GF(p^r), built on codes alone."""
+    q, top = p**r, p ** (r - 1)
+    # digitwise: the low digit of a + d is (a + d) mod p, the rest a // p + d // p
+    add, neg = [list(range(q))], [0]
+    for a in range(1, q):
+        up = add[a // p]
+        add.append([(a + d) % p + p * up[d // p] for d in range(q)])
+        neg.append((-a) % p + p * neg[a // p])
+    # the first monic modulus x^r + f, in code order, under which every nonzero
+    # code has an inverse; a reducible one fails at its first zero divisor
+    for f in range(q):
+        # x·d shifts the digits of d up, and x^r = -f times the top digit t
+        # is neg[f] added t times
+        lead = [0]
+        for t in range(1, p):
+            lead.append(add[lead[-1]][neg[f]])
+        times_x = [add[d % top * p][lead[d // top]] for d in range(q)]
+        mul, inv = [[0] * q], [0] * q
+        for a in range(1, q):
+            # a·d is linear in d: a·c is a added c times for a scalar c < p,
+            # and a·d = a·(d mod p) + x·(a·(d // p))
+            row = [0]
+            for d in range(1, p):
+                row.append(add[row[-1]][a])
+            for d in range(p, q):
+                row.append(add[row[d % p]][times_x[row[d // p]]])
+            if 1 not in row:
+                break
+            mul.append(row)
+            inv[a] = row.index(1)
+        else:
+            modulus = tuple(f // p**k % p for k in range(r)) + (1,)
+            return modulus, add, neg, mul, inv
+    raise RuntimeError("no irreducible polynomial found")
 
 
 class ExtensionField:
@@ -143,35 +150,7 @@ class ExtensionField:
         self.order = q
         self.zero = 0
         self.one = 1
-        decode = [_decode(c, p, r) for c in range(q)]
-        # digitwise: the low digit of a + d is (a + d) mod p, the rest a // p + d // p
-        self._add = add = [list(range(q))]
-        for a in range(1, q):
-            up = add[a // p]
-            add.append([(a + d) % p + p * up[d // p] for d in range(q)])
-        self._neg = [_encode(tuple((-x) % p for x in d), p) for d in decode]
-        # the first monic modulus, in code order, under which every nonzero
-        # code has an inverse; a reducible one fails at its first zero divisor
-        for code in range(q):
-            modulus = decode[code] + (1,)
-            times_x = [_encode(_poly_mul_mod(d, decode[p], modulus, p), p) for d in decode]
-            mul, inv = [[0] * q], [0] * q
-            for a in range(1, q):
-                # a·d is linear in d: a·c is a added c times for a scalar c < p,
-                # and a·d = a·(d mod p) + x·(a·(d // p))
-                row = [0]
-                for d in range(1, p):
-                    row.append(add[row[-1]][a])
-                for d in range(p, q):
-                    row.append(add[row[d % p]][times_x[row[d // p]]])
-                if 1 not in row:
-                    break
-                mul.append(row)
-                inv[a] = row.index(1)
-            else:
-                self.modulus, self._mul, self._inv = modulus, mul, inv
-                return
-        raise RuntimeError("no irreducible polynomial found")
+        self.modulus, self._add, self._neg, self._mul, self._inv = _tables(p, r)
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]

@@ -180,17 +180,16 @@ def flag_degree_bound(nu: tuple[int, ...]) -> int:
     return sum(d * (d - 1) // 2 for d in nu)
 
 
-def lagrange_coefficients(points) -> tuple[Fraction, ...]:
+def lagrange_coefficients(points) -> tuple[int | Fraction, ...]:
     """Coefficients (ascending) of the interpolating polynomial, exact: the
-    solution of the Vandermonde system, eliminated over Q.
+    solution of the Vandermonde system, eliminated over Q, each an int where
+    it is integral.
 
     Raises ValueError when two points share a node.
     """
     points = list(points)
     n = len(points)
-    system = tuple(
-        tuple(Fraction(x) ** k for k in range(n)) + (Fraction(y),) for x, y in points
-    )
+    system = tuple(tuple(x**k for k in range(n)) + (y,) for x, y in points)
     R, pivots = rref(RATIONALS, system)
     if pivots != tuple(range(n)):
         raise ValueError("interpolation nodes must be distinct")
@@ -204,13 +203,13 @@ def lagrange_coefficients(points) -> tuple[Fraction, ...]:
 class InterpolationReport:
     counts: tuple[tuple[int, int], ...]
     degree_bound: int
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int | Fraction, ...]
     held_out: tuple[int, ...]
     verdict: str
 
 
-def _poly_eval(coeffs, x: int) -> Fraction:
-    total = Fraction(0)
+def _poly_eval(coeffs, x: int) -> int | Fraction:
+    total = 0
     for c in reversed(coeffs):
         total = total * x + c
     return total

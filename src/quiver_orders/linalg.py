@@ -2,8 +2,8 @@
 
 Matrices are tuples of row tuples (possibly with zero rows or columns); an
 input may be any sequence of row sequences.  Over Q an entry is an int or a
-Fraction; `rref` returns Fractions and `nullspace` writes integral entries
-as ints.  All elimination is `_eliminate`, which reduces sparse rows
+Fraction, and every entry `rref` and `nullspace` return is an int where it
+is integral.  All elimination is `_eliminate`, which reduces sparse rows
 (`{column: entry}` dicts of nonzero entries) against an echelon basis keyed
 by leading column: over Q on Python ints, combined fraction-free; over F_p
 and GF(p^r) with each basis row leading with one.  `rank` and `rref` make
@@ -47,14 +47,15 @@ def rref(F, A: Matrix, ncols: int | None = None) -> tuple[Matrix, tuple[int, ...
         for c in pivots[k + 1 :]:
             if c in basis[pivots[k]]:
                 basis[pivots[k]] = _combine(F, basis[pivots[k]], basis[c], c)
-    zero = F.zero if F.order is not None else Fraction(0)
     rows = []
     for c in pivots:
-        b, row = basis[c], [zero] * nc
+        b, row = basis[c], [F.zero] * nc
         for j, x in b.items():
-            row[j] = x if F.order is not None else Fraction(x, b[c])
+            if F.order is None:
+                x = x // b[c] if x % b[c] == 0 else Fraction(x, b[c])
+            row[j] = x
         rows.append(tuple(row))
-    rows += [(zero,) * nc] * (len(A) - len(pivots))
+    rows += [(F.zero,) * nc] * (len(A) - len(pivots))
     return tuple(rows), tuple(pivots)
 
 
@@ -123,8 +124,8 @@ def _combine(F, v: dict, b: dict, c: int) -> dict:
 def nullspace(F, A: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of {x : A x = 0}, one vector per free column, in column order.
 
-    Over Q an integral entry is an int.  `ncols` disambiguates the width of
-    a matrix with no rows (the kernel of an empty map is the whole space).
+    `ncols` disambiguates the width of a matrix with no rows (the kernel of
+    an empty map is the whole space).
     """
     R, pivots = rref(F, A, ncols=ncols)
     nc = ncols if (not A and ncols is not None) else shape(A)[1]
@@ -136,7 +137,6 @@ def nullspace(F, A: Matrix, ncols: int | None = None) -> list[Vector]:
         v = [F.zero] * nc
         v[free] = F.one
         for r, pc in enumerate(pivots):
-            x = F.neg(R[r][free])
-            v[pc] = x if F.order is not None or x.denominator != 1 else x.numerator
+            v[pc] = F.neg(R[r][free])
         basis.append(tuple(v))
     return basis

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -422,7 +423,7 @@ def test_second_type_line_is_a_usage_error(capsys, tmp_path):
 
 def test_field_over_the_table_bound_is_a_usage_error(capsys, a2_file, monkeypatch):
     # a broken bound fails here instead of building 2048 x 2048 tables
-    monkeypatch.setattr(fields, "_decode", lambda *args: pytest.fail("a field table was built"))
+    monkeypatch.setattr(fields, "_tables", lambda *args: pytest.fail("a field table was built"))
     assert main(["count", "fibers", a2_file, "1,1", "--q", "2,2048"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -464,3 +465,41 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 1\n1 0\n1 1\n"
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    """KP(1,2,2,3,2,1) of linear E6 prints about 96 KB, more than a pipe
+    buffer holds, so the listing is still being written when the reader
+    stops after one line."""
+    e6 = tmp_path / "e6.quiver"
+    e6.write_text("type E6\norientation linear\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quiver_orders", "kp", str(e6), "1,2,2,3,2,1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().endswith(b"\t(1 2 2 3 2 1)\n")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_stdout_closed_before_a_short_output_exits_141_quietly():
+    """With stdout buffered, the three lines of `roots A2` stay in the buffer
+    until the last flush, which meets a pipe whose reader is already gone."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiver_orders", "roots", "A2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -100,11 +100,18 @@ def _reference_modulus(p, r):
     raise AssertionError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
-# every p^r with r >= 2 and p^r <= 128
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128])
+# every p^r with r >= 2 and p^r <= 1024, the table bound
+EXTENSION_ORDERS = [
+    4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256,
+    289, 343, 361, 512, 529, 625, 729, 841, 961, 1024,
+]
+
+
+@pytest.mark.parametrize("q", EXTENSION_ORDERS)
 def test_modulus_is_least_irreducible(q):
     p, r = factor_prime_power(q)
-    assert galois_field(q).modulus == _reference_modulus(p, r)
+    # uncached, so the larger tables are freed after the test
+    assert ExtensionField(p, r).modulus == _reference_modulus(p, r)
 
 
 def test_reference_modulus_known_values():
@@ -116,23 +123,54 @@ def test_reference_modulus_known_values():
     assert not _divides((1, 1), (1, 1, 0, 1), 2)
 
 
+def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Multiply coefficient tuples mod (modulus, p); modulus is monic."""
+    r = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                prod[i + j] = (prod[i + j] + ca * cb) % p
+    for d in range(len(prod) - 1, r - 1, -1):
+        c = prod[d]
+        if c:
+            for k in range(r + 1):
+                prod[d - r + k] = (prod[d - r + k] - c * modulus[k]) % p
+    return tuple(prod[:r])
+
+
+def _decode(code: int, p: int, length: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(length):
+        digits.append(code % p)
+        code //= p
+    return tuple(digits)
+
+
+def _encode(digits: tuple[int, ...], p: int) -> int:
+    code = 0
+    for d in reversed(digits):
+        code = code * p + d
+    return code
+
+
 def _reference_tables(p, r):
     """modulus, _add, _neg, _mul and _inv of GF(p^r) as ExtensionField built
     them before it filled its tables by linearity: every sum digit by digit,
-    every product through `fields._poly_mul_mod`, under the first modulus in
+    every product through `_poly_mul_mod`, under the first modulus in
     code order whose table gives every nonzero code an inverse."""
     q = p**r
-    decode = [fields._decode(c, p, r) for c in range(q)]
+    decode = [_decode(c, p, r) for c in range(q)]
     add = [
-        [fields._encode(tuple((x + y) % p for x, y in zip(da, db)), p) for db in decode]
+        [_encode(tuple((x + y) % p for x, y in zip(da, db)), p) for db in decode]
         for da in decode
     ]
-    neg = [fields._encode(tuple((-x) % p for x in d), p) for d in decode]
+    neg = [_encode(tuple((-x) % p for x in d), p) for d in decode]
     for code in range(q):
         modulus = decode[code] + (1,)
         mul, inv = [[0] * q], [0] * q
         for a in range(1, q):
-            row = [fields._encode(fields._poly_mul_mod(decode[a], d, modulus, p), p) for d in decode]
+            row = [_encode(_poly_mul_mod(decode[a], d, modulus, p), p) for d in decode]
             if 1 not in row:
                 break
             mul.append(row)
@@ -142,8 +180,7 @@ def _reference_tables(p, r):
     raise AssertionError(f"no modulus found for GF({q})")
 
 
-# every p^r with r >= 2 and p^r <= 256
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256])
+@pytest.mark.parametrize("q", [q for q in EXTENSION_ORDERS if q <= 256])
 def test_extension_field_tables_match_polynomial_products(q):
     F = ExtensionField(*factor_prime_power(q))
     assert (F.modulus, F._add, F._neg, F._mul, F._inv) == _reference_tables(F.p, F.r)
@@ -152,9 +189,21 @@ def test_extension_field_tables_match_polynomial_products(q):
 def test_extension_field_size_bound(monkeypatch):
     monkeypatch.setattr(fields, "_MAX_TABLE_ORDER", 8)
     assert ExtensionField(2, 3).order == 8
-    monkeypatch.setattr(fields, "_decode", lambda *args: pytest.fail("a field table was built"))
+    monkeypatch.setattr(fields, "_tables", lambda *args: pytest.fail("a field table was built"))
     with pytest.raises(ValueError, match=r"GF\(9\) is too large"):
         ExtensionField(3, 2)
+
+
+def test_tables_are_built_only_within_the_bound(monkeypatch):
+    calls = []
+    build = fields._tables
+    monkeypatch.setattr(fields, "_tables", lambda p, r: calls.append((p, r)) or build(p, r))
+    assert ExtensionField(3, 2).order == 9
+    assert calls == [(3, 2)]
+    for p, r in [(2, 11), (3, 7), (5, 5), (31, 3), (37, 2)]:
+        with pytest.raises(ValueError, match=rf"GF\({p**r}\) is too large"):
+            ExtensionField(p, r)
+    assert calls == [(3, 2)]
 
 
 def test_galois_field_rejects_non_prime_powers():

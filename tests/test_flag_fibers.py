@@ -234,6 +234,15 @@ def test_lagrange_exact():
     assert lagrange_coefficients([(1, 5), (2, 5), (3, 5)]) == (Fraction(5),)
 
 
+def test_lagrange_coefficients_are_ints_where_integral():
+    coeffs = lagrange_coefficients([(q, 2 * q**3 + q + 5) for q in (2, 3, 4, 5)])
+    assert coeffs == (5, 1, 0, 2) and all(type(c) is int for c in coeffs)
+    # q(q + 1)/2 = q/2 + q^2/2
+    coeffs = lagrange_coefficients([(q, q * (q + 1) // 2) for q in (2, 3, 4)])
+    assert coeffs == (0, Fraction(1, 2), Fraction(1, 2))
+    assert [type(c) for c in coeffs] == [int, Fraction, Fraction]
+
+
 def _lagrange_reference(points):
     """Coefficients of sum_i y_i prod_{j != i} (x - x_j) / (x_i - x_j)."""
     coeffs = [Fraction(0)] * len(points)

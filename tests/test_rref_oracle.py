@@ -125,7 +125,7 @@ CASES = _cases()
 def _assert_matches(A, ncols=None, F=Q):
     R, pivots = rref(F, A, ncols=ncols)
     assert (R, pivots) == _reference_rref(F, A, ncols=ncols)
-    assert all(type(x) is (Fraction if F is Q else int) for row in R for x in row)
+    assert all(type(x) is (int if x == int(x) else Fraction) for row in R for x in row)
     nc = ncols if (not A and ncols is not None) else shape(A)[1]
     assert rank(F, A) == len(pivots)
     basis = nullspace(F, A, ncols=ncols)
@@ -139,12 +139,15 @@ def _assert_matches(A, ncols=None, F=Q):
 
 
 def test_integer_matrices_match_reference():
-    ranks = set()
+    ranks, kinds = set(), set()
     for A in CASES:
         _assert_matches(A)
         ranks.add(min(shape(A)) - rank(Q, A))
-    # the sweep covers full-rank and rank-deficient matrices
+        kinds.update(type(x) for row in rref(Q, A)[0] for x in row)
+    # the sweep covers full-rank and rank-deficient matrices, and reduced
+    # forms with integral and non-integral entries
     assert 0 in ranks and max(ranks) >= 3
+    assert kinds == {int, Fraction}
 
 
 def test_rowless_matrices():
