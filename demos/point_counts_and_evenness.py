@@ -8,12 +8,10 @@ from quiver_orders import (
     adapted_order,
     enumerate_kp,
     fiber_point_count,
-    galois_field,
     interpolate_fiber_polynomial,
     orbit_point_count,
     prime_powers,
     quiver,
-    rep_of_kp,
     rep_space_dim,
     z_point_count,
 )
@@ -43,7 +41,7 @@ def fiber_table(Q, nu, qs):
     print(f"complete stable-flag fiber counts for nu={nu}:")
     for lam in enumerate_kp(datum, nu, order):
         counts = " ".join(str(c) for c in lam.counts)
-        values = [fiber_point_count(rep_of_kp(lam, galois_field(q))) for q in qs]
+        values = [fiber_point_count(lam, q) for q in qs]
         print(f"  {counts:12}" + "".join(f"{v:<10}" for v in values))
     print()
 

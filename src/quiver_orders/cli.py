@@ -37,7 +37,6 @@ from .kostant import (
 )
 from .pbw import in_ker_locus, order_compat, verify_reflection
 from .quivers import parse_quiver_file, sinks
-from .reps import rep_of_kp
 from .root_system import cartan_datum, positive_roots
 
 DEFAULT_Q_LIST = prime_powers(9)
@@ -264,10 +263,9 @@ def _cmd_count(args) -> int:
         print("lambda\tq\tcount")
         for lam in enumerate_kp(datum, nu, order):
             for q in qs:
-                M = rep_of_kp(lam, galois_field(q))
                 print(
                     " ".join(str(c) for c in lam.counts)
-                    + f"\t{q}\t{fiber_point_count(M)}"
+                    + f"\t{q}\t{fiber_point_count(lam, q)}"
                 )
     else:
         print("nu\tq\tcount")

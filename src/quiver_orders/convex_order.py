@@ -25,7 +25,6 @@ from .root_system import (
     num_positive_roots,
     pairing,
     positive_roots,
-    reflect_coweight,
 )
 
 
@@ -68,12 +67,16 @@ def build_order(datum: CartanDatum, word: Word) -> ConvexOrder:
         raise ValueError("word is reduced but not a word of the longest element")
     if sorted(beta) != sorted(positive_roots(datum)):
         raise ValueError("beta sequence does not enumerate the positive roots")
+    # the letters between two occurrences of i fix omega_i, so
+    # gamma_k = gamma_k' + beta_k^vee, with k' the previous i and
+    # gamma_k' = -omega_i before the first; beta^vee has coordinates cartan.beta
+    latest = {i: tuple(-c for c in datum.omega(i)) for i in datum.vertices()}
     gamma = []
-    for k, i in enumerate(word):
-        x = datum.omega(i)
-        for j in reversed(word[: k + 1]):
-            x = reflect_coweight(datum, j, x)
-        gamma.append(tuple(-c for c in x))
+    for i, b in zip(word, beta):
+        latest[i] = tuple(
+            g + sum(a * x for a, x in zip(row, b)) for g, row in zip(latest[i], datum.cartan)
+        )
+        gamma.append(latest[i])
     pairings = tuple(
         tuple(pairing(datum, g, b) for b in beta) for g in gamma
     )

@@ -11,22 +11,25 @@ count recurses.
 
 The count F(M) depends only on the isomorphism class of M, so
 F(M) = sum_i sum_H F(M|_H) is a recursion over classes (the Hall-number
-form, Ringel 1990): each class is expanded once, and its count is kept in
-one table per (quiver, field), keyed by the summand multiplicities that
-`reps.iso_class` reads off.  The table is shared by every count of the
+form, Ringel 1990), and a count takes a class lam and q, like every other
+point count: `fiber_point_count(lam, q)`.  Each class is expanded once, and
+its count is kept in one table per (quiver, field), keyed by the summand
+multiplicities lam.counts.  The table is shared by every count of the
 process over that quiver and field.  A class is expanded through its
-canonical block sum `rep_of_kp`, one block per part.  Scaling one block is
-an automorphism, and every stable functional lies in a single block, so the
-hyperplanes fall into orbits given by a non-empty set S of blocks and a
-projective point of the functionals of each block in S; an orbit holds
-(q - 1)^(|S| - 1) hyperplanes with isomorphic restrictions, and one of them
-is expanded with that weight.  A functional across two blocks, or weights
-that do not add up to the (q^k - 1)/(q - 1) stable hyperplanes, raise
-`VerificationError`.  Orbits whose representatives restrict to the same
+canonical block sum `rep_of_kp`, one block per part, and `_count` turns
+each restriction back into a class with `reps.iso_class`.  Scaling one
+block is an automorphism, and every stable functional lies in a single
+block, so the hyperplanes fall into orbits given by a non-empty set S of
+blocks and a projective point of the functionals of each block in S; an
+orbit holds (q - 1)^(|S| - 1) hyperplanes with isomorphic restrictions, and
+one of them is expanded with that weight.  A functional across two blocks,
+or weights that do not add up to the (q^k - 1)/(q - 1) stable hyperplanes,
+raise `VerificationError`.  Orbits whose representatives restrict to the same
 (dims, mats) are counted with one recursive call.
 
-When every arrow matrix is zero there is no stability constraint and the
-count has the closed form multinomial(|d|; d) * prod_i [d_i]_q!.
+When every arrow matrix is zero (every part of lam is a simple root) there
+is no stability constraint and the count has the closed form
+multinomial(|d|; d) * prod_i [d_i]_q!.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .linalg import nullspace, rref, transpose
 from .quivers import Quiver
 from .reps import QuiverRep, iso_class, orbit_point_count, rep_of_kp, rep_space_dim
 
-# _count raises CapExceeded once one fiber table would hold more classes
+# fiber_point_count raises CapExceeded once one fiber table would hold more classes
 _FIBER_CAP = 1_000_000
 
 def q_factorial(d: int, q: int) -> int:
@@ -75,14 +78,6 @@ def _projective_coefficients(F, c: int):
             yield (F.zero,) * lead + (F.one,) + tail
 
 
-def fiber_point_count(M: QuiverRep) -> int:
-    """Number of complete stable graded flags of M (finite field only)."""
-    F = M.field
-    if F.order is None:
-        raise ValueError("point counts need a finite field")
-    return _count(M.quiver, F, M.dims, M.mats)
-
-
 @functools.cache
 def _fiber_table(Q: Quiver, F) -> dict[tuple[int, ...], int]:
     """Fiber counts of the classes of representations of Q over F met so far,
@@ -91,12 +86,20 @@ def _fiber_table(Q: Quiver, F) -> dict[tuple[int, ...], int]:
 
 
 def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
-    if all(d == 0 for d in dims):
-        return 1
+    """Fiber count of one restriction, through its class unless every map is zero."""
     if all(x == F.zero for m in mats for row in m for x in row):
         return shuffle_flag_count(dims, F.order)
+    return fiber_point_count(iso_class(QuiverRep(Q, F, dims, mats)), F.order)
+
+
+def fiber_point_count(lam: KostantPartition, q: int) -> int:
+    """Number of complete stable graded flags of M(lam) over F_q."""
+    F = galois_field(q)
+    parts = lam.parts()
+    if all(sum(b) == 1 for b in parts):
+        return shuffle_flag_count(lam.nu, q)
+    Q = lam.quiver
     table = _fiber_table(Q, F)
-    lam = iso_class(QuiverRep(Q, F, dims, mats))
     key = lam.counts
     if key in table:
         return table[key]
@@ -107,8 +110,7 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
         )
     # expand the class's canonical block sum, one block per part of lam
     M = rep_of_kp(lam, F)
-    dims, mats, q = M.dims, M.mats, F.order
-    parts = lam.parts()
+    dims, mats = M.dims, M.mats
     children: Counter = Counter()
     for i in Q.datum.vertices():
         d = dims[i - 1]
@@ -254,17 +256,14 @@ def interpolate_fiber_polynomial(lam: KostantPartition, q_list) -> Interpolation
     """
     bound = flag_degree_bound(lam.nu)
     qs = _enough_q_values(q_list, bound)
-    counts = [
-        (q, fiber_point_count(rep_of_kp(lam, galois_field(q)))) for q in qs
-    ]
+    counts = [(q, fiber_point_count(lam, q)) for q in qs]
     return _interpolation_verdict(counts, bound)
 
 
 def _orbit_weighted_fiber_sum(Q: Quiver, nu, q: int, power: int) -> int:
     """Sum over partitions lam of KP(nu) of orbit(lam) * fiber(lam)**power."""
-    F = galois_field(q)
     return sum(
-        orbit_point_count(lam, q) * fiber_point_count(rep_of_kp(lam, F)) ** power
+        orbit_point_count(lam, q) * fiber_point_count(lam, q) ** power
         for lam in enumerate_kp(Q.datum, nu, adapted_order(Q))
     )
 

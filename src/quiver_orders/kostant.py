@@ -289,8 +289,6 @@ def decomposition_first_parts(
     if side not in RES_SIDES:
         raise ValueError(f"bad side {side!r}")
     target = tuple(mult * c for c in order.beta[t])
-    if mult == 0:
-        return (tuple(0 for _ in target),)
     prefix = tuple(order.beta[: t + 1])
     suffix = tuple(order.beta[t:])
     x_block, y_block = (suffix, prefix) if side == "first-factor" else (prefix, suffix)

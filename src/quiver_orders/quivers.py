@@ -35,9 +35,6 @@ class Quiver:
         undirected = sorted(tuple(sorted(a)) for a in self.arrows)
         if undirected != sorted(self.datum.edges):
             raise ValueError("arrows do not orient the diagram edges exactly once")
-        for s, t in self.arrows:
-            if s == t:
-                raise ValueError("loops are not allowed")
 
     def arrows_into(self, i: int) -> tuple[int, ...]:
         """Indices into `arrows` of the arrows with target i."""

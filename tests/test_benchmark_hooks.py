@@ -107,4 +107,8 @@ def test_traced_ops_run_and_record_spans(layer_trace, tmp_path, capsys):
     stats = tracer.summary()
     assert sum(s["calls"] for name, s in stats.items() if name.startswith("linalg.rref.")) > 0
     assert stats["reps.hom_dim"]["calls"] > 0
+    # the count takes each class directly; only restrictions pass through
+    # `_count`, so the tracer still sees the recursion nodes
+    assert stats["flag_fibers.fiber_point_count"]["calls"] > 0
+    assert stats["flag_fibers.count"]["calls"] > 0
     assert layer_trace.leftover_wrappers() == []

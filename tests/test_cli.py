@@ -421,6 +421,36 @@ def test_second_type_line_is_a_usage_error(capsys, tmp_path):
     assert "second 'type' line" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("type A2\n1 -> 1\n", "arrows do not orient the diagram edges exactly once"),
+        ("type A2\n1 -> x\n", "bad arrow line: '1 -> x'"),
+        (
+            "type A2\norientation linear\n1 -> 2\n",
+            "give either 'orientation linear' or arrow lines, not both",
+        ),
+    ],
+)
+def test_bad_quiver_file_is_a_usage_error(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.quiver"
+    path.write_text(text)
+    assert main(["kp", str(path), "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["hom_formula_direction", "res_large_side"])
+def test_ledger_with_a_bad_field_is_a_usage_error(capsys, a2_file, tmp_path, field):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({**json.loads(CALIBRATED.to_json()), field: "sideways"}))
+    assert main(["verify", "baumann", a2_file, "--ledger", str(ledger)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: bad {field}: 'sideways'\n"
+
+
 def test_field_over_the_table_bound_is_a_usage_error(capsys, a2_file, monkeypatch):
     # a broken bound fails here instead of building 2048 x 2048 tables
     monkeypatch.setattr(fields, "_tables", lambda *args: pytest.fail("a field table was built"))

@@ -7,7 +7,12 @@ import pytest
 from quiver_orders.convex_order import adapted_order, build_order, pairing_sign_report
 from quiver_orders.kostant import KostantPartition
 from quiver_orders.quivers import adapted_word_of_w0, commutation_class, is_adapted, quiver
-from quiver_orders.root_system import cartan_datum, pairing, reduced_words_of_w0
+from quiver_orders.root_system import (
+    cartan_datum,
+    pairing,
+    reduced_words_of_w0,
+    reflect_coweight,
+)
 
 
 def test_a2_order_data_exact():
@@ -18,6 +23,39 @@ def test_a2_order_data_exact():
     assert order.pairings == ((1, 0, -1), (1, 1, 0), (0, 1, 1))
     assert order.length == 3
     assert order.index_of((1, 1)) == 1  # 0-based position
+
+
+def _defining_gamma(datum, word):
+    """gamma_k = -s_{i_1}...s_{i_k}(omega_{i_k}), reflecting omega through the
+    whole prefix: the formula `build_order` replaced by its one-pass update."""
+    gamma = []
+    for k, i in enumerate(word):
+        x = datum.omega(i)
+        for j in reversed(word[: k + 1]):
+            x = reflect_coweight(datum, j, x)
+        gamma.append(tuple(-c for c in x))
+    return tuple(gamma)
+
+
+@pytest.mark.parametrize("label,step", [("A1", 1), ("A2", 1), ("A3", 1), ("A4", 1), ("D4", 4)])
+def test_gamma_matches_defining_formula_on_reduced_words(label, step):
+    # every reduced word of w0, and every fourth of D4's 2,316
+    datum = cartan_datum(label)
+    for word in reduced_words_of_w0(datum)[::step]:
+        assert build_order(datum, word).gamma == _defining_gamma(datum, word), word
+
+
+@pytest.mark.parametrize(
+    "label,orientations",
+    [("D5", 16), ("D6", 16), ("E6", 16), ("E7", 16), ("E8", 4), ("A8", 16), ("D8", 16)],
+)
+def test_gamma_matches_defining_formula_on_adapted_words(label, orientations):
+    datum = cartan_datum(label)
+    flips = itertools.product((False, True), repeat=len(datum.edges))
+    for flip in itertools.islice(flips, orientations):
+        arrows = tuple((j, i) if f else (i, j) for (i, j), f in zip(datum.edges, flip))
+        word = adapted_word_of_w0(quiver(label, arrows))
+        assert build_order(datum, word).gamma == _defining_gamma(datum, word), arrows
 
 
 def test_gamma_pairs_to_one_on_its_own_root():

@@ -245,6 +245,10 @@ def test_decomposition_first_parts_a2():
     assert (0, 1) not in opts  # alpha_2 alone is not in N-span{beta_2, beta_3}
     opts2 = decomposition_first_parts(order, 1, 1, "second-factor")
     assert set(opts2) == {(0, 0), (0, 1), (1, 1)}
+    # no copies to split: the zero vector is the only first part
+    for t in range(order.length):
+        for side in ("first-factor", "second-factor"):
+            assert decomposition_first_parts(order, t, 0, side) == ((0, 0),)
 
 
 def test_mackey_clean_under_calibrated_ledger():

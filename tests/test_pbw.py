@@ -8,7 +8,7 @@ from quiver_orders.convex_order import adapted_order
 from quiver_orders.fields import RATIONALS, PrimeField
 from quiver_orders.kostant import KostantPartition, OrientationLedger, enumerate_kp
 from quiver_orders.pbw import in_ker_locus, order_compat, reflect_kp, verify_reflection
-from quiver_orders.quivers import linear_quiver, quiver, reflect_quiver, sinks
+from quiver_orders.quivers import linear_quiver, quiver, reflect_quiver, sinks, sources
 from quiver_orders.root_system import reflect_root
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
@@ -16,6 +16,9 @@ CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
 A2 = quiver("A2", ((1, 2),))
 A3LIN = linear_quiver("A3")
 D4STAR = quiver("D4", ((1, 2), (3, 2), (4, 2)))
+A3ZIG = quiver("A3", ((1, 2), (3, 2)))
+D4SOURCE = quiver("D4", ((2, 1), (2, 3), (2, 4)))
+D4MIXED = quiver("D4", ((1, 2), (2, 4), (3, 2)))
 
 
 def test_in_ker_locus_a2():
@@ -103,6 +106,24 @@ def test_verify_reflection_small(field):
         for i in sinks(Q):
             for lam in _locus_partitions(Q, i, 3):
                 assert verify_reflection(i, lam, field), (Q.arrows, i, lam.counts)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), RATIONALS])
+def test_verify_reflection_at_a_source(field):
+    # the rank cross-check stacks the maps out of a source
+    checked = 0
+    for Q in [A3LIN, A3ZIG, D4STAR, D4SOURCE, D4MIXED, linear_quiver("D5")]:
+        order = adapted_order(Q)
+        for i in sources(Q):
+            alpha = order.index_of(Q.datum.alpha(i))
+            for nu in itertools.product(range(3), repeat=Q.datum.n):
+                if not 0 < sum(nu) <= 3:
+                    continue
+                for lam in enumerate_kp(Q.datum, nu, order):
+                    if lam.counts[alpha] == 0:
+                        assert verify_reflection(i, lam, field), (Q.arrows, i, lam.counts)
+                        checked += 1
+    assert checked > 0
 
 
 def test_order_compat_small():

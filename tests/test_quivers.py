@@ -42,9 +42,11 @@ def test_quiver_requires_orienting_each_edge():
     with pytest.raises(ValueError):
         quiver("A3", ((1, 2), (2, 1)))  # edge {2,3} missing, {1,2} doubled
     with pytest.raises(ValueError):
-        quiver("A2", ((1, 1),))
-    with pytest.raises(ValueError):
         quiver("A2", ((1, 3),))
+    # a loop is never a diagram edge
+    for arrows in [((1, 1),), ((1, 2), (2, 2))]:
+        with pytest.raises(ValueError, match="orient the diagram edges exactly once"):
+            quiver("A2", arrows)
 
 
 def test_linear_quiver():
