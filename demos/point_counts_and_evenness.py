@@ -1,5 +1,5 @@
-"""Point counts over finite fields: orbits, stable-flag fibers, and the
-polynomial-in-q evidence for evenness.
+"""Point counts over finite fields: orbits, stable-flag fibers, their
+polynomials in q, and the polynomial-in-q evidence for evenness.
 
 Run from the repository root:  python3 demos/point_counts_and_evenness.py
 """
@@ -8,6 +8,7 @@ from quiver_orders import (
     adapted_order,
     enumerate_kp,
     fiber_point_count,
+    fiber_polynomial,
     interpolate_fiber_polynomial,
     orbit_point_count,
     prime_powers,
@@ -46,6 +47,22 @@ def fiber_table(Q, nu, qs):
     print()
 
 
+def polynomial_table(Q, nu, qs):
+    datum = Q.datum
+    order = adapted_order(Q)
+    print(f"fiber polynomials for nu={nu} ({datum.label} {Q.arrows}), one expansion over Q:")
+    for lam in enumerate_kp(datum, nu, order):
+        counts = " ".join(str(c) for c in lam.counts)
+        poly = fiber_polynomial(lam)
+        values = ", ".join(str(fiber_point_count(lam, q)) for q in qs)
+        if poly is None:
+            print(f"  {counts}   no polynomial; per q: {values}")
+        else:
+            print(f"  {counts}   coefficients {tuple(poly)}; at q={qs}: {values}")
+    print("  (ascending coefficients in q; a class without one is counted over each F_q)")
+    print()
+
+
 def z_table(Q, nu, qs):
     print(f"fibre-square point counts for nu={nu}: ", end="")
     print(", ".join(f"q={q}: {z_point_count(Q, nu, q)}" for q in qs))
@@ -70,6 +87,7 @@ def main():
     qs = (2, 3, 4, 5)
     orbit_table(Q, (1, 1), qs)
     fiber_table(Q, (1, 1), qs)
+    polynomial_table(quiver("D4", ((2, 1), (2, 3), (2, 4))), (1, 2, 1, 1), qs)
     z_table(Q, (1, 1), (2, 3, 5, 7))
     interpolation_demo(Q, (2, 1))
 

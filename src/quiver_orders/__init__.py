@@ -7,6 +7,7 @@ from .errors import CalibrationError, CapExceeded, VerificationError
 from .fields import RATIONALS, PrimeField, galois_field
 from .flag_fibers import (
     fiber_point_count,
+    fiber_polynomial,
     flag_degree_bound,
     interpolate_fiber_polynomial,
     prime_powers,

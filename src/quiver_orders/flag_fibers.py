@@ -12,20 +12,34 @@ count recurses.
 The count F(M) depends only on the isomorphism class of M, so
 F(M) = sum_i sum_H F(M|_H) is a recursion over classes (the Hall-number
 form, Ringel 1990), and a count takes a class lam and q, like every other
-point count: `fiber_point_count(lam, q)`.  Each class is expanded once, and
-its count is kept in one table per (quiver, field), keyed by the summand
-multiplicities lam.counts.  The table is shared by every count of the
-process over that quiver and field.  A class is expanded through its
-canonical block sum `rep_of_kp`, one block per part, and `_count` turns
-each restriction back into a class with `reps.iso_class`.  Scaling one
-block is an automorphism, and every stable functional lies in a single
-block, so the hyperplanes fall into orbits given by a non-empty set S of
-blocks and a projective point of the functionals of each block in S; an
-orbit holds (q - 1)^(|S| - 1) hyperplanes with isomorphic restrictions, and
-one of them is expanded with that weight.  A functional across two blocks,
-or weights that do not add up to the (q^k - 1)/(q - 1) stable hyperplanes,
-raise `VerificationError`.  Orbits whose representatives restrict to the same
+point count: `fiber_point_count(lam, q)`.  A class is expanded through its
+canonical block sum `rep_of_kp`, one block per part, and `_count` turns each
+restriction back into a class with `reps.iso_class`.  Scaling one block is
+an automorphism, and every stable functional lies in a single block, so the
+hyperplanes fall into orbits given by a non-empty set S of blocks and a
+projective point of the functionals of each block in S; an orbit holds
+(q - 1)^(|S| - 1) hyperplanes with isomorphic restrictions, and one of them
+is expanded with that weight.  A functional across two blocks, or weights
+that do not add up to the 1 + q + ... + q^(k-1) stable hyperplanes, raise
+`VerificationError`.  Orbits whose representatives restrict to the same
 (dims, mats) are counted with one recursive call.
+
+When every block has at most one stable functional at each vertex (every
+class in type A), the orbits are the non-empty sets S alone: the
+representative hyperplane sum_{b in S} f_b and the weight do not depend on
+q.  So `fiber_polynomial(lam)` expands each class once, over Q, with weights
+in Z[q], and gets its count as a polynomial in q (ascending int
+coefficients); `fiber_point_count` evaluates it.  That a restriction has the
+same class over every F_q as over Q is not shown here; the tests compare the
+polynomials with the recursion over F_q on a sweep.  A class with a block
+that has two or more functionals at a vertex has no polynomial here (its
+hyperplanes are the points of a projective space over F_q, and their
+restrictions fall into classes that depend on the point), and neither has
+any class whose expansion reaches it; those classes are expanded once per q,
+over F_q, by the same body.  Each class is expanded at most once per field,
+and its count kept in one table per (quiver, field), keyed by the summand
+multiplicities lam.counts: polynomials (or None) over Q, ints over F_q.  The
+tables are shared by every count of the process.
 
 When every arrow matrix is zero (every part of lam is a simple root) there
 is no stability constraint and the count has the closed form
@@ -49,18 +63,74 @@ from .linalg import nullspace, rref, transpose
 from .quivers import Quiver
 from .reps import QuiverRep, iso_class, orbit_point_count, rep_of_kp, rep_space_dim
 
-# fiber_point_count raises CapExceeded once one fiber table would hold more classes
+# a fiber table raises CapExceeded once it would hold more classes
 _FIBER_CAP = 1_000_000
 
-def q_factorial(d: int, q: int) -> int:
-    """[d]_q! = prod_{m=1}^{d} (1 + q + ... + q^(m-1))."""
-    total = 1
-    for m in range(1, d + 1):
-        total *= (q**m - 1) // (q - 1)
+
+def _poly_eval(coeffs, x: int) -> int | Fraction:
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
     return total
 
 
-def shuffle_flag_count(dims: tuple[int, ...], q: int) -> int:
+class _Poly(tuple):
+    """A polynomial in q: its int coefficients, ascending, with no trailing
+    zeros.  + - * and ** are polynomial arithmetic, with an int as a
+    constant, and calling it at q evaluates it."""
+
+    def __new__(cls, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return super().__new__(cls, coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = (other,)
+        return _Poly(a + b for a, b in itertools.zip_longest(self, other, fillvalue=0))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Poly(a * other for a in self)
+        out = [0] * (len(self) + len(other))
+        for j, a in enumerate(self):
+            for k, b in enumerate(other):
+                out[j + k] += a * b
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = _Poly((1,))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __call__(self, q: int) -> int:
+        return _poly_eval(self, q)
+
+
+def _q_of(F):
+    """q for F_q, and the indeterminate q for Q, where counts are polynomials."""
+    return _Poly((0, 1)) if F.order is None else F.order
+
+
+def q_factorial(d: int, q):
+    """[d]_q! = prod_{m=1}^{d} (1 + q + ... + q^(m-1)), at an int q or as a
+    polynomial in the indeterminate."""
+    total = q**0
+    for m in range(1, d + 1):
+        total *= sum(q**j for j in range(m))
+    return total
+
+
+def shuffle_flag_count(dims: tuple[int, ...], q):
     """Complete graded flags of a graded space with no stability constraint."""
     total = math.factorial(sum(dims))
     for d in dims:
@@ -72,43 +142,50 @@ def shuffle_flag_count(dims: tuple[int, ...], q: int) -> int:
 
 def _projective_coefficients(F, c: int):
     """One representative per projective class of nonzero vectors in F^c,
-    normalized so the first nonzero coefficient is 1."""
+    normalized so the first nonzero coefficient is 1.  For c = 1 that is
+    (1,), over any field, Q included."""
     for lead in range(c):
-        for tail in itertools.product(F.elements(), repeat=c - 1 - lead):
+        tails = (F.elements() for _ in range(c - 1 - lead))
+        for tail in itertools.product(*tails):
             yield (F.zero,) * lead + (F.one,) + tail
 
 
 @functools.cache
-def _fiber_table(Q: Quiver, F) -> dict[tuple[int, ...], int]:
+def _fiber_table(Q: Quiver, F) -> dict:
     """Fiber counts of the classes of representations of Q over F met so far,
-    keyed by their summand multiplicities."""
+    keyed by their summand multiplicities: ints over F_q; over Q, polynomials
+    in q, or None for a class that has none."""
     return {}
 
 
-def _count(Q: Quiver, F, dims: tuple[int, ...], mats) -> int:
-    """Fiber count of one restriction, through its class unless every map is zero."""
+def _count(Q: Quiver, F, dims: tuple[int, ...], mats):
+    """Fiber count of one restriction over F (an int over F_q, a polynomial
+    or None over Q), through its class unless every map is zero."""
     if all(x == F.zero for m in mats for row in m for x in row):
-        return shuffle_flag_count(dims, F.order)
-    return fiber_point_count(iso_class(QuiverRep(Q, F, dims, mats)), F.order)
+        return shuffle_flag_count(dims, _q_of(F))
+    return _class_count(iso_class(QuiverRep(Q, F, dims, mats)), F)
 
 
-def fiber_point_count(lam: KostantPartition, q: int) -> int:
-    """Number of complete stable graded flags of M(lam) over F_q."""
-    F = galois_field(q)
-    parts = lam.parts()
-    if all(sum(b) == 1 for b in parts):
-        return shuffle_flag_count(lam.nu, q)
-    Q = lam.quiver
-    table = _fiber_table(Q, F)
+def _class_count(lam: KostantPartition, F):
+    """The count of class lam over F from its table, expanding it on a miss."""
+    table = _fiber_table(lam.quiver, F)
     key = lam.counts
-    if key in table:
-        return table[key]
-    if len(table) >= _FIBER_CAP:
-        raise CapExceeded(
-            f"fiber table of {Q.datum.label} {Q.arrows} over {F!r} reached "
-            f"{len(table) + 1} classes, over the cap {_FIBER_CAP}"
-        )
-    # expand the class's canonical block sum, one block per part of lam
+    if key not in table:
+        if len(table) >= _FIBER_CAP:
+            raise CapExceeded(
+                f"fiber table of {lam.quiver.datum.label} {lam.quiver.arrows} over "
+                f"{F!r} reached {len(table) + 1} classes, over the cap {_FIBER_CAP}"
+            )
+        table[key] = _expand(lam, F)
+    return table[key]
+
+
+def _expand(lam: KostantPartition, F):
+    """One step of the recursion on the canonical block sum of lam over F:
+    one hyperplane per orbit of the block scalings, weighted by its size.
+    Over Q, None when a block has two or more stable functionals at a
+    vertex, or when a child has no polynomial."""
+    Q, q, parts = lam.quiver, _q_of(F), lam.parts()
     M = rep_of_kp(lam, F)
     dims, mats = M.dims, M.mats
     children: Counter = Counter()
@@ -131,8 +208,11 @@ def fiber_point_count(lam: KostantPartition, q: int) -> int:
                     f"a stable functional at vertex {i} spans the blocks {sorted(blocks)}"
                 )
             by_block.setdefault(blocks.pop(), []).append(f)
+        if F.order is None and any(len(g) > 1 for g in by_block.values()):
+            return None
         hyperplanes = []  # (phi, weight): one functional per scaling orbit
         for size in range(1, len(by_block) + 1):
+            weight = (q - 1) ** (size - 1)
             for S in itertools.combinations(by_block.values(), size):
                 points = (_projective_coefficients(F, len(g)) for g in S)
                 for coeffs in itertools.product(*points):
@@ -141,8 +221,8 @@ def fiber_point_count(lam: KostantPartition, q: int) -> int:
                         if cf != F.zero:
                             for j in range(d):
                                 phi[j] = F.add(phi[j], F.mul(cf, basis[j]))
-                    hyperplanes.append((phi, (q - 1) ** (size - 1)))
-        expected = (q ** len(functionals) - 1) // (q - 1)
+                    hyperplanes.append((phi, weight))
+        expected = sum(q**j for j in range(len(functionals)))
         if sum(w for _, w in hyperplanes) != expected:
             raise VerificationError(
                 f"orbit weights at vertex {i} do not add up to the {expected} "
@@ -168,12 +248,33 @@ def fiber_point_count(lam: KostantPartition, q: int) -> int:
                     for row in m
                 )
             children[new_dims, tuple(new_mats)] += weight
-    total = sum(
-        m * _count(Q, F, sub_dims, sub_mats)
-        for (sub_dims, sub_mats), m in children.items()
-    )
-    table[key] = total
+    total = 0
+    for (sub_dims, sub_mats), m in children.items():
+        count = _count(Q, F, sub_dims, sub_mats)
+        if count is None:
+            return None
+        total += m * count
     return total
+
+
+def fiber_polynomial(lam: KostantPartition) -> tuple[int, ...] | None:
+    """The fiber count of M(lam) as a polynomial in q, from one expansion of
+    each class over Q: a tuple of ascending int coefficients, which evaluates
+    at q when called.  None when some class of the recursion has a block
+    with two or more stable functionals at a vertex."""
+    if all(sum(b) == 1 for b in lam.parts()):
+        return shuffle_flag_count(lam.nu, _q_of(RATIONALS))
+    return _class_count(lam, RATIONALS)
+
+
+def fiber_point_count(lam: KostantPartition, q: int) -> int:
+    """Number of complete stable graded flags of M(lam) over F_q: its fiber
+    polynomial at q, or the recursion over F_q where it has none."""
+    factor_prime_power(q)  # rejects a q that is not a prime power
+    poly = fiber_polynomial(lam)
+    if poly is not None:
+        return poly(q)
+    return _class_count(lam, galois_field(q))
 
 
 def flag_degree_bound(nu: tuple[int, ...]) -> int:
@@ -208,13 +309,6 @@ class InterpolationReport:
     coefficients: tuple[int | Fraction, ...]
     held_out: tuple[int, ...]
     verdict: str
-
-
-def _poly_eval(coeffs, x: int) -> int | Fraction:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 def _interpolation_verdict(
@@ -252,12 +346,20 @@ def interpolate_fiber_polynomial(lam: KostantPartition, q_list) -> Interpolation
     Uses the first degree_bound+1 of the sorted q values as nodes and
     verifies the polynomial on all remaining ones; the verdict is
     "consistent-with-even" when the coefficients are non-negative integers
-    and every held-out value matches.
+    and every held-out value matches.  Where lam has a fiber polynomial, the
+    interpolated coefficients must equal it.
     """
     bound = flag_degree_bound(lam.nu)
     qs = _enough_q_values(q_list, bound)
     counts = [(q, fiber_point_count(lam, q)) for q in qs]
-    return _interpolation_verdict(counts, bound)
+    report = _interpolation_verdict(counts, bound)
+    poly = fiber_polynomial(lam)
+    if poly is not None and report.coefficients != poly:
+        raise VerificationError(
+            f"interpolated coefficients {report.coefficients} of {lam.counts} "
+            f"differ from its fiber polynomial {poly}"
+        )
+    return report
 
 
 def _orbit_weighted_fiber_sum(Q: Quiver, nu, q: int, power: int) -> int:

@@ -1,10 +1,17 @@
-"""The class-memoized fiber recursion against the plain hyperplane recursion.
+"""The class-memoized fiber recursion against the plain hyperplane recursion,
+and the fiber polynomials against the recursion over each F_q.
 
-`flag_fibers.fiber_point_count(lam, q)` expands the canonical block sum of
-each isomorphism class once, one hyperplane per orbit of its summand scalings, and keeps its
-count in one table per (quiver, field).  The reference below is the recursion
-it replaced, kept verbatim: it expands every stable hyperplane of every
-restriction, so its node count grows with the count itself.
+`flag_fibers.fiber_point_count(lam, q)` evaluates the polynomial that
+`fiber_polynomial(lam)` gets by expanding each class once over Q, and falls
+back to the recursion over F_q where a class has none.  Both expand the
+canonical block sum of each isomorphism class once per field, one hyperplane
+per orbit of its summand scalings, and keep its count in one table per
+(quiver, field).  The first reference below is the recursion they replaced,
+kept verbatim: it expands every stable hyperplane of every restriction, so
+its node count grows with the count itself.  The second is the recursion
+over F_q itself, started at a class's block sum with `_count`: the class of
+a restriction found over Q is only evidence for its class over F_p, so the
+polynomials are checked against it on a sweep of quivers, nu and q.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ import pytest
 from quiver_orders import flag_fibers
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.errors import VerificationError
-from quiver_orders.fields import galois_field
+from quiver_orders.fields import RATIONALS, galois_field
 from quiver_orders.flag_fibers import (
     _projective_coefficients,
     fiber_point_count,
+    fiber_polynomial,
     shuffle_flag_count,
     y_total_count,
     z_point_count,
@@ -152,8 +160,78 @@ def test_y_and_z_match_reference_sums(q):
     assert z_point_count(A3ZIG, nu, q) == sum(o * f * f for o, f in terms)
 
 
-def _zigzag_calls(monkeypatch, q: int) -> tuple[int, int]:
-    """(partitions, `_count` calls) for every lam of A3 1->2<-3, nu=(2,2,2)."""
+A4ZIG = quiver("A4", ((1, 2), (3, 2), (3, 4)))
+A5LIN = linear_quiver("A5")
+A5ZIG = quiver("A5", ((1, 2), (3, 2), (3, 4), (5, 4)))
+E6LIN = linear_quiver("E6")
+SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@pytest.mark.parametrize(
+    "Q,nu",
+    [
+        (A3ZIG, (2, 2, 2)), (A3ZIG, (2, 3, 2)), (A3ZIG, (3, 3, 3)),
+        (A3LIN, (2, 2, 2)), (A3LIN, (2, 3, 2)), (A3LIN, (3, 3, 3)),
+        (A4ZIG, (1, 2, 2, 1)), (A4ZIG, (2, 2, 2, 2)),
+        (A5LIN, (1, 1, 1, 1, 1)), (A5LIN, (1, 1, 2, 1, 1)),
+        (A5ZIG, (1, 1, 1, 1, 1)), (A5ZIG, (1, 1, 2, 1, 1)),
+        (D4STAR, (1, 1, 1, 1)), (D4STAR, (1, 2, 1, 1)), (D4STAR, (2, 2, 1, 1)),
+        (D4SOURCE, (1, 1, 1, 1)), (D4SOURCE, (2, 1, 1, 1)),
+        (D5LIN, (1, 1, 2, 1, 1)),
+        (E6LIN, (1, 1, 1, 1, 1, 1)), (E6LIN, (1, 1, 1, 2, 1, 1)),
+    ],
+    ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else f"{x.datum.label}{x.arrows}",
+)
+def test_fiber_polynomials_match_the_recursion_over_each_field(Q, nu):
+    kps = enumerate_kp(Q.datum, nu, adapted_order(Q))
+    polys = [fiber_polynomial(lam) for lam in kps]
+    assert None not in polys
+    for q in SWEEP_QS:
+        F = galois_field(q)
+        for lam, poly in zip(kps, polys):
+            M = rep_of_kp(lam, F)
+            assert poly(q) == flag_fibers._count(Q, F, M.dims, M.mats), (nu, q, lam.counts)
+            assert fiber_point_count(lam, q) == poly(q)
+
+
+@pytest.mark.parametrize(
+    "nu,without",
+    [
+        ((1, 2, 1, 1), [((1, 2, 1, 1),)]),
+        # the first class has no part with two functionals at the centre,
+        # but the hyperplane across its three blocks restricts to M(1,2,1,1)
+        ((1, 3, 1, 1), [((1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)),
+                        ((1, 2, 1, 1), (0, 1, 0, 0))]),
+    ],
+)
+def test_two_functionals_in_a_block_leave_no_polynomial(nu, without):
+    # At the source centre of D4SOURCE, M(1,2,1,1) has a 2-dimensional top:
+    # its class, and every class whose expansion reaches it, report no
+    # polynomial and are counted by the recursion over each F_q.
+    kps = enumerate_kp(D4SOURCE.datum, nu, adapted_order(D4SOURCE))
+    assert [lam.parts() for lam in kps if fiber_polynomial(lam) is None] == without
+    for q in (2, 3, 4):
+        F = galois_field(q)
+        for lam in kps:
+            assert fiber_point_count(lam, q) == _reference_fiber(rep_of_kp(lam, F)), (q, lam.counts)
+
+
+def test_fiber_polynomial_values():
+    # A2 1->2: M(1,1) has one stable flag and S1 + S2 has two; in
+    # M(1,1) + S1 the kernel of the map restricts to S1 + S2 and the other q
+    # hyperplanes at 1 restrict to M(1,1)
+    kps = {
+        tuple(sorted(lam.parts())): lam
+        for lam in enumerate_kp(A2.datum, (1, 1), adapted_order(A2))
+    }
+    assert fiber_polynomial(kps[((1, 1),)]) == (1,)
+    assert fiber_polynomial(kps[((0, 1), (1, 0))]) == (2,)
+    assert fiber_polynomial(_a2_pair()) == (2, 1)
+
+
+def _zigzag_calls(monkeypatch, F) -> tuple[int, int]:
+    """(partitions, `_count` calls) of the recursion over F started at the
+    block sum of every lam of A3 1->2<-3, nu=(2,2,2)."""
     calls = 0
     original = flag_fibers._count
 
@@ -166,33 +244,37 @@ def _zigzag_calls(monkeypatch, q: int) -> tuple[int, int]:
     flag_fibers._fiber_table.cache_clear()
     kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG))
     for lam in kps:
-        fiber_point_count(lam, q)
+        M = rep_of_kp(lam, F)
+        flag_fibers._count(A3ZIG, F, M.dims, M.mats)
     monkeypatch.undo()
     return len(kps), calls
 
 
 def test_recursion_visits_few_nodes(monkeypatch):
-    # The plain recursion makes 20,983 calls here; each class is expanded once.
-    partitions, calls = _zigzag_calls(monkeypatch, 7)
+    # The plain recursion makes 20,983 calls at q = 7; the pass over Q makes
+    # 2,145 when every class is expanded at every visit, and 186 when each
+    # class is expanded once.
+    partitions, calls = _zigzag_calls(monkeypatch, RATIONALS)
     # more calls than partitions: the recursion looks `_count` up as a module global
     assert partitions < calls <= 1_000
 
 
 def test_identical_restrictions_are_counted_once(monkeypatch):
-    # 446 calls when every hyperplane recurses on its own; 350 when the
-    # hyperplanes of one expansion with the same restriction share one call;
-    # 186 when, besides, one hyperplane per orbit of the summand scalings of
-    # the canonical block sum is expanded; 176 since the 10 top-level counts
-    # take their class directly and only restrictions go through `_count`.
-    partitions, calls = _zigzag_calls(monkeypatch, 7)
-    assert partitions < calls <= 360
+    # Over F_7: 446 calls when every hyperplane recurses on its own; 350 when
+    # the hyperplanes of one expansion with the same restriction share one
+    # call; 186 when, besides, one hyperplane per orbit of the summand
+    # scalings of the canonical block sum is expanded.  The pass over Q
+    # makes 186 calls, and 206 without the sharing.
+    partitions, calls = _zigzag_calls(monkeypatch, RATIONALS)
+    assert partitions < calls <= 190
 
 
 def test_node_count_does_not_grow_with_q(monkeypatch):
     # In type A every part has at most one stable functional at a vertex, so
-    # an expansion has one child per non-empty set of blocks, whatever q is.
-    counts = {_zigzag_calls(monkeypatch, q) for q in (3, 5, 7, 13)}
-    assert len(counts) == 1
+    # an expansion has one child per non-empty set of blocks, whatever q is,
+    # and the recursion over F_q visits the nodes of the one over Q.
+    counts = {_zigzag_calls(monkeypatch, galois_field(q)) for q in (3, 5, 7, 13)}
+    assert counts == {_zigzag_calls(monkeypatch, RATIONALS)}
 
 
 def _a2_pair():
@@ -200,6 +282,15 @@ def _a2_pair():
     functional each at the source 1."""
     kps = enumerate_kp(A2.datum, (2, 1), adapted_order(A2))
     return next(lam for lam in kps if (1, 1) in lam.parts())
+
+
+# the pass over Q, where counts are polynomials, and a pass over F_3
+BOTH_PASSES = (RATIONALS, galois_field(3))
+
+
+def _count_a2_pair(F):
+    M = rep_of_kp(_a2_pair(), F)
+    return flag_fibers._count(A2, F, M.dims, M.mats)
 
 
 def test_functional_spanning_two_blocks_is_rejected(monkeypatch):
@@ -212,8 +303,9 @@ def test_functional_spanning_two_blocks_is_rejected(monkeypatch):
         return [tuple(F.add(x, y) for x, y in zip(basis[0], basis[-1])), *basis[1:]]
 
     monkeypatch.setattr(flag_fibers, "nullspace", merged)
-    with pytest.raises(VerificationError, match="spans the blocks"):
-        fiber_point_count(_a2_pair(), 3)
+    for F in BOTH_PASSES:
+        with pytest.raises(VerificationError, match="spans the blocks"):
+            _count_a2_pair(F)
 
 
 def test_orbit_weights_short_of_the_hyperplanes_are_rejected(monkeypatch):
@@ -223,5 +315,6 @@ def test_orbit_weights_short_of_the_hyperplanes_are_rejected(monkeypatch):
         "_projective_coefficients",
         lambda F, c: itertools.islice(original(F, c), 1, None),
     )
-    with pytest.raises(VerificationError, match="do not add up"):
-        fiber_point_count(_a2_pair(), 3)
+    for F in BOTH_PASSES:
+        with pytest.raises(VerificationError, match="do not add up"):
+            _count_a2_pair(F)

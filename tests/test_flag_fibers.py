@@ -8,10 +8,12 @@ import pytest
 
 from quiver_orders import flag_fibers
 from quiver_orders.convex_order import adapted_order
+from quiver_orders.errors import VerificationError
 from quiver_orders.fields import galois_field
 from quiver_orders.flag_fibers import (
     _interpolation_verdict,
     fiber_point_count,
+    fiber_polynomial,
     flag_degree_bound,
     interpolate_fiber_polynomial,
     lagrange_coefficients,
@@ -291,6 +293,25 @@ def test_interpolation_consistent_small():
     # the polynomial reproduces a directly computed count
     val = sum(c * 2**k for k, c in enumerate(report.coefficients))
     assert val == fiber_point_count(lam, 2)
+
+
+def test_interpolation_equals_the_fiber_polynomial():
+    lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))  # nu = (0, 2, 2)
+    report = interpolate_fiber_polynomial(lam, prime_powers(9))
+    assert report.coefficients == fiber_polynomial(lam)
+
+
+def test_interpolation_off_the_fiber_polynomial_is_rejected(monkeypatch):
+    original = flag_fibers.lagrange_coefficients
+
+    def shifted(points):
+        coeffs = original(points)
+        return (coeffs[0] + 1, *coeffs[1:])
+
+    monkeypatch.setattr(flag_fibers, "lagrange_coefficients", shifted)
+    lam = KostantPartition(adapted_order(A2), (1, 1, 0))
+    with pytest.raises(VerificationError, match="differ from its fiber polynomial"):
+        interpolate_fiber_polynomial(lam, prime_powers(9))
 
 
 def test_interpolation_insufficient_points():
