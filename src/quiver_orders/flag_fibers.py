@@ -30,8 +30,10 @@ representative hyperplane sum_{b in S} f_b and the weight do not depend on
 q.  So `fiber_polynomial(lam)` expands each class once, over Q, with weights
 in Z[q], and gets its count as a polynomial in q (ascending int
 coefficients); `fiber_point_count` evaluates it.  That a restriction has the
-same class over every F_q as over Q is not shown here; the tests compare the
-polynomials with the recursion over F_q on a sweep.  A class with a block
+same class over every F_q as over Q is not shown here: the tests compare the
+polynomials with the recursion over F_q on a sweep, and
+`interpolate_fiber_polynomial` checks each one at its held-out q against the
+recursion over F_q alone, which never reads a polynomial.  A class with a block
 that has two or more functionals at a vertex has no polynomial here (its
 hyperplanes are the points of a projective space over F_q, and their
 restrictions fall into classes that depend on the point), and neither has
@@ -257,24 +259,29 @@ def _expand(lam: KostantPartition, F):
     return total
 
 
+def _recursion_count(lam: KostantPartition, F):
+    """The fiber count of M(lam) over F by the recursion over F alone."""
+    if all(sum(b) == 1 for b in lam.parts()):
+        return shuffle_flag_count(lam.nu, _q_of(F))
+    return _class_count(lam, F)
+
+
 def fiber_polynomial(lam: KostantPartition) -> tuple[int, ...] | None:
     """The fiber count of M(lam) as a polynomial in q, from one expansion of
     each class over Q: a tuple of ascending int coefficients, which evaluates
     at q when called.  None when some class of the recursion has a block
     with two or more stable functionals at a vertex."""
-    if all(sum(b) == 1 for b in lam.parts()):
-        return shuffle_flag_count(lam.nu, _q_of(RATIONALS))
-    return _class_count(lam, RATIONALS)
+    return _recursion_count(lam, RATIONALS)
 
 
 def fiber_point_count(lam: KostantPartition, q: int) -> int:
     """Number of complete stable graded flags of M(lam) over F_q: its fiber
     polynomial at q, or the recursion over F_q where it has none."""
-    factor_prime_power(q)  # rejects a q that is not a prime power
+    F = galois_field(q)
     poly = fiber_polynomial(lam)
     if poly is not None:
         return poly(q)
-    return _class_count(lam, galois_field(q))
+    return _recursion_count(lam, F)
 
 
 def flag_degree_bound(nu: tuple[int, ...]) -> int:
@@ -346,12 +353,16 @@ def interpolate_fiber_polynomial(lam: KostantPartition, q_list) -> Interpolation
     Uses the first degree_bound+1 of the sorted q values as nodes and
     verifies the polynomial on all remaining ones; the verdict is
     "consistent-with-even" when the coefficients are non-negative integers
-    and every held-out value matches.  Where lam has a fiber polynomial, the
-    interpolated coefficients must equal it.
+    and every held-out value matches.  The nodes are counted by
+    `fiber_point_count`, the held-out values by the recursion over F_q
+    alone, so a fiber polynomial is checked there against counts that do
+    not use it.  Where lam has a fiber polynomial, the interpolated
+    coefficients must equal it.
     """
     bound = flag_degree_bound(lam.nu)
     qs = _enough_q_values(q_list, bound)
-    counts = [(q, fiber_point_count(lam, q)) for q in qs]
+    counts = [(q, fiber_point_count(lam, q)) for q in qs[: bound + 1]]
+    counts += [(q, _recursion_count(lam, galois_field(q))) for q in qs[bound + 1 :]]
     report = _interpolation_verdict(counts, bound)
     poly = fiber_polynomial(lam)
     if poly is not None and report.coefficients != poly:

@@ -9,7 +9,7 @@ import pytest
 from quiver_orders import flag_fibers
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.errors import VerificationError
-from quiver_orders.fields import galois_field
+from quiver_orders.fields import RATIONALS, galois_field
 from quiver_orders.flag_fibers import (
     _interpolation_verdict,
     fiber_point_count,
@@ -312,6 +312,25 @@ def test_interpolation_off_the_fiber_polynomial_is_rejected(monkeypatch):
     lam = KostantPartition(adapted_order(A2), (1, 1, 0))
     with pytest.raises(VerificationError, match="differ from its fiber polynomial"):
         interpolate_fiber_polynomial(lam, prime_powers(9))
+
+
+def test_held_out_counts_do_not_use_the_fiber_polynomial(monkeypatch):
+    lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))  # nu = (0, 2, 2)
+    poly = fiber_polynomial(lam)
+    assert interpolate_fiber_polynomial(lam, prime_powers(9)).verdict == "consistent-with-even"
+    table = flag_fibers._fiber_table(lam.quiver, RATIONALS)
+    monkeypatch.setitem(table, lam.counts, poly + (0, 0, 1))  # a wrong polynomial
+    report = interpolate_fiber_polynomial(lam, prime_powers(9))
+    assert report.coefficients == table[lam.counts]  # the nodes read it
+    assert report.verdict == "evidence-against"  # the held-out counts over F_q do not
+
+
+@pytest.mark.parametrize("q", [6, 2048])
+def test_fiber_point_count_takes_only_the_q_of_a_field_it_builds(q):
+    lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))
+    assert fiber_polynomial(lam) is not None  # even where no field is needed
+    with pytest.raises(ValueError):
+        fiber_point_count(lam, q)
 
 
 def test_interpolation_insufficient_points():
