@@ -3,9 +3,12 @@ orbit point counts.
 
 A representation assigns dims[i-1] to vertex i and to each arrow a: s -> t a
 matrix of shape dims[t-1] x dims[s-1] (rows act on the source coordinates).
-Indecomposables are constructed by walking the canonical adapted word of the
-quiver backwards with reflection functors, one simple at a time; by Gabriel's
-theorem this yields one indecomposable per positive root over any field.
+Indecomposables are built with reflection functors: the first n by walking
+a sink sequence c of the quiver (each vertex once, so sigma_c Q = Q)
+backwards from a simple, and every other one by applying the Coxeter
+functor, the reflections at c_n down to c_1, to the module before it in its
+orbit.  By Gabriel's theorem these orbits reach each positive root once over
+any field.
 Reflection functors are built at sources only; a sink is handled by duality,
 S+_i = D S-_i D, where D reverses every arrow and transposes every matrix.
 Isomorphism classes are read off Hom counts: in the adapted order the Hom
@@ -30,7 +33,7 @@ from .kostant import KostantPartition
 # rref is unused here, but benchmarks/test_benchmark.py checks that tracing rebinds reps.rref
 from .linalg import Matrix, _eliminate, nullspace, rref, transpose, zeros  # noqa: F401
 from .quivers import Quiver, reflect_quiver, sinks, sources
-from .root_system import Root, reflect_root
+from .root_system import Root, is_positive, reflect_root
 
 
 @dataclass(frozen=True)
@@ -173,33 +176,68 @@ def bgp_reflect_rep(i: int, M: QuiverRep) -> QuiverRep:
     raise ValueError(f"vertex {i} is neither a sink nor a source")
 
 
-@functools.cache
-def all_indecomposables(Q: Quiver, field) -> dict[Root, QuiverRep]:
-    """The indecomposable representation for each positive root, by walking
-    the canonical adapted word backwards with reflection functors."""
-    order = adapted_order(Q)
-    word = order.word
-    chain = [Q]
-    for m in range(len(word) - 1):
-        chain.append(reflect_quiver(word[m], chain[-1]))
+def _coxeter_orbits(Q: Quiver, field):
+    """Yield each indecomposable once, orbit by orbit of the Coxeter functor.
+
+    c takes the smallest sink of the quiver reflected so far that c does not
+    hold yet, so c_m is a source of sigma_{c_m}...sigma_{c_1} Q and the walk
+    back from the simple at c_j ends on Q.  Each orbit stops where the
+    Coxeter image of the root is not positive; every reflection's dims are
+    checked against `reflect_root`.
+    """
     datum = Q.datum
-    out: dict[Root, QuiverRep] = {}
-    for k in range(len(word)):
-        X = simple_rep(chain[k], field, word[k])
-        expected = datum.alpha(word[k])
-        for m in range(k - 1, -1, -1):
-            X = bgp_reflect_rep(word[m], X)
-            expected = reflect_root(datum, word[m], expected)
+    c: list[int] = []
+    chain = [Q]
+    for _ in datum.vertices():
+        c.append(min(i for i in sinks(chain[-1]) if i not in c))
+        chain.append(reflect_quiver(c[-1], chain[-1]))
+
+    def reflect_back(X: QuiverRep, letters: list[int]) -> QuiverRep:
+        expected = X.dims
+        for i in reversed(letters):
+            X = bgp_reflect_rep(i, X)
+            expected = reflect_root(datum, i, expected)
             if X.dims != expected:
                 raise VerificationError(
-                    f"reflection walk for beta_{k+1} produced dims {X.dims}, expected {expected}"
+                    f"reflection at {i} produced dims {X.dims}, expected {expected}"
                 )
-        if X.dims != order.beta[k]:
-            raise VerificationError("walk did not land on the expected root")
+        return X
+
+    for j, i in enumerate(c):
+        X = reflect_back(simple_rep(chain[j], field, i), c[:j])
+        while True:
+            yield X
+            image = X.dims
+            for i in reversed(c):
+                image = reflect_root(datum, i, image)
+            if not is_positive(image):
+                break
+            X = reflect_back(X, c)
+
+
+@functools.cache
+def all_indecomposables(Q: Quiver, field) -> dict[Root, QuiverRep]:
+    """The indecomposable representation for each positive root, keyed in
+    the adapted order.
+
+    The modules come from `_coxeter_orbits`: n(n-1)/2 reflections for the
+    first round and n for each later module, at most N*n in all.  Each root
+    must be reached exactly once, by a module with a one-dimensional
+    endomorphism space.
+    """
+    beta = adapted_order(Q).beta
+    found: dict[Root, QuiverRep] = {}
+    for X in _coxeter_orbits(Q, field):
+        if X.dims in found:
+            raise VerificationError(f"Coxeter orbits reach {X.dims} twice")
         if hom_dim(X, X) != 1:
-            raise VerificationError(f"endomorphism dim of M({order.beta[k]}) is not 1")
-        out[order.beta[k]] = X
-    return out
+            raise VerificationError(f"endomorphism dim of M({X.dims}) is not 1")
+        found[X.dims] = X
+    if found.keys() != set(beta):
+        raise VerificationError(
+            f"Coxeter orbits reach {len(found)} roots, not the {len(beta)} positive roots"
+        )
+    return {b: found[b] for b in beta}
 
 
 def indecomposable(Q: Quiver, beta: Root, field) -> QuiverRep:
