@@ -208,8 +208,8 @@ def _coxeter_orbits(Q: Quiver, field):
         while True:
             yield X
             image = X.dims
-            for i in reversed(c):
-                image = reflect_root(datum, i, image)
+            for v in reversed(c):
+                image = reflect_root(datum, v, image)
             if not is_positive(image):
                 break
             X = reflect_back(X, c)
