@@ -3,16 +3,17 @@
 Run from the repository root:  python3 demos/roots_and_convex_orders.py [TYPE]
 """
 
+import itertools
 import sys
 
 from quiver_orders import (
+    Quiver,
     adapted_word_of_w0,
     build_order,
     cartan_datum,
     linear_quiver,
     pairing_sign_report,
     positive_roots,
-    reduced_words_of_w0,
 )
 
 
@@ -25,14 +26,15 @@ def show_roots(label):
     print()
 
 
-def show_reduced_words(label):
+def show_adapted_words(label):
+    """One reduced word of w0 per orientation: its adapted word."""
     datum = cartan_datum(label)
-    words = reduced_words_of_w0(datum)
-    print(f"{label}: w0 has {len(words)} reduced words")
-    for w in words[:6]:
-        print("   ", " ".join(str(i) for i in w))
-    if len(words) > 6:
-        print(f"    ... and {len(words) - 6} more")
+    print(f"{label}: the adapted reduced word of w0 for each orientation")
+    for flips in itertools.product((False, True), repeat=len(datum.edges)):
+        arrows = tuple((j, i) if f else (i, j) for (i, j), f in zip(datum.edges, flips))
+        word = adapted_word_of_w0(Quiver(datum, arrows))
+        shown = ", ".join(f"{s}->{t}" for s, t in arrows)
+        print(f"    {shown:<12}", " ".join(str(i) for i in word))
     print()
 
 
@@ -58,16 +60,16 @@ def show_adapted(label):
     word = adapted_word_of_w0(Q)
     print(f"sink-adapted word for the linear {label} quiver {Q.arrows}:")
     print("   ", " ".join(str(i) for i in word))
-    # note: picking the least sink greedily at each step does not stay
-    # reduced here; the search has to backtrack to find this word
+    # each letter is the least sink whose column is a positive root; the
+    # least sink alone would end the word with 1, which is not reduced
     print()
 
 
 def main():
     label = sys.argv[1] if len(sys.argv) > 1 else "A3"
     show_roots(label)
-    show_reduced_words("A2")
-    show_reduced_words("A3")
+    show_adapted_words("A2")
+    show_adapted_words("A3")
     show_order("A2", (2, 1, 2))
     show_adapted("A3")
 

@@ -11,9 +11,7 @@ from .flag_fibers import (
     flag_degree_bound,
     interpolate_fiber_polynomial,
     prime_powers,
-    y_total_count,
     z_point_count,
-    z_polynomial_report,
 )
 from .geometry import (
     baumann_check,
@@ -37,7 +35,6 @@ from .pbw import in_ker_locus, order_compat, reflect_kp, verify_reflection
 from .quivers import (
     Quiver,
     adapted_word_of_w0,
-    commutation_class,
     is_adapted,
     linear_quiver,
     parse_quiver_file,
@@ -50,11 +47,9 @@ from .reps import (
     QuiverRep,
     all_indecomposables,
     bgp_reflect_rep,
-    direct_sum,
     dual_rep,
     hom_dim,
     hom_matrix,
-    indecomposable,
     iso_class,
     orbit_point_count,
     rep_of_kp,
@@ -66,11 +61,8 @@ from .root_system import (
     CartanDatum,
     beta_sequence,
     cartan_datum,
-    is_reduced,
     pairing,
     positive_roots,
-    reduced_words_of_w0,
-    reflect_coweight,
     reflect_root,
 )
 

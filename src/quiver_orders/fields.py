@@ -17,6 +17,7 @@ are built only for q <= _MAX_TABLE_ORDER.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 
@@ -57,7 +58,7 @@ class Rationals:
 
 class PrimeField:
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.order = p
@@ -186,20 +187,21 @@ RATIONALS = Rationals()
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, r) with q = p^r, or raise ValueError."""
+    """Return (p, r) with q = p^r, or raise ValueError.
+
+    The least divisor p > 1 of q is prime; it is q itself when no d up to
+    isqrt(q) divides q.
+    """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, r
-    raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    r, m = 0, q
+    while m % p == 0:
+        m //= p
+        r += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, r
 
 
 @functools.cache

@@ -373,34 +373,20 @@ def interpolate_fiber_polynomial(lam: KostantPartition, q_list) -> Interpolation
     return report
 
 
-def _orbit_weighted_fiber_sum(Q: Quiver, nu, q: int, power: int) -> int:
-    """Sum over partitions lam of KP(nu) of orbit(lam) * fiber(lam)**power."""
-    return sum(
-        orbit_point_count(lam, q) * fiber_point_count(lam, q) ** power
-        for lam in enumerate_kp(Q.datum, nu, adapted_order(Q))
-    )
-
-
-def y_total_count(Q: Quiver, nu: tuple[int, ...], q: int) -> int:
-    """Points of the total space of stable-flag pairs: sum of orbit * fiber."""
-    return _orbit_weighted_fiber_sum(Q, nu, q, 1)
-
-
 def z_point_count(Q: Quiver, nu: tuple[int, ...], q: int) -> int:
-    """Points of the fibre square: sum over partitions of orbit * fiber^2."""
-    return _orbit_weighted_fiber_sum(Q, nu, q, 2)
+    """Points of the fibre square: sum over partitions of orbit * fiber^2.
 
-
-def z_degree_bound(Q: Quiver, nu: tuple[int, ...]) -> int:
-    return rep_space_dim(Q, nu) + 2 * flag_degree_bound(nu)
-
-
-def z_polynomial_report(Q: Quiver, nu: tuple[int, ...], q_list) -> InterpolationReport:
-    """Interpolation verdict for the fibre-square count as a polynomial in q."""
-    bound = z_degree_bound(Q, nu)
-    qs = _enough_q_values(q_list, bound)
-    counts = [(q, z_point_count(Q, nu, q)) for q in qs]
-    return _interpolation_verdict(counts, bound)
+    The orbits partition the representation space, so their point counts
+    are checked to add up to q^rep_space_dim(Q, nu).
+    """
+    points = total = 0
+    for lam in enumerate_kp(Q.datum, nu, adapted_order(Q)):
+        orbit = orbit_point_count(lam, q)
+        points += orbit
+        total += orbit * fiber_point_count(lam, q) ** 2
+    if points != q ** rep_space_dim(Q, nu):
+        raise VerificationError(f"orbits of {nu} over F_{q} do not cover the representation space")
+    return total
 
 
 def prime_powers(count: int) -> tuple[int, ...]:

@@ -117,12 +117,6 @@ class KostantPartition:
             out.extend([b] * c)
         return tuple(out)
 
-    def support_multiset(self) -> tuple[tuple[Root, int], ...]:
-        """Canonical word-independent form: sorted (root, multiplicity) pairs."""
-        return tuple(
-            sorted((b, c) for c, b in zip(self.counts, self.order.beta) if c > 0)
-        )
-
 
 def enumerate_kp(
     datum, nu: tuple[int, ...], order: ConvexOrder, cap: int | None = None

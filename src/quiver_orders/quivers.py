@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import CapExceeded
 from .root_system import (
     CartanDatum,
     Word,
@@ -14,9 +13,6 @@ from .root_system import (
     num_positive_roots,
     times_simple,
 )
-
-# commutation_class raises CapExceeded past this many words
-_COMMUTATION_CLASS_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -90,53 +86,23 @@ def is_adapted(w: Word, Q: Quiver) -> bool:
 def adapted_word_of_w0(Q: Quiver) -> Word:
     """The lexicographically least reduced word of w0 adapted to Q.
 
-    Depth-first search over sink choices; a candidate sink i is only viable
-    when the current prefix sends alpha_i to a positive root (so the word is
-    reduced by construction), and the search backtracks from dead ends.  The
-    result is checked to be adapted; `build_order` checks the rest.
+    Each letter is the smallest sink of the quiver reflected so far whose
+    column under the prefix is a positive root, so the word is reduced by
+    construction.  Picking the smallest sink without that test can leave the
+    word unreduced (on the linear A3 quiver, for one).  The result is checked
+    to be adapted; `build_order` checks the rest.
     """
     datum = Q.datum
-    total = num_positive_roots(datum)
-
-    def search(current: Quiver, cols: list[tuple[int, ...]], word: list[int]) -> Word | None:
-        if len(word) == total:
-            return tuple(word)
-        for i in sinks(current):
-            if not is_positive(cols[i - 1]):
-                continue
-            word.append(i)
-            found = search(reflect_quiver(i, current), times_simple(datum, cols, i), word)
-            if found is not None:
-                return found
-            word.pop()
-        return None
-
-    word = search(Q, [datum.alpha(j) for j in datum.vertices()], [])
-    if word is None:
-        raise RuntimeError(f"no adapted reduced word of w0 found for {Q}")
-    if not is_adapted(word, Q):
+    current, cols, word = Q, [datum.alpha(j) for j in datum.vertices()], []
+    for _ in range(num_positive_roots(datum)):
+        i = next((i for i in sinks(current) if is_positive(cols[i - 1])), None)
+        if i is None:
+            raise RuntimeError(f"no adapted reduced word of w0 found for {Q}")
+        word.append(i)
+        current, cols = reflect_quiver(i, current), times_simple(datum, cols, i)
+    if not is_adapted(tuple(word), Q):
         raise RuntimeError("adapted word failed verification")
-    return word
-
-
-def commutation_class(datum: CartanDatum, w: Word) -> tuple[Word, ...]:
-    """All words reachable from w by swapping adjacent commuting letters, sorted."""
-    seen = {tuple(w)}
-    frontier = [tuple(w)]
-    while frontier:
-        u = frontier.pop()
-        for k in range(len(u) - 1):
-            a, b = u[k], u[k + 1]
-            if a != b and datum.cartan[a - 1][b - 1] == 0:
-                v = u[:k] + (b, a) + u[k + 2 :]
-                if v not in seen:
-                    if len(seen) >= _COMMUTATION_CLASS_CAP:
-                        raise CapExceeded(
-                            f"commutation class larger than {_COMMUTATION_CLASS_CAP}"
-                        )
-                    seen.add(v)
-                    frontier.append(v)
-    return tuple(sorted(seen))
+    return tuple(word)
 
 
 def parse_quiver_file(text: str) -> Quiver:

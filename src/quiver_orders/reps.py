@@ -75,11 +75,6 @@ def _require_same_context(M: QuiverRep, N: QuiverRep) -> None:
         raise ValueError("representations live over different fields")
 
 
-def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
-    _require_same_context(M, N)
-    return _block_sum(M.quiver, M.field, (M, N))
-
-
 def _block_sum(Q: Quiver, F, parts) -> QuiverRep:
     """The direct sum of `parts`, with block-diagonal matrices, in one pass."""
     dims = tuple(sum(P.dims[i] for P in parts) for i in range(Q.datum.n))
@@ -238,13 +233,6 @@ def all_indecomposables(Q: Quiver, field) -> dict[Root, QuiverRep]:
             f"Coxeter orbits reach {len(found)} roots, not the {len(beta)} positive roots"
         )
     return {b: found[b] for b in beta}
-
-
-def indecomposable(Q: Quiver, beta: Root, field) -> QuiverRep:
-    reps = all_indecomposables(Q, field)
-    if beta not in reps:
-        raise ValueError(f"{beta} is not a positive root of {Q.datum.label}")
-    return reps[beta]
 
 
 @functools.cache

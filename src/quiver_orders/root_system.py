@@ -19,14 +19,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import CapExceeded
-
 Root = tuple[int, ...]
 Coweight = tuple[int, ...]
 Word = tuple[int, ...]
-
-# reduced_words_of_w0 raises CapExceeded past this many words
-_REDUCED_WORDS_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,8 @@ def _series_edges(family: str, n: int) -> tuple[tuple[int, int], ...]:
 
 @functools.cache
 def cartan_datum(label: str) -> CartanDatum:
-    """Build the Cartan datum for a type label such as "A3", "D4", "E8"."""
+    """Build the Cartan datum for a type label such as "A3", "D4", "E8";
+    equal types give equal data ("a03" and "A3" both give label "A3")."""
     label = label.strip().upper()
     if len(label) < 2 or label[0] not in "ADE" or not label[1:].isdigit():
         raise ValueError(f"not a simply-laced type label: {label!r}")
@@ -88,7 +84,7 @@ def cartan_datum(label: str) -> CartanDatum:
         )
         for i in range(1, n + 1)
     )
-    datum = CartanDatum(label=label, n=n, cartan=cartan, edges=edges)
+    datum = CartanDatum(label=f"{family}{n}", n=n, cartan=cartan, edges=edges)
     _check_connected(datum)
     return datum
 
@@ -124,13 +120,6 @@ def reflect_root(datum: CartanDatum, i: int, v: Root) -> Root:
     a = datum.cartan[i - 1]
     delta = sum(a[j] * v[j] for j in range(datum.n))
     return tuple(v[j] - delta if j == i - 1 else v[j] for j in range(datum.n))
-
-
-def reflect_coweight(datum: CartanDatum, i: int, x: Coweight) -> Coweight:
-    """Simple reflection s_i on coweight coordinates; every coordinate may change."""
-    a = datum.cartan[i - 1]
-    c = x[i - 1]
-    return tuple(x[j] - c * a[j] for j in range(datum.n))
 
 
 def root_height(v: Root) -> int:
@@ -172,53 +161,14 @@ def times_simple(datum: CartanDatum, cols: list[Root], i: int) -> list[Root]:
     return [tuple(x - a[j] * c for x, c in zip(col, ci)) for j, col in enumerate(cols)]
 
 
-def _beta_partials(datum: CartanDatum, w: Word) -> list[Root]:
-    """beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}) for each position k of w."""
+def beta_sequence(datum: CartanDatum, w: Word) -> tuple[Root, ...]:
+    """The roots beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}) attached to the
+    positions of a word (any word)."""
     cols = [datum.alpha(j) for j in datum.vertices()]
     out: list[Root] = []
     for i in w:
-        out.append(cols[i - 1])
-        cols = times_simple(datum, cols, i)
-    return out
-
-
-def beta_sequence(datum: CartanDatum, w: Word) -> tuple[Root, ...]:
-    """The roots beta_k attached to the positions of a word (any word)."""
-    _validate_word(datum, w)
-    return tuple(_beta_partials(datum, w))
-
-
-def is_reduced(datum: CartanDatum, w: Word) -> bool:
-    """A word is reduced iff every beta_k is a positive root."""
-    _validate_word(datum, w)
-    return all(is_positive(b) for b in _beta_partials(datum, w))
-
-
-def _validate_word(datum: CartanDatum, w: Word) -> None:
-    for i in w:
         if not 1 <= i <= datum.n:
             raise ValueError(f"letter {i} outside 1..{datum.n}")
-
-
-def reduced_words_of_w0(datum: CartanDatum) -> tuple[Word, ...]:
-    """All reduced words for the longest element, in lexicographic order.
-
-    Raises CapExceeded if there are more than _REDUCED_WORDS_CAP of them.
-    """
-    total = num_positive_roots(datum)
-    out: list[Word] = []
-
-    def extend(cols: list[Root], word: list[int]) -> None:
-        if len(word) == total:
-            if len(out) >= _REDUCED_WORDS_CAP:
-                raise CapExceeded(f"more than {_REDUCED_WORDS_CAP} reduced words")
-            out.append(tuple(word))
-            return
-        for i in datum.vertices():
-            if is_positive(cols[i - 1]):
-                word.append(i)
-                extend(times_simple(datum, cols, i), word)
-                word.pop()
-
-    extend([datum.alpha(j) for j in datum.vertices()], [])
+        out.append(cols[i - 1])
+        cols = times_simple(datum, cols, i)
     return tuple(out)

@@ -1,0 +1,149 @@
+"""Routines only the tests call: enumerations, an older search and small
+helpers, kept here as independent oracles for the package.
+
+`searched_adapted_word` is the depth-first search that `adapted_word_of_w0`
+replaced with one greedy loop; the others left the package because nothing
+in it calls them.
+"""
+
+from __future__ import annotations
+
+from quiver_orders.convex_order import adapted_order
+from quiver_orders.flag_fibers import (
+    InterpolationReport,
+    _enough_q_values,
+    _interpolation_verdict,
+    fiber_point_count,
+    flag_degree_bound,
+    z_point_count,
+)
+from quiver_orders.kostant import KostantPartition, enumerate_kp
+from quiver_orders.quivers import Quiver, reflect_quiver, sinks
+from quiver_orders.reps import (
+    QuiverRep,
+    _block_sum,
+    _require_same_context,
+    all_indecomposables,
+    orbit_point_count,
+    rep_space_dim,
+)
+from quiver_orders.root_system import (
+    CartanDatum,
+    Coweight,
+    Root,
+    Word,
+    beta_sequence,
+    is_positive,
+    num_positive_roots,
+    times_simple,
+)
+
+
+def reduced_words_of_w0(datum: CartanDatum) -> tuple[Word, ...]:
+    """All reduced words for the longest element, in lexicographic order."""
+    total = num_positive_roots(datum)
+    out: list[Word] = []
+
+    def extend(cols: list[Root], word: list[int]) -> None:
+        if len(word) == total:
+            out.append(tuple(word))
+            return
+        for i in datum.vertices():
+            if is_positive(cols[i - 1]):
+                word.append(i)
+                extend(times_simple(datum, cols, i), word)
+                word.pop()
+
+    extend([datum.alpha(j) for j in datum.vertices()], [])
+    return tuple(out)
+
+
+def is_reduced(datum: CartanDatum, w: Word) -> bool:
+    """A word is reduced iff every beta_k is a positive root."""
+    return all(is_positive(b) for b in beta_sequence(datum, w))
+
+
+def reflect_coweight(datum: CartanDatum, i: int, x: Coweight) -> Coweight:
+    """Simple reflection s_i on coweight coordinates; every coordinate may change."""
+    a = datum.cartan[i - 1]
+    c = x[i - 1]
+    return tuple(x[j] - c * a[j] for j in range(datum.n))
+
+
+def commutation_class(datum: CartanDatum, w: Word) -> tuple[Word, ...]:
+    """All words reachable from w by swapping adjacent commuting letters, sorted."""
+    seen = {tuple(w)}
+    frontier = [tuple(w)]
+    while frontier:
+        u = frontier.pop()
+        for k in range(len(u) - 1):
+            a, b = u[k], u[k + 1]
+            if a != b and datum.cartan[a - 1][b - 1] == 0:
+                v = u[:k] + (b, a) + u[k + 2 :]
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return tuple(sorted(seen))
+
+
+def searched_adapted_word(Q: Quiver) -> Word | None:
+    """The lexicographically least reduced word of w0 adapted to Q, by
+    depth-first search over sink choices that backtracks from dead ends.
+
+    A candidate sink i is only viable when the current prefix sends alpha_i
+    to a positive root, so the word is reduced by construction.
+    """
+    datum = Q.datum
+    total = num_positive_roots(datum)
+
+    def search(current: Quiver, cols: list[Root], word: list[int]) -> Word | None:
+        if len(word) == total:
+            return tuple(word)
+        for i in sinks(current):
+            if not is_positive(cols[i - 1]):
+                continue
+            word.append(i)
+            found = search(reflect_quiver(i, current), times_simple(datum, cols, i), word)
+            if found is not None:
+                return found
+            word.pop()
+        return None
+
+    return search(Q, [datum.alpha(j) for j in datum.vertices()], [])
+
+
+def support_multiset(lam: KostantPartition) -> tuple[tuple[Root, int], ...]:
+    """Canonical word-independent form: sorted (root, multiplicity) pairs."""
+    return tuple(sorted((b, c) for c, b in zip(lam.counts, lam.order.beta) if c > 0))
+
+
+def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
+    _require_same_context(M, N)
+    return _block_sum(M.quiver, M.field, (M, N))
+
+
+def indecomposable(Q: Quiver, beta: Root, field) -> QuiverRep:
+    reps = all_indecomposables(Q, field)
+    if beta not in reps:
+        raise ValueError(f"{beta} is not a positive root of {Q.datum.label}")
+    return reps[beta]
+
+
+def y_total_count(Q: Quiver, nu: tuple[int, ...], q: int) -> int:
+    """Points of the total space of stable-flag pairs: sum of orbit * fiber."""
+    return sum(
+        orbit_point_count(lam, q) * fiber_point_count(lam, q)
+        for lam in enumerate_kp(Q.datum, nu, adapted_order(Q))
+    )
+
+
+def z_degree_bound(Q: Quiver, nu: tuple[int, ...]) -> int:
+    return rep_space_dim(Q, nu) + 2 * flag_degree_bound(nu)
+
+
+def z_polynomial_report(Q: Quiver, nu: tuple[int, ...], q_list) -> InterpolationReport:
+    """Interpolation verdict for the fibre-square count as a polynomial in q."""
+    bound = z_degree_bound(Q, nu)
+    qs = _enough_q_values(q_list, bound)
+    counts = [(q, z_point_count(Q, nu, q)) for q in qs]
+    return _interpolation_verdict(counts, bound)

@@ -30,11 +30,8 @@ from quiver_orders.kostant import (
 from quiver_orders.pbw import in_ker_locus, order_compat, verify_reflection
 from quiver_orders.quivers import linear_quiver, quiver, sinks
 from quiver_orders.reps import orbit_point_count, rep_space_dim
-from quiver_orders.root_system import (
-    cartan_datum,
-    num_positive_roots,
-    reduced_words_of_w0,
-)
+from quiver_orders.root_system import cartan_datum, num_positive_roots
+from oracles import reduced_words_of_w0
 from test_kostant import order_invariant_on_class
 
 EXPECTED_LEDGER = OrientationLedger("reversed", "transposed", "first-factor")

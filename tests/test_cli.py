@@ -66,6 +66,17 @@ def test_order_adapted(capsys, a2_file):
     assert out.startswith("word: 2 1 2")
 
 
+def test_order_adapted_accepts_an_equal_type_label(capsys, tmp_path):
+    path = tmp_path / "a3.quiver"
+    path.write_text("type A03\n1 -> 2\n2 -> 3\n")
+    assert main(["order", "A3", "--adapted", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("word: 3 2 1 3 2 3\n")
+    assert main(["order", "a3", "--adapted", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["order", "A4", "--adapted", str(path)]) == 2
+    assert "quiver file type does not match TYPE" in capsys.readouterr().err
+
+
 def test_order_needs_exactly_one_source(capsys, a2_file):
     assert main(["order", "A2"]) == 2
     capsys.readouterr()

@@ -6,13 +6,9 @@ import pytest
 
 from quiver_orders.convex_order import adapted_order, build_order, pairing_sign_report
 from quiver_orders.kostant import KostantPartition
-from quiver_orders.quivers import adapted_word_of_w0, commutation_class, is_adapted, quiver
-from quiver_orders.root_system import (
-    cartan_datum,
-    pairing,
-    reduced_words_of_w0,
-    reflect_coweight,
-)
+from quiver_orders.quivers import adapted_word_of_w0, is_adapted, quiver
+from quiver_orders.root_system import cartan_datum, pairing
+from oracles import commutation_class, reduced_words_of_w0, reflect_coweight
 
 
 def test_a2_order_data_exact():

@@ -29,13 +29,13 @@ from quiver_orders.flag_fibers import (
     fiber_point_count,
     fiber_polynomial,
     shuffle_flag_count,
-    y_total_count,
     z_point_count,
 )
 from quiver_orders.kostant import enumerate_kp
 from quiver_orders.linalg import nullspace
 from quiver_orders.quivers import Quiver, linear_quiver, quiver
 from quiver_orders.reps import orbit_point_count, rep_of_kp
+from oracles import y_total_count
 
 A2 = quiver("A2", ((1, 2),))
 A3LIN = linear_quiver("A3")

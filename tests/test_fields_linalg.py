@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,46 @@ def test_extension_field_characteristic(q, p, r):
         if k < p:
             assert x != F.zero
     assert x == F.zero  # 1 added p times vanishes, not earlier
+
+
+def _trial_division_prime_power(q):
+    """`factor_prime_power` as it was, trial-dividing by every d up to q."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    for p in range(2, q + 1):
+        if q % p == 0:
+            r, m = 0, q
+            while m % p == 0:
+                m //= p
+                r += 1
+            if m != 1:
+                raise ValueError(f"{q} is not a prime power")
+            return p, r
+
+
+def test_factor_prime_power_accepts_the_same_q_as_trial_division():
+    for q in range(-2, 3000):
+        try:
+            expected = _trial_division_prime_power(q)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                factor_prime_power(q)
+        else:
+            assert factor_prime_power(q) == expected
+
+
+def test_factor_prime_power_stops_at_the_square_root():
+    t0 = time.perf_counter()
+    assert factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
+    assert PrimeField(1_000_000_007).order == 1_000_000_007
+    assert time.perf_counter() - t0 < 2.0
+    assert factor_prime_power(1024) == (2, 10)
+    for q in (1, 12):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            factor_prime_power(q)
+    for square in (4, 9, 25, 49, 121, 169):
+        with pytest.raises(ValueError, match="is not prime"):
+            PrimeField(square)
 
 
 def test_prime_field_basics():

@@ -20,14 +20,12 @@ from quiver_orders.flag_fibers import (
     prime_powers,
     q_factorial,
     shuffle_flag_count,
-    y_total_count,
-    z_degree_bound,
     z_point_count,
-    z_polynomial_report,
 )
 from quiver_orders.kostant import KostantPartition, enumerate_kp
 from quiver_orders.quivers import linear_quiver, quiver
 from quiver_orders.reps import QuiverRep, iso_class, rep_of_kp, zero_rep
+from oracles import y_total_count, z_degree_bound, z_polynomial_report
 
 A2 = quiver("A2", ((1, 2),))
 A3LIN = linear_quiver("A3")

@@ -16,9 +16,10 @@ from quiver_orders.geometry import (
 )
 from quiver_orders.kostant import KostantPartition, OrientationLedger, enumerate_kp, kp_leq
 from quiver_orders.fields import RATIONALS
-from quiver_orders.quivers import commutation_class, is_adapted, linear_quiver, quiver
+from quiver_orders.quivers import is_adapted, linear_quiver, quiver
 from quiver_orders.reps import all_indecomposables, hom_dim, hom_matrix
 from quiver_orders.root_system import cartan_datum
+from oracles import commutation_class
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
 

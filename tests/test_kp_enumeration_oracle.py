@@ -27,7 +27,8 @@ from quiver_orders.geometry import default_test_nus, hom_profile
 from quiver_orders.kostant import KostantPartition, enumerate_kp, prefix_statistics
 from quiver_orders.quivers import Quiver, is_adapted, linear_quiver
 from quiver_orders.reps import hom_matrix
-from quiver_orders.root_system import cartan_datum, reduced_words_of_w0
+from quiver_orders.root_system import cartan_datum
+from oracles import reduced_words_of_w0
 
 LABELS = ["A2", "A3", "A4", "A5", "D4", "D5", "E6"]
 LARGE = [("E6", (1, 2, 2, 3, 2, 1), 622), ("A4", (3, 4, 3, 3), 148)]

@@ -5,10 +5,8 @@ import itertools
 import pytest
 
 from quiver_orders import quivers
-from quiver_orders.errors import CapExceeded
 from quiver_orders.quivers import (
     adapted_word_of_w0,
-    commutation_class,
     is_adapted,
     linear_quiver,
     parse_quiver_file,
@@ -17,7 +15,8 @@ from quiver_orders.quivers import (
     sinks,
     sources,
 )
-from quiver_orders.root_system import beta_sequence, cartan_datum, is_reduced, num_positive_roots
+from quiver_orders.root_system import beta_sequence, cartan_datum, num_positive_roots
+from oracles import commutation_class, is_reduced, reduced_words_of_w0, searched_adapted_word
 
 
 def _all_orientations(label):
@@ -90,9 +89,36 @@ def test_adapted_word_a2():
 
 
 def test_adapted_word_linear_a3():
-    # greedy sink-picking fails here; the search must backtrack
+    # the smallest sink alone would end the word with 1, which is adapted but
+    # not reduced; the loop takes the smallest sink with a positive column
     Q = linear_quiver("A3")
     assert adapted_word_of_w0(Q) == (3, 2, 1, 3, 2, 3)
+    assert is_adapted((3, 2, 1, 3, 2, 1), Q)
+    assert not is_reduced(Q.datum, (3, 2, 1, 3, 2, 1))
+
+
+def test_adapted_word_equals_the_search_on_every_orientation():
+    labels = [f"A{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    checked = 0
+    for label in labels + ["E6", "E7", "E8"]:
+        for Q in _all_orientations(label):
+            assert adapted_word_of_w0(Q) == searched_adapted_word(Q), Q
+            checked += 1
+    assert checked == 726
+
+
+def test_adapted_word_raises_when_no_sink_qualifies(monkeypatch):
+    Q = linear_quiver("A3")
+    monkeypatch.setattr(quivers, "is_positive", lambda v: False)
+    with pytest.raises(RuntimeError, match="no adapted reduced word"):
+        adapted_word_of_w0.__wrapped__(Q)
+
+
+def test_adapted_word_is_checked_to_be_adapted(monkeypatch):
+    Q = linear_quiver("A3")
+    monkeypatch.setattr(quivers, "is_adapted", lambda w, Q: False)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        adapted_word_of_w0.__wrapped__(Q)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4"])
@@ -127,8 +153,6 @@ def test_commutation_class_a3():
     # classes partition the 16 reduced words
     seen: set[tuple[int, ...]] = set()
     sizes = []
-    from quiver_orders.root_system import reduced_words_of_w0
-
     for word in reduced_words_of_w0(datum):
         if word in seen:
             continue
@@ -138,16 +162,6 @@ def test_commutation_class_a3():
         seen.update(c)
     assert sorted(sizes) == [1, 1, 1, 1, 2, 2, 4, 4]
     assert sum(sizes) == 16
-
-
-def test_commutation_class_cap(monkeypatch):
-    datum = cartan_datum("A3")
-    assert quivers._COMMUTATION_CLASS_CAP == 10_000
-    monkeypatch.setattr(quivers, "_COMMUTATION_CLASS_CAP", 4)
-    assert len(commutation_class(datum, (2, 1, 3, 2, 1, 3))) == 4
-    monkeypatch.setattr(quivers, "_COMMUTATION_CLASS_CAP", 3)
-    with pytest.raises(CapExceeded, match="^commutation class larger than 3$"):
-        commutation_class(datum, (2, 1, 3, 2, 1, 3))
 
 
 def test_parse_quiver_file():

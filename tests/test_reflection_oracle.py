@@ -32,13 +32,13 @@ from quiver_orders.reps import (
     QuiverRep,
     all_indecomposables,
     bgp_reflect_rep,
-    direct_sum,
     dual_rep,
     hom_dim,
     rep_of_kp,
     simple_rep,
 )
 from quiver_orders.root_system import cartan_datum
+from oracles import direct_sum
 
 
 def reference_reflect(i: int, M: QuiverRep) -> QuiverRep:

@@ -12,11 +12,9 @@ from quiver_orders.reps import (
     QuiverRep,
     all_indecomposables,
     bgp_reflect_rep,
-    direct_sum,
     gl_order,
     hom_dim,
     hom_matrix,
-    indecomposable,
     iso_class,
     orbit_point_count,
     rep_of_kp,
@@ -24,6 +22,7 @@ from quiver_orders.reps import (
     simple_rep,
     zero_rep,
 )
+from oracles import direct_sum, indecomposable
 
 A2 = quiver("A2", ((1, 2),))
 A3LIN = linear_quiver("A3")
