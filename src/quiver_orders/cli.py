@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .convex_order import adapted_order, build_order, pairing_sign_report
 from .errors import CalibrationError, CapExceeded, VerificationError
-from .fields import RATIONALS, galois_field
+from .fields import RATIONALS, field_order, galois_field
 from .flag_fibers import (
     _enough_q_values,
     fiber_point_count,
@@ -249,7 +249,7 @@ def _parse_q_list(text: str | None):
         return DEFAULT_Q_LIST
     qs = _ints(text, "q list")
     for q in qs:
-        _read(galois_field, q)
+        _read(field_order, q)
     return qs
 
 

@@ -10,8 +10,8 @@ q x q tables, so the prime subfield is the set of codes 0..p-1.  `_tables`
 builds them on codes alone: sums digit by digit, products by linearity from
 multiplication by x.  The modulus is the least monic polynomial of degree r,
 in code order, whose multiplication table gives every nonzero code an
-inverse: F_p[x]/(f) is a field exactly when f is irreducible.  The tables
-are built only for q <= _MAX_TABLE_ORDER.
+inverse: F_p[x]/(f) is a field exactly when f is irreducible.  Every q is
+checked by `field_order`, which builds nothing; tables stop at _MAX_TABLE_ORDER.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class Rationals:
 
 class PrimeField:
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if field_order(p) != (p, 1):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.order = p
@@ -95,7 +95,7 @@ class PrimeField:
         return hash(("prime", self.p))
 
 
-# ExtensionField refuses q above this; its tables hold 2q^2 + 2q entries
+# field_order refuses p^r (r >= 2) above this; GF(q) tables hold 2q^2 + 2q entries
 _MAX_TABLE_ORDER = 1024
 
 
@@ -142,13 +142,11 @@ class ExtensionField:
     def __init__(self, p: int, r: int):
         if r < 2:
             raise ValueError("use PrimeField for r = 1")
-        PrimeField(p)  # validates primality
+        if field_order(p**r) != (p, r):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.r = r
-        q = p**r
-        if q > _MAX_TABLE_ORDER:
-            raise ValueError(f"GF({q}) is too large: field tables stop at q = {_MAX_TABLE_ORDER}")
-        self.order = q
+        self.order = p**r
         self.zero = 0
         self.one = 1
         self.modulus, self._add, self._neg, self._mul, self._inv = _tables(p, r)
@@ -186,27 +184,58 @@ class ExtensionField:
 RATIONALS = Rationals()
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the 13 prime bases up to 41, exact below
+    3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2017); trial
+    division above."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    if n >= 3_317_044_064_679_887_385_961_981:
+        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        # n passes base a when a^d = 1 or a^(2^j d) = -1 for some j < s
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, r) with q = p^r, or raise ValueError.
 
-    The least divisor p > 1 of q is prime; it is q itself when no d up to
-    isqrt(q) divides q.
+    For each r up to log2(q), p is the integer r-th root of q, by Newton's
+    method on ints from above; q is a prime power when p^r = q for a prime p.
     """
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    r, m = 0, q
-    while m % p == 0:
-        m //= p
-        r += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
+    for r in range(1, max(q, 0).bit_length()):
+        p = 1 << -(-q.bit_length() // r)  # 2^ceil(bits / r), above the root
+        while (below := ((r - 1) * p + q // p ** (r - 1)) // r) < p:
+            p = below
+        if p**r == q and _is_prime(p):
+            return p, r
+    raise ValueError(f"{q} is not a prime power")
+
+
+def field_order(q: int) -> tuple[int, int]:
+    """(p, r) with q = p^r if the package takes GF(q), else ValueError; builds nothing."""
+    p, r = factor_prime_power(q)
+    if r >= 2 and q > _MAX_TABLE_ORDER:
+        raise ValueError(f"GF({q}) is too large: field tables stop at q = {_MAX_TABLE_ORDER}")
     return p, r
 
 
 @functools.cache
 def galois_field(q: int) -> PrimeField | ExtensionField:
-    """The field with q elements (q a prime power; tables cached)."""
-    p, r = factor_prime_power(q)
+    """The field with q elements (q as `field_order` takes it; tables cached)."""
+    p, r = field_order(q)
     return PrimeField(p) if r == 1 else ExtensionField(p, r)
 

@@ -29,8 +29,9 @@ class in type A), the orbits are the non-empty sets S alone: the
 representative hyperplane sum_{b in S} f_b and the weight do not depend on
 q.  So `fiber_polynomial(lam)` expands each class once, over Q, with weights
 in Z[q], and gets its count as a polynomial in q (ascending int
-coefficients); `fiber_point_count` evaluates it.  That a restriction has the
-same class over every F_q as over Q is not shown here: the tests compare the
+coefficients); `fiber_point_count` checks q with `fields.field_order`, which
+builds no field, and evaluates it.  That a restriction has the same class
+over every F_q as over Q is not shown here: the tests compare the
 polynomials with the recursion over F_q on a sweep, and
 `interpolate_fiber_polynomial` checks each one at its held-out q against the
 recursion over F_q alone, which never reads a polynomial.  A class with a block
@@ -38,14 +39,16 @@ that has two or more functionals at a vertex has no polynomial here (its
 hyperplanes are the points of a projective space over F_q, and their
 restrictions fall into classes that depend on the point), and neither has
 any class whose expansion reaches it; those classes are expanded once per q,
-over F_q, by the same body.  Each class is expanded at most once per field,
-and its count kept in one table per (quiver, field), keyed by the summand
-multiplicities lam.counts: polynomials (or None) over Q, ints over F_q.  The
-tables are shared by every count of the process.
+over F_q, by the same body.  GF(q) is built only for these recursions over
+F_q and for the held-out counts.  Each class is expanded at most once per
+field, and its count kept in one table per (quiver, field), keyed by the
+summand multiplicities lam.counts: polynomials (or None) over Q, ints over
+F_q.  The tables are shared by every count of the process.
 
 When every arrow matrix is zero (every part of lam is a simple root) there
 is no stability constraint and the count has the closed form
-multinomial(|d|; d) * prod_i [d_i]_q!.
+multinomial(|d|; d) * prod_i [d_i]_q!; `_class_count` returns it on a table
+miss, without storing it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from fractions import Fraction
 
 from .convex_order import adapted_order
 from .errors import CapExceeded, VerificationError
-from .fields import RATIONALS, factor_prime_power, galois_field
+from .fields import RATIONALS, factor_prime_power, field_order, galois_field
 from .kostant import KostantPartition, enumerate_kp
 from .linalg import nullspace, rref, transpose
 from .quivers import Quiver
@@ -169,10 +172,13 @@ def _count(Q: Quiver, F, dims: tuple[int, ...], mats):
 
 
 def _class_count(lam: KostantPartition, F):
-    """The count of class lam over F from its table, expanding it on a miss."""
+    """The fiber count of M(lam) over F by the recursion over F alone: from its
+    table, or on a miss the closed form of an all-simple class, or one expansion."""
     table = _fiber_table(lam.quiver, F)
     key = lam.counts
     if key not in table:
+        if all(sum(b) == 1 for b in lam.parts()):
+            return shuffle_flag_count(lam.nu, _q_of(F))
         if len(table) >= _FIBER_CAP:
             raise CapExceeded(
                 f"fiber table of {lam.quiver.datum.label} {lam.quiver.arrows} over "
@@ -259,29 +265,22 @@ def _expand(lam: KostantPartition, F):
     return total
 
 
-def _recursion_count(lam: KostantPartition, F):
-    """The fiber count of M(lam) over F by the recursion over F alone."""
-    if all(sum(b) == 1 for b in lam.parts()):
-        return shuffle_flag_count(lam.nu, _q_of(F))
-    return _class_count(lam, F)
-
-
 def fiber_polynomial(lam: KostantPartition) -> tuple[int, ...] | None:
     """The fiber count of M(lam) as a polynomial in q, from one expansion of
     each class over Q: a tuple of ascending int coefficients, which evaluates
     at q when called.  None when some class of the recursion has a block
     with two or more stable functionals at a vertex."""
-    return _recursion_count(lam, RATIONALS)
+    return _class_count(lam, RATIONALS)
 
 
 def fiber_point_count(lam: KostantPartition, q: int) -> int:
     """Number of complete stable graded flags of M(lam) over F_q: its fiber
     polynomial at q, or the recursion over F_q where it has none."""
-    F = galois_field(q)
+    field_order(q)
     poly = fiber_polynomial(lam)
     if poly is not None:
         return poly(q)
-    return _recursion_count(lam, F)
+    return _class_count(lam, galois_field(q))
 
 
 def flag_degree_bound(nu: tuple[int, ...]) -> int:
@@ -362,7 +361,7 @@ def interpolate_fiber_polynomial(lam: KostantPartition, q_list) -> Interpolation
     bound = flag_degree_bound(lam.nu)
     qs = _enough_q_values(q_list, bound)
     counts = [(q, fiber_point_count(lam, q)) for q in qs[: bound + 1]]
-    counts += [(q, _recursion_count(lam, galois_field(q))) for q in qs[bound + 1 :]]
+    counts += [(q, _class_count(lam, galois_field(q))) for q in qs[bound + 1 :]]
     report = _interpolation_verdict(counts, bound)
     poly = fiber_polynomial(lam)
     if poly is not None and report.coefficients != poly:

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -473,6 +474,26 @@ def test_field_over_the_table_bound_is_a_usage_error(capsys, a2_file, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "GF(2048) is too large" in captured.err
+
+
+def test_a_large_prime_q_is_answered_at_once(capsys, a2_file):
+    q = 2**61 - 1
+    t0 = time.perf_counter()
+    assert main(["count", "fibers", a2_file, "1,1", "--q", str(q)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"0 1 0\t{q}\t1", f"1 0 1\t{q}\t2"]
+
+
+@pytest.mark.parametrize("what,header", [("fibers", "lambda"), ("z", "nu")])
+def test_counts_from_fiber_polynomials_build_no_field(capsys, tmp_path, monkeypatch, what, header):
+    # every class of A3 has a fiber polynomial, so q = 1024 is only checked
+    path = tmp_path / "a3.quiver"
+    path.write_text("type A3\n1 -> 2\n3 -> 2\n")
+    monkeypatch.setattr(fields, "_tables", lambda *args: pytest.fail("a field table was built"))
+    galois_field.cache_clear()
+    assert main(["count", what, str(path), "2,2,2", "--q", "1024"]) == 0
+    assert capsys.readouterr().out.startswith(f"{header}\tq\tcount\n")
+    assert galois_field.cache_info().currsize == 0
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

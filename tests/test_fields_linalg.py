@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from quiver_orders.fields import (
     ExtensionField,
     PrimeField,
     factor_prime_power,
+    field_order,
     galois_field,
 )
 from quiver_orders.linalg import nullspace, rank, rref, transpose
@@ -90,6 +92,59 @@ def test_factor_prime_power_stops_at_the_square_root():
     for square in (4, 9, 25, 49, 121, 169):
         with pytest.raises(ValueError, match="is not prime"):
             PrimeField(square)
+
+
+def test_field_order_accepts_the_same_q_as_trial_division_up_to_the_table_bound():
+    for q in range(-2, 3000):
+        try:
+            p, r = _trial_division_prime_power(q)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                field_order(q)
+            continue
+        if r >= 2 and q > 1024:
+            message = rf"^GF\({q}\) is too large: field tables stop at q = 1024$"
+            with pytest.raises(ValueError, match=message):
+                field_order(q)
+        else:
+            assert field_order(q) == (p, r)
+
+
+def test_large_prime_powers_are_factored_at_once():
+    t0 = time.perf_counter()
+    mersenne = 2**61 - 1
+    assert factor_prime_power(mersenne) == field_order(mersenne) == (mersenne, 1)
+    assert PrimeField(mersenne).order == mersenne
+    assert factor_prime_power(3**40) == (3, 40)
+    assert factor_prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    for q in (3**40, (2**31 - 1) ** 2):
+        with pytest.raises(ValueError, match=rf"^GF\({q}\) is too large"):
+            field_order(q)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "n,factors",
+    [
+        # a strong pseudoprime to the bases 2, 3, 5 and 7
+        (3215031751, (151, 751, 28351)),
+        # a strong pseudoprime to every prime base up to 23
+        (3825123056546413051, (149491, 747451, 34233211)),
+    ],
+)
+def test_strong_pseudoprimes_are_rejected(n, factors):
+    assert math.prod(factors) == n
+    with pytest.raises(ValueError, match=f"^{n} is not a prime power$"):
+        field_order(n)
+    with pytest.raises(ValueError):
+        PrimeField(n)
+
+
+def test_extension_field_rejects_a_composite_base():
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        ExtensionField(4, 2)
+    with pytest.raises(ValueError):
+        ExtensionField(6, 2)
 
 
 def test_prime_field_basics():

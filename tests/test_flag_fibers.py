@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiver_orders import flag_fibers
+from quiver_orders import fields, flag_fibers
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.errors import VerificationError
 from quiver_orders.fields import RATIONALS, galois_field
@@ -30,6 +30,7 @@ from oracles import y_total_count, z_degree_bound, z_polynomial_report
 A2 = quiver("A2", ((1, 2),))
 A3LIN = linear_quiver("A3")
 D4STAR = quiver("D4", ((1, 2), (3, 2), (4, 2)))
+D4SOURCE = quiver("D4", ((2, 1), (2, 3), (2, 4)))
 
 
 # --- independent oracle: flags as chains of point sets ----------------------
@@ -329,6 +330,24 @@ def test_fiber_point_count_takes_only_the_q_of_a_field_it_builds(q):
     assert fiber_polynomial(lam) is not None  # even where no field is needed
     with pytest.raises(ValueError):
         fiber_point_count(lam, q)
+
+
+def test_fiber_point_count_builds_a_field_only_for_the_recursion_over_it(monkeypatch):
+    built = []
+    build = fields._tables
+    monkeypatch.setattr(fields, "_tables", lambda p, r: built.append((p, r)) or build(p, r))
+    galois_field.cache_clear()
+    lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))
+    assert fiber_point_count(lam, 1024) == fiber_polynomial(lam)(1024)
+    assert galois_field.cache_info().currsize == 0
+    assert built == []
+    # positive control: the source centre of D4 leaves a class of nu = (1, 3, 1, 1)
+    # without a polynomial, and it is counted over F_4 itself
+    kps = enumerate_kp(D4SOURCE.datum, (1, 3, 1, 1), adapted_order(D4SOURCE))
+    lam = next(lam for lam in kps if fiber_polynomial(lam) is None)
+    fiber_point_count(lam, 4)
+    assert galois_field.cache_info().currsize == 1
+    assert built == [(2, 2)]
 
 
 def test_interpolation_insufficient_points():
