@@ -56,6 +56,21 @@ class ConvexOrder:
         """Position (0-based) of a positive root in the enumeration."""
         return self.beta.index(root)
 
+    @functools.cached_property
+    def search_tables(
+        self,
+    ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], tuple[int, ...]]:
+        """The search tables of `kostant.enumerate_kp`, built once per order.
+
+        For each root k: the pairs (j, beta_k[j]) with beta_k[j] > 0, the
+        bitmask of those j, and the bitmask of the j with last_root[j] = k.
+        """
+        support = tuple(tuple((j, x) for j, x in enumerate(b) if x) for b in self.beta)
+        closing = [0] * self.length
+        for j, k in enumerate(self.last_root):
+            closing[k] |= 1 << j
+        return support, tuple(sum(1 << j for j, _ in s) for s in support), tuple(closing)
+
 
 def build_order(datum: CartanDatum, word: Word) -> ConvexOrder:
     """Build the convex-order data of a reduced word of w0, with no quiver."""

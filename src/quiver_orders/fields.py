@@ -17,7 +17,6 @@ checked by `field_order`, which builds nothing; tables stop at _MAX_TABLE_ORDER.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 
@@ -184,15 +183,18 @@ class ExtensionField:
 RATIONALS = Rationals()
 
 
+# Miller-Rabin to the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster 2017)
+_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
     """Miller-Rabin to the 13 prime bases up to 41, exact below
-    3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2017); trial
-    division above."""
+    _PRIMALITY_BOUND.  Above it a base that witnesses n composite still
+    proves it; n that passes every base raises ValueError."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % a == 0 for a in bases):
         return n in bases
-    if n >= 3_317_044_064_679_887_385_961_981:
-        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -207,6 +209,11 @@ def _is_prime(n: int) -> bool:
             x = x * x % n
         else:
             return False
+    if n >= _PRIMALITY_BOUND:
+        raise ValueError(
+            f"cannot tell whether {n} is prime: primality is decided only below "
+            f"{_PRIMALITY_BOUND:,}"
+        )
     return True
 
 
@@ -215,6 +222,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
     For each r up to log2(q), p is the integer r-th root of q, by Newton's
     method on ints from above; q is a prime power when p^r = q for a prime p.
+    `_is_prime` raises ValueError for a p it cannot decide.
     """
     for r in range(1, max(q, 0).bit_length()):
         p = 1 << -(-q.bit_length() // r)  # 2^ceil(bits / r), above the root

@@ -123,11 +123,16 @@ def enumerate_kp(
 ) -> tuple[KostantPartition, ...]:
     """All Kostant partitions of nu, ascending in the multiplicity vector.
 
-    A depth-first search over n_1, n_2, ... that prunes at each vertex's last
-    root k = order.last_root[j]: beta_k[j] = 1 and no later root has a
-    nonzero j-th entry, so n_k must use up what is left of nu[j], which pins
-    it; every vertex has a last root, so every leaf of the search is a
-    partition.
+    A depth-first search over n_1, n_2, ... that keeps `nz`, the bitmask of
+    the vertices j with something left of nu[j].  It pins n_k at each
+    vertex's last root k = order.last_root[j]: beta_k[j] = 1 and no later
+    root has a nonzero j-th entry, so n_k must use up what is left of nu[j];
+    every vertex has a last root, so every leaf of the search is a
+    partition.  A root whose support leaves `nz` takes no part, and when it
+    is also the last root of no vertex in `nz` it pins nothing, so the
+    search steps over it in one loop of mask tests instead of a recursive
+    call; a vertex in `nz` whose last root does not fit still ends its
+    branch.  The masks come from order.search_tables, built once per order.
 
     Raises CapExceeded once there are more than `cap` partitions; `cap`
     defaults to, and never goes above, _KP_CAP.
@@ -138,14 +143,13 @@ def enumerate_kp(
         raise ValueError(f"bad dimension vector {nu}")
     N = order.length
     cap = _KP_CAP if cap is None else min(cap, _KP_CAP)
-    support = [tuple((j, x) for j, x in enumerate(b) if x > 0) for b in order.beta]
-    closing: list[list[int]] = [[] for _ in range(N)]
-    for j, k in enumerate(order.last_root):
-        closing[k].append(j)
+    support, support_mask, closing_mask = order.search_tables
     out: list[KostantPartition] = []
     counts = [0] * N
 
-    def search(k: int, remaining: tuple[int, ...]) -> None:
+    def search(k: int, remaining: tuple[int, ...], nz: int) -> None:
+        while k < N and support_mask[k] & ~nz and not closing_mask[k] & nz:
+            k += 1
         if k == N:
             if len(out) == cap:
                 raise CapExceeded(
@@ -154,20 +158,24 @@ def enumerate_kp(
             out.append(KostantPartition(order, tuple(counts)))
             return
         supp = support[k]
-        low = max([remaining[j] for j in closing[k]], default=0)
+        pinned = closing_mask[k] & nz
+        low = max([remaining[j] for j, _ in supp if pinned >> j & 1]) if pinned else 0
         top = min([remaining[j] // x for j, x in supp])
         if low == 0:
-            search(k + 1, remaining)
+            search(k + 1, remaining, nz)
             low = 1
         for c in range(low, top + 1):
             counts[k] = c
             rest = list(remaining)
+            left = nz
             for j, x in supp:
                 rest[j] -= c * x
-            search(k + 1, tuple(rest))
+                if not rest[j]:
+                    left ^= 1 << j
+            search(k + 1, tuple(rest), left)
         counts[k] = 0
 
-    search(0, tuple(nu))
+    search(0, tuple(nu), sum(1 << j for j, x in enumerate(nu) if x))
     return tuple(out)
 
 

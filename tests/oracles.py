@@ -3,10 +3,13 @@ helpers, kept here as independent oracles for the package.
 
 `searched_adapted_word` is the depth-first search that `adapted_word_of_w0`
 replaced with one greedy loop; the others left the package because nothing
-in it calls them.
+in it calls them.  `within_one_second` stops a call that hangs.
 """
 
 from __future__ import annotations
+
+import contextlib
+import signal
 
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.flag_fibers import (
@@ -147,3 +150,23 @@ def z_polynomial_report(Q: Quiver, nu: tuple[int, ...], q_list) -> Interpolation
     qs = _enough_q_values(q_list, bound)
     counts = [(q, z_point_count(Q, nu, q)) for q in qs]
     return _interpolation_verdict(counts, bound)
+
+
+class Overtime(Exception):
+    """Raised by `within_one_second`; no handler in the package catches it."""
+
+
+@contextlib.contextmanager
+def within_one_second():
+    """Raise Overtime in the block once it has run for one second."""
+
+    def expire(signum, frame):
+        raise Overtime("over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

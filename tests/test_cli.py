@@ -16,6 +16,7 @@ from quiver_orders.cli import main
 from quiver_orders.fields import RATIONALS, galois_field
 from quiver_orders.kostant import OrientationLedger
 from quiver_orders.quivers import quiver
+from oracles import within_one_second
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
 
@@ -482,6 +483,15 @@ def test_a_large_prime_q_is_answered_at_once(capsys, a2_file):
     assert main(["count", "fibers", a2_file, "1,1", "--q", str(q)]) == 0
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().out.splitlines()[1:] == [f"0 1 0\t{q}\t1", f"1 0 1\t{q}\t2"]
+
+
+def test_a_prime_q_above_the_primality_bound_is_a_usage_error(capsys, a2_file):
+    q = 2**89 - 1
+    with within_one_second():
+        assert main(["count", "fibers", a2_file, "1,1", "--q", str(q)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot tell whether {q} is prime" in captured.err
 
 
 @pytest.mark.parametrize("what,header", [("fibers", "lambda"), ("z", "nu")])

@@ -16,6 +16,7 @@ from quiver_orders.fields import (
     galois_field,
 )
 from quiver_orders.linalg import nullspace, rank, rref, transpose
+from oracles import within_one_second
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
@@ -138,6 +139,19 @@ def test_strong_pseudoprimes_are_rejected(n, factors):
         field_order(n)
     with pytest.raises(ValueError):
         PrimeField(n)
+
+
+def test_primality_above_the_miller_rabin_bound_is_refused_at_once():
+    # the Mersenne prime 2^89 - 1 lies above the bound, where trial division hung
+    q = 2**89 - 1
+    assert q > fields._PRIMALITY_BOUND
+    with within_one_second():
+        with pytest.raises(ValueError, match=f"^cannot tell whether {q} is prime: "):
+            field_order(q)
+        # a base that witnesses compositeness still answers above the bound
+        for n in (47**15, (2**61 - 1) ** 2):
+            with pytest.raises(ValueError, match=rf"^GF\({n}\) is too large"):
+                field_order(n)
 
 
 def test_extension_field_rejects_a_composite_base():
