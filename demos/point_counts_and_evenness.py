@@ -11,7 +11,6 @@ from quiver_orders import (
     fiber_polynomial,
     interpolate_fiber_polynomial,
     orbit_point_count,
-    prime_powers,
     quiver,
     rep_space_dim,
     z_point_count,
@@ -72,7 +71,7 @@ def z_table(Q, nu, qs):
 def interpolation_demo(Q, nu):
     datum = Q.datum
     order = adapted_order(Q)
-    qs = prime_powers(9)
+    qs = (2, 3, 4, 5, 7, 8, 9, 11, 13)
     print(f"interpolating fiber counts as polynomials in q, nu={nu}:")
     for lam in enumerate_kp(datum, nu, order):
         report = interpolate_fiber_polynomial(lam, qs)

@@ -10,7 +10,6 @@ from .flag_fibers import (
     fiber_polynomial,
     flag_degree_bound,
     interpolate_fiber_polynomial,
-    prime_powers,
     z_point_count,
 )
 from .geometry import (

@@ -24,7 +24,6 @@ from .flag_fibers import (
     fiber_point_count,
     flag_degree_bound,
     interpolate_fiber_polynomial,
-    prime_powers,
     z_point_count,
 )
 from .geometry import baumann_check, calibrate, default_test_nus, ringel_check
@@ -39,7 +38,7 @@ from .pbw import in_ker_locus, order_compat, verify_reflection
 from .quivers import parse_quiver_file, sinks
 from .root_system import cartan_datum, positive_roots
 
-DEFAULT_Q_LIST = prime_powers(9)
+DEFAULT_Q_LIST = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 
 class _UsageError(Exception):

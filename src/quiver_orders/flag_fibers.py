@@ -62,7 +62,7 @@ from fractions import Fraction
 
 from .convex_order import adapted_order
 from .errors import CapExceeded, VerificationError
-from .fields import RATIONALS, factor_prime_power, field_order, galois_field
+from .fields import RATIONALS, field_order, galois_field
 from .kostant import KostantPartition, enumerate_kp
 from .linalg import nullspace, rref, transpose
 from .quivers import Quiver
@@ -386,18 +386,3 @@ def z_point_count(Q: Quiver, nu: tuple[int, ...], q: int) -> int:
     if points != q ** rep_space_dim(Q, nu):
         raise VerificationError(f"orbits of {nu} over F_{q} do not cover the representation space")
     return total
-
-
-def prime_powers(count: int) -> tuple[int, ...]:
-    """The first `count` prime powers, ascending, starting at 2."""
-    out: list[int] = []
-    q = 2
-    while len(out) < count:
-        try:
-            factor_prime_power(q)
-        except ValueError:
-            pass
-        else:
-            out.append(q)
-        q += 1
-    return tuple(out)

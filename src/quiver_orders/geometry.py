@@ -32,9 +32,9 @@ from .kostant import (
     OrientationLedger,
     _require_comparable,
     enumerate_kp,
-    leq_bitsets,
     mackey_dominance_check,
     order_keys,
+    same_order,
 )
 from .quivers import Quiver, is_adapted
 from .reps import all_indecomposables, hom_dim, hom_matrix
@@ -97,7 +97,8 @@ def hom_profile(lam: KostantPartition) -> tuple[int, ...]:
 
 def closure_keys(kps) -> list[tuple[int, ...]]:
     """Key vectors -hom_profile(lam) whose componentwise order is the
-    orbit-closure order."""
+    orbit-closure order; hom_matrix is max(C^T, 0), so they are the
+    "reversed" order_keys, which same_order then decides at once."""
     return [tuple(-h for h in hom_profile(lam)) for lam in kps]
 
 
@@ -118,8 +119,7 @@ def baumann_check(Q: Quiver, nu: tuple[int, ...], ledger: OrientationLedger) -> 
     """Whether the calibrated partition order equals the closure order on
     KP(nu), enumerated in Q's canonical adapted order."""
     kps = enumerate_kp(Q.datum, nu, adapted_order(Q))
-    order_relation = leq_bitsets(order_keys(kps, ledger.order_direction))
-    return order_relation == leq_bitsets(closure_keys(kps))
+    return same_order(order_keys(kps, ledger.order_direction), closure_keys(kps))
 
 
 def default_test_nus(datum, max_total: int = 3) -> tuple[tuple[int, ...], ...]:
@@ -166,10 +166,8 @@ def calibrate(Q: Quiver, test_nus) -> OrientationLedger:
         kps = enumerate_kp(Q.datum, nu, order)
         if len(kps) >= 2:
             nontrivial = True
-        closure = leq_bitsets(closure_keys(kps))
-        order_alive = {
-            d for d in order_alive if leq_bitsets(order_keys(kps, d)) == closure
-        }
+        closure = closure_keys(kps)
+        order_alive = {d for d in order_alive if same_order(order_keys(kps, d), closure)}
         side_alive = {
             s for s in side_alive if not any(mackey_dominance_check(kps, s))
         }

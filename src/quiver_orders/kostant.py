@@ -180,13 +180,15 @@ def enumerate_kp(
 
 
 def prefix_statistics(lam: KostantPartition) -> tuple[int, ...]:
-    """T_k(lam) = sum_{t<=k} C[k][t] lam_t for each k, summed over the
-    nonzero lam_t only."""
+    """T_k(lam) = sum_{t<=k} C[k][t] lam_t for each k: each nonzero lam_t
+    adds its column of C from row t down, once."""
     C = lam.order.pairings
-    parts = [(t, c) for t, c in enumerate(lam.counts) if c]
-    return tuple(
-        sum(row[t] * c for t, c in parts if t <= k) for k, row in enumerate(C)
-    )
+    T = [0] * len(C)
+    for t, c in enumerate(lam.counts):
+        if c:
+            for k in range(t, len(C)):
+                T[k] += C[k][t] * c
+    return tuple(T)
 
 
 def _require_comparable(lam: KostantPartition, *others: KostantPartition) -> None:
@@ -211,6 +213,13 @@ def leq_bitsets(keys) -> list[int]:
         sum(1 << j for j, b in enumerate(keys) if all(x <= y for x, y in zip(a, b)))
         for a in keys
     ]
+
+
+def same_order(a, b) -> bool:
+    """Whether the key lists a and b, over the same partitions, give the same
+    componentwise order.  Equal lists decide it at once; otherwise the two
+    relations are built and compared."""
+    return a == b or leq_bitsets(a) == leq_bitsets(b)
 
 
 def order_keys(kps, direction: str) -> list[tuple[int, ...]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .convex_order import adapted_order
 from .errors import VerificationError
-from .kostant import KostantPartition, OrientationLedger, leq_bitsets, order_keys
+from .kostant import KostantPartition, OrientationLedger, order_keys, same_order
 from .linalg import rank, transpose
 from .quivers import reflect_quiver, sinks, sources
 from .reps import bgp_reflect_rep, iso_class, rep_of_kp
@@ -84,4 +84,4 @@ def order_compat(
     locus = [lam for lam in kps if in_ker_locus(lam, i)]
     reflected = [reflect_kp(i, lam) for lam in locus]
     d = ledger.order_direction
-    return leq_bitsets(order_keys(locus, d)) == leq_bitsets(order_keys(reflected, d))
+    return same_order(order_keys(locus, d), order_keys(reflected, d))

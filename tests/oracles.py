@@ -3,15 +3,19 @@ helpers, kept here as independent oracles for the package.
 
 `searched_adapted_word` is the depth-first search that `adapted_word_of_w0`
 replaced with one greedy loop; the others left the package because nothing
-in it calls them.  `within_one_second` stops a call that hangs.
+in it calls them (`prime_powers` checks the CLI's literal default q list).
+`orientations` lists a diagram's quivers; `within_one_second` stops a call
+that hangs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import signal
 
 from quiver_orders.convex_order import adapted_order
+from quiver_orders.fields import factor_prime_power
 from quiver_orders.flag_fibers import (
     InterpolationReport,
     _enough_q_values,
@@ -36,10 +40,20 @@ from quiver_orders.root_system import (
     Root,
     Word,
     beta_sequence,
+    cartan_datum,
     is_positive,
     num_positive_roots,
     times_simple,
 )
+
+
+def orientations(label: str) -> tuple[Quiver, ...]:
+    """Every orientation of the diagram; the first is the linear quiver."""
+    datum = cartan_datum(label)
+    return tuple(
+        Quiver(datum, tuple((j, i) if f else (i, j) for (i, j), f in zip(datum.edges, flips)))
+        for flips in itertools.product((False, True), repeat=len(datum.edges))
+    )
 
 
 def reduced_words_of_w0(datum: CartanDatum) -> tuple[Word, ...]:
@@ -150,6 +164,21 @@ def z_polynomial_report(Q: Quiver, nu: tuple[int, ...], q_list) -> Interpolation
     qs = _enough_q_values(q_list, bound)
     counts = [(q, z_point_count(Q, nu, q)) for q in qs]
     return _interpolation_verdict(counts, bound)
+
+
+def prime_powers(count: int) -> tuple[int, ...]:
+    """The first `count` prime powers, ascending, starting at 2."""
+    out: list[int] = []
+    q = 2
+    while len(out) < count:
+        try:
+            factor_prime_power(q)
+        except ValueError:
+            pass
+        else:
+            out.append(q)
+        q += 1
+    return tuple(out)
 
 
 class Overtime(Exception):

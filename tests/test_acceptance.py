@@ -15,11 +15,7 @@ import pytest
 from quiver_orders.convex_order import adapted_order, build_order, pairing_sign_report
 from quiver_orders.errors import CalibrationError
 from quiver_orders.fields import RATIONALS, PrimeField
-from quiver_orders.flag_fibers import (
-    fiber_point_count,
-    interpolate_fiber_polynomial,
-    prime_powers,
-)
+from quiver_orders.flag_fibers import fiber_point_count, interpolate_fiber_polynomial
 from quiver_orders.geometry import baumann_check, calibrate, default_test_nus, ringel_check
 from quiver_orders.kostant import (
     KostantPartition,
@@ -31,7 +27,7 @@ from quiver_orders.pbw import in_ker_locus, order_compat, verify_reflection
 from quiver_orders.quivers import linear_quiver, quiver, sinks
 from quiver_orders.reps import orbit_point_count, rep_space_dim
 from quiver_orders.root_system import cartan_datum, num_positive_roots
-from oracles import reduced_words_of_w0
+from oracles import prime_powers, reduced_words_of_w0
 from test_kostant import order_invariant_on_class
 
 EXPECTED_LEDGER = OrientationLedger("reversed", "transposed", "first-factor")

@@ -14,8 +14,6 @@ the build's checks to fail.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from quiver_orders import reps
@@ -31,7 +29,8 @@ from quiver_orders.reps import (
     simple_rep,
     zero_rep,
 )
-from quiver_orders.root_system import Root, cartan_datum, num_positive_roots, reflect_root
+from quiver_orders.root_system import Root, num_positive_roots, reflect_root
+from oracles import orientations
 
 
 def reference_indecomposables(Q: Quiver, field) -> dict[Root, QuiverRep]:
@@ -60,15 +59,6 @@ def reference_indecomposables(Q: Quiver, field) -> dict[Root, QuiverRep]:
             raise VerificationError(f"endomorphism dim of M({order.beta[k]}) is not 1")
         out[order.beta[k]] = X
     return out
-
-
-def orientations(label: str) -> list[Quiver]:
-    """Every orientation of the diagram, in a fixed order."""
-    datum = cartan_datum(label)
-    return [
-        Quiver(datum, tuple((b, a) if flip else (a, b) for (a, b), flip in zip(datum.edges, flips)))
-        for flips in itertools.product((False, True), repeat=len(datum.edges))
-    ]
 
 
 FIELDS = {"Q": RATIONALS, "F2": galois_field(2), "GF4": galois_field(4)}

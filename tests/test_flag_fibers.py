@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quiver_orders import fields, flag_fibers
+from quiver_orders.cli import DEFAULT_Q_LIST
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.errors import VerificationError
 from quiver_orders.fields import RATIONALS, galois_field
@@ -17,7 +18,6 @@ from quiver_orders.flag_fibers import (
     flag_degree_bound,
     interpolate_fiber_polynomial,
     lagrange_coefficients,
-    prime_powers,
     q_factorial,
     shuffle_flag_count,
     z_point_count,
@@ -25,7 +25,7 @@ from quiver_orders.flag_fibers import (
 from quiver_orders.kostant import KostantPartition, enumerate_kp
 from quiver_orders.quivers import linear_quiver, quiver
 from quiver_orders.reps import QuiverRep, iso_class, rep_of_kp, zero_rep
-from oracles import y_total_count, z_degree_bound, z_polynomial_report
+from oracles import prime_powers, y_total_count, z_degree_bound, z_polynomial_report
 
 A2 = quiver("A2", ((1, 2),))
 A3LIN = linear_quiver("A3")
@@ -385,3 +385,4 @@ def test_z_polynomial_a2():
 def test_prime_powers():
     assert prime_powers(9) == (2, 3, 4, 5, 7, 8, 9, 11, 13)
     assert prime_powers(0) == ()
+    assert DEFAULT_Q_LIST == prime_powers(9)

@@ -30,7 +30,6 @@ linear E7 (63^2 Hom systems), and recomputed with `hom_dim` and `all_indecomposa
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -44,7 +43,6 @@ from quiver_orders.geometry import default_test_nus
 from quiver_orders.kostant import KostantPartition, enumerate_kp
 from quiver_orders.linalg import rref
 from quiver_orders.quivers import Quiver, linear_quiver, quiver, sinks, sources
-from quiver_orders.root_system import cartan_datum
 from quiver_orders.reps import (
     all_indecomposables,
     bgp_reflect_rep,
@@ -53,6 +51,7 @@ from quiver_orders.reps import (
     iso_class,
     rep_of_kp,
 )
+from oracles import orientations
 
 
 @functools.cache
@@ -147,14 +146,6 @@ def test_hom_matrix_rejects_a_matrix_that_is_not_unitriangular(monkeypatch):
     monkeypatch.setattr(reps, "adapted_order", lambda Q: reversed_order)
     with pytest.raises(VerificationError, match="unitriangular"):
         reps.hom_matrix.__wrapped__(QUIVERS["A3"])
-
-
-def orientations(label: str):
-    datum = cartan_datum(label)
-    for flips in itertools.product((False, True), repeat=len(datum.edges)):
-        yield Quiver(
-            datum, tuple((j, i) if f else (i, j) for (i, j), f in zip(datum.edges, flips))
-        )
 
 
 def injective_dims(Q: Quiver, j: int) -> tuple[int, ...]:

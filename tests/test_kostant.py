@@ -17,11 +17,11 @@ from quiver_orders.kostant import (
     enumerate_kp,
     hasse_dot,
     kp_leq,
-    leq_bitsets,
     mackey_dominance_check,
     order_keys,
     prefix_flags,
     prefix_statistics,
+    same_order,
 )
 from quiver_orders.quivers import linear_quiver, quiver
 from quiver_orders.root_system import cartan_datum
@@ -194,13 +194,11 @@ def order_invariant_on_class(datum, nu: tuple[int, ...], w) -> bool:
     for word in words:
         order = build_order(datum, word)
         kps = sorted(enumerate_kp(datum, nu, order), key=support_multiset)
-        relation = (
-            [support_multiset(lam) for lam in kps],
-            leq_bitsets(order_keys(kps, "as-printed")),
-        )
+        multisets = [support_multiset(lam) for lam in kps]
+        keys = order_keys(kps, "as-printed")
         if reference is None:
-            reference = relation
-        elif relation != reference:
+            reference = (multisets, keys)
+        elif multisets != reference[0] or not same_order(keys, reference[1]):
             return False
     return True
 

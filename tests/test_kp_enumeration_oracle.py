@@ -20,7 +20,6 @@ the last root with a nonzero j-th entry has that entry equal to 1.
 
 from __future__ import annotations
 
-import itertools
 import sys
 
 import pytest
@@ -28,10 +27,10 @@ import pytest
 from quiver_orders.convex_order import adapted_order, build_order
 from quiver_orders.geometry import default_test_nus, hom_profile
 from quiver_orders.kostant import KostantPartition, enumerate_kp, prefix_statistics
-from quiver_orders.quivers import Quiver, is_adapted, linear_quiver, quiver
+from quiver_orders.quivers import is_adapted, linear_quiver, quiver
 from quiver_orders.reps import hom_matrix
 from quiver_orders.root_system import cartan_datum
-from oracles import reduced_words_of_w0
+from oracles import orientations, reduced_words_of_w0
 
 LABELS = ["A2", "A3", "A4", "A5", "D4", "D5", "E6"]
 # the largest |nu| swept over every orientation, where it is not 4
@@ -66,14 +65,6 @@ def reference_enumerate(datum, nu, order):
 
     search(0, tuple(nu))
     return tuple(out)
-
-
-def orientations(label: str):
-    datum = cartan_datum(label)
-    for flips in itertools.product((False, True), repeat=len(datum.edges)):
-        yield Quiver(
-            datum, tuple((j, i) if f else (i, j) for (i, j), f in zip(datum.edges, flips))
-        )
 
 
 def assert_same_enumeration(datum, nus, order):
@@ -183,7 +174,7 @@ def dense_checks(lam: KostantPartition, G) -> None:
 
 @pytest.mark.parametrize("label", LABELS)
 def test_sparse_keys_match_dense_sums(label):
-    Q = next(orientations(label))
+    Q = orientations(label)[0]
     order = adapted_order(Q)
     G = hom_matrix(Q)
     nus = default_test_nus(Q.datum, 4)

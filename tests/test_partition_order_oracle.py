@@ -3,12 +3,17 @@
 The references are the pairwise predicate loops the relations were first
 written with: relation sets built by calling kp_leq / closure_leq on every
 pair, and the O(K^3) cover computation over the set of strict pairs.
+
+The last tests pin the identity behind the fast branch of `same_order`: the
+Hom matrix of the indecomposables is max(C^T, 0), so the closure keys
+-hom_profile(lam) are the "reversed" order keys -T(lam) vector for vector.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from quiver_orders import geometry, kostant
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.geometry import (
     baumann_check,
@@ -24,9 +29,12 @@ from quiver_orders.kostant import (
     kp_leq,
     leq_bitsets,
     order_keys,
+    same_order,
 )
 from quiver_orders.pbw import in_ker_locus, order_compat, reflect_kp
 from quiver_orders.quivers import linear_quiver, quiver, sinks
+from quiver_orders.reps import hom_matrix
+from oracles import orientations
 
 LEDGERS = tuple(
     OrientationLedger(d, "transposed", "first-factor") for d in ORDER_DIRECTIONS
@@ -131,3 +139,83 @@ def test_order_compat_matches_pairwise(Q, nu_max):
                 expected = reference_order_compat(i, nu, order, ledger)
                 assert order_compat(i, kps, ledger) == expected
     assert nontrivial > 0
+
+
+def count_relations(monkeypatch) -> list[int]:
+    """Count the relations `same_order` builds from here on."""
+    built = [0]
+    leq = kostant.leq_bitsets
+
+    def counted(keys):
+        built[0] += 1
+        return leq(keys)
+
+    monkeypatch.setattr(kostant, "leq_bitsets", counted)
+    return built
+
+
+def test_same_order_decides_equal_keys_without_a_relation(monkeypatch):
+    built = count_relations(monkeypatch)
+    assert same_order([(1, 2), (0, 3)], [(1, 2), (0, 3)])
+    assert built[0] == 0
+    # different keys, the same relation: the fallback decides
+    assert same_order([(1,), (2,)], [(5,), (7,)])
+    assert not same_order([(1,), (2,)], [(7,), (5,)])
+    assert built[0] == 4
+
+
+@pytest.mark.parametrize(
+    "label,nu_max", [("A3", 5), ("A4", 4), ("D4", 4), ("D5", 4), ("E6", 3)]
+)
+def test_closure_keys_are_the_reversed_order_keys(label, nu_max):
+    """Only the speed of `same_order` rests on this identity, not the
+    correctness of any check: unequal keys fall through to the relations."""
+    for Q in orientations(label):
+        for _, _, kps in _sweep(Q, nu_max):
+            assert closure_keys(kps) == order_keys(kps, "reversed"), (Q.arrows, kps)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"])
+def test_hom_matrix_is_the_transposed_positive_pairings(label):
+    """Every orientation up to E6; the linear quiver of E7 and E8."""
+    for Q in (linear_quiver(label),) if label in ("E7", "E8") else orientations(label):
+        C = adapted_order(Q).pairings
+        G = hom_matrix(Q)
+        N = len(C)
+        assert all(G[k][l] == max(C[l][k], 0) for k in range(N) for l in range(N)), Q.arrows
+
+
+def test_calibrated_baumann_sweep_builds_no_relation(monkeypatch):
+    """The `verify baumann --nu-max 5` sweep on the D5 orientation the
+    benchmark's poset workload starts from.  Correctness does not depend on
+    the key identity, only speed does: with the "as-printed" ledger the keys
+    differ and the relations are built and compared."""
+    Q = quiver("D5", ((1, 2), (2, 3), (3, 4), (5, 3)))
+    built = count_relations(monkeypatch)
+    assert all(baumann_check(Q, nu, CALIBRATED) for nu in default_test_nus(Q.datum, 5))
+    assert built[0] == 0
+    printed = LEDGERS[0]
+    assert not all(baumann_check(Q, nu, printed) for nu in default_test_nus(Q.datum, 5))
+    assert built[0] > 0
+
+
+def test_baumann_on_kp_theta_of_e7(monkeypatch):
+    """Baumann's theorem on KP(theta) of linear E7, 18,837 partitions: the
+    partition order equals the closure order, decided by equal keys alone.
+    Two K x K relations here would take K^2 = 3.5e8 key comparisons, so the
+    first call to leq_bitsets fails the test instead of running them."""
+    sizes = []
+    enumerate_all = geometry.enumerate_kp
+
+    def recorded(*args):
+        kps = enumerate_all(*args)
+        sizes.append(len(kps))
+        return kps
+
+    def refused(keys):
+        raise AssertionError(f"a relation on {len(keys)} partitions was built")
+
+    monkeypatch.setattr(geometry, "enumerate_kp", recorded)
+    monkeypatch.setattr(kostant, "leq_bitsets", refused)
+    assert baumann_check(linear_quiver("E7"), (2, 2, 3, 4, 3, 2, 1), CALIBRATED)
+    assert sizes == [18_837]
