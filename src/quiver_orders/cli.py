@@ -143,13 +143,10 @@ def _cmd_kp(args) -> int:
     if args.hasse is None and (args.ledger is not None or args.cap is not None):
         raise _UsageError("--ledger and --cap apply only with --hasse")
     ledger = _load_ledger(args.ledger) if args.hasse is not None else None
-    order = adapted_order(Q)
-    if ledger is None:
-        kps = enumerate_kp(datum, nu, order)
-    else:
-        # the Hasse cap also stops the enumeration, at cap + 1 partitions
-        cap = HASSE_CAP if args.cap is None else args.cap
-        kps = enumerate_kp(datum, nu, order, cap)
+    # the Hasse cap also stops the enumeration, at cap + 1 partitions
+    cap = HASSE_CAP if ledger is not None and args.cap is None else args.cap
+    kps = enumerate_kp(datum, nu, adapted_order(Q), cap)
+    if ledger is not None:
         # the DOT file is written before any output, so a failed write prints nothing
         _write_text(args.hasse, hasse_dot(kps, ledger, cap=cap))
     for lam in kps:
@@ -181,40 +178,38 @@ def _cmd_verify(args) -> int:
     Q = _load_quiver(args.quiver)
     datum = Q.datum
     order = adapted_order(Q)
-    if args.check != "ringel":  # ringel reads one Hom table and sweeps no nu
-        nus = ((0,) * datum.n,) + default_test_nus(datum, args.nu_max)
-    failures = 0
-    checks = 0
+    passed = []
 
     def note(ok: bool, desc: str) -> None:
-        nonlocal failures, checks
-        checks += 1
-        if not ok:
-            failures += 1
+        passed.append(ok)
         print(("ok" if ok else "FAIL") + f": {desc}")
 
-    if args.check == "ringel":
-        report = ringel_check(Q, order)
-        note(True, f"hom formula direction: {report.direction}")
-    elif args.check == "baumann":
+    nus = ()
+    if args.check == "ringel":  # ringel reads one Hom table and sweeps no nu
+        note(True, f"hom formula direction: {ringel_check(Q, order).direction}")
+    else:
+        nus = ((0,) * datum.n,) + default_test_nus(datum, args.nu_max)
+    # the ledger and the q list are read before any output
+    if args.check in ("baumann", "mackey", "reflection"):
         ledger = _load_ledger(args.ledger)
-        for nu in nus:
+    elif args.check == "evenness":
+        q_list = _parse_q_list(args.q_list)
+        # a q list too short for the largest degree bound of the sweep is bad input
+        _read(_enough_q_values, q_list, max(flag_degree_bound(nu) for nu in nus))
+    if args.check == "reflection":
+        fields = (galois_field(2), galois_field(3), RATIONALS)
+    for nu in nus:
+        kps = enumerate_kp(datum, nu, order)
+        if args.check == "baumann":
             note(
-                baumann_check(Q, nu, ledger),
+                baumann_check(kps, ledger.order_direction),
                 f"partition order equals closure order at nu={nu}",
             )
-    elif args.check == "mackey":
-        ledger = _load_ledger(args.ledger)
-        for nu in nus:
-            kps = enumerate_kp(datum, nu, order)
+        elif args.check == "mackey":
             violations = mackey_dominance_check(kps, ledger.res_large_side)
             for m, bad in zip(kps, violations):
                 note(not bad, f"achievable partitions dominate m={m.counts} at nu={nu}")
-    elif args.check == "reflection":
-        ledger = _load_ledger(args.ledger)
-        fields = (galois_field(2), galois_field(3), RATIONALS)
-        for nu in nus:
-            kps = enumerate_kp(datum, nu, order)
+        elif args.check == "reflection":
             for i in sinks(Q):
                 for lam in kps:
                     if not in_ker_locus(lam, i):
@@ -228,19 +223,15 @@ def _cmd_verify(args) -> int:
                     order_compat(i, kps, ledger),
                     f"order compatible with reflection at {i}, nu={nu}",
                 )
-    elif args.check == "evenness":
-        q_list = _parse_q_list(args.q_list)
-        # a q list too short for the largest degree bound of the sweep is bad input
-        _read(_enough_q_values, q_list, max(flag_degree_bound(nu) for nu in nus))
-        for nu in nus:
-            for lam in enumerate_kp(datum, nu, order):
+        else:
+            for lam in kps:
                 report = interpolate_fiber_polynomial(lam, q_list)
                 note(
                     report.verdict == "consistent-with-even",
                     f"fiber counts of {lam.counts} interpolate ({report.verdict})",
                 )
-    print(f"{checks - failures}/{checks} checks passed")
-    return 0 if failures == 0 else 1
+    print(f"{sum(passed)}/{len(passed)} checks passed")
+    return 0 if all(passed) else 1
 
 
 def _parse_q_list(text: str | None):

@@ -86,12 +86,15 @@ def ringel_check(Q: Quiver, order: ConvexOrder) -> RingelReport:
 
 
 def hom_profile(lam: KostantPartition) -> tuple[int, ...]:
-    """dim Hom(M(lam), M(beta_l)) for each l, via additivity in the first slot."""
+    """dim Hom(M(lam), M(beta_l)) for each l, via additivity in the first slot:
+    each nonzero lam_t adds its row of the Hom matrix from column t on, once."""
     G = hom_matrix(lam.quiver)
-    profile = [0] * lam.order.length
-    for row, c in zip(G, lam.counts):
+    profile = [0] * len(G)
+    for t, c in enumerate(lam.counts):
         if c:
-            profile = [h + c * g for h, g in zip(profile, row)]
+            row = G[t]
+            for l in range(t, len(G)):
+                profile[l] += c * row[l]
     return tuple(profile)
 
 
@@ -115,11 +118,9 @@ def closure_leq(lam: KostantPartition, mu: KostantPartition) -> bool:
     return all(a >= b for a, b in zip(pl, pm))
 
 
-def baumann_check(Q: Quiver, nu: tuple[int, ...], ledger: OrientationLedger) -> bool:
-    """Whether the calibrated partition order equals the closure order on
-    KP(nu), enumerated in Q's canonical adapted order."""
-    kps = enumerate_kp(Q.datum, nu, adapted_order(Q))
-    return same_order(order_keys(kps, ledger.order_direction), closure_keys(kps))
+def baumann_check(kps, direction: str) -> bool:
+    """Whether the partition order in `direction` equals the closure order on kps."""
+    return same_order(order_keys(kps, direction), closure_keys(kps))
 
 
 def default_test_nus(datum, max_total: int = 3) -> tuple[tuple[int, ...], ...]:
@@ -166,8 +167,7 @@ def calibrate(Q: Quiver, test_nus) -> OrientationLedger:
         kps = enumerate_kp(Q.datum, nu, order)
         if len(kps) >= 2:
             nontrivial = True
-        closure = closure_keys(kps)
-        order_alive = {d for d in order_alive if same_order(order_keys(kps, d), closure)}
+        order_alive = {d for d in order_alive if baumann_check(kps, d)}
         side_alive = {
             s for s in side_alive if not any(mackey_dominance_check(kps, s))
         }

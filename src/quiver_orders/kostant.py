@@ -10,7 +10,7 @@ matrix.
 Two printed-vs-geometric convention choices (order direction and the Hom
 formula direction) plus one genuinely ambiguous convention (which tensor
 factor of a restriction carries the suffix block) are recorded in an
-OrientationLedger, produced once by orders_geometry.calibrate and treated as
+OrientationLedger, produced once by geometry.calibrate and treated as
 immutable afterwards.
 """
 
@@ -225,6 +225,8 @@ def same_order(a, b) -> bool:
 def order_keys(kps, direction: str) -> list[tuple[int, ...]]:
     """Key vectors whose componentwise order is the partition order in the
     given order_direction: T(lam), negated for "reversed"."""
+    if direction not in ORDER_DIRECTIONS:
+        raise ValueError(f"bad order direction {direction!r}")
     sign = 1 if direction == "as-printed" else -1
     if kps:
         _require_comparable(kps[0], *kps[1:])
@@ -360,6 +362,8 @@ def mackey_dominance_check(
     above m, so every entry is empty when restrictions only reach partitions
     that dominate m.
     """
+    if side not in RES_SIDES:
+        raise ValueError(f"bad side {side!r}")
     # bit j of dominated[i] is set iff T(kps[j]) <= T(kps[i])
     dominated = leq_bitsets(order_keys(kps, "reversed"))
     out = []

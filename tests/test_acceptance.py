@@ -119,7 +119,8 @@ def test_criterion_04_order_equals_closure():
     pairs = 0
     for Q in SWEEP_QUIVERS:
         for nu in _nus(Q.datum, 4):
-            ok = ok and baumann_check(Q, nu, EXPECTED_LEDGER)
+            kps = enumerate_kp(Q.datum, nu, adapted_order(Q))
+            ok = ok and baumann_check(kps, EXPECTED_LEDGER.order_direction)
             pairs += 1
     dt = time.perf_counter() - t0
     ok = ok and dt < 120.0

@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from quiver_orders import cli, fields, flag_fibers, kostant
+from quiver_orders import cli, fields, flag_fibers, geometry, kostant
 from quiver_orders.cli import main
 from quiver_orders.fields import RATIONALS, galois_field
+from quiver_orders.geometry import default_test_nus
 from quiver_orders.kostant import OrientationLedger
 from quiver_orders.quivers import quiver
+from quiver_orders.root_system import cartan_datum
 from oracles import within_one_second
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
@@ -283,6 +285,23 @@ def test_verify_evenness(capsys, a2_file):
     assert main(["verify", "evenness", a2_file, "--nu-max", "2", "--q-list", "2,3,4,5"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("check", ["baumann", "mackey", "reflection", "evenness"])
+def test_verify_enumerates_each_nu_once(capsys, a2_file, ledger_file, monkeypatch, check):
+    """The command enumerates each swept KP(nu) once and hands it to the check."""
+    enumerated = []
+    enumerate_all = cli.enumerate_kp
+
+    def counted(datum, nu, order):
+        enumerated.append(nu)
+        return enumerate_all(datum, nu, order)
+
+    monkeypatch.setattr(cli, "enumerate_kp", counted)
+    monkeypatch.setattr(geometry, "enumerate_kp", lambda *args: pytest.fail("a check enumerated"))
+    extra = ["--q-list", "2,3,4,5"] if check == "evenness" else ["--ledger", ledger_file]
+    assert main(["verify", check, a2_file, "--nu-max", "2", *extra]) == 0
+    assert enumerated == [(0, 0), *default_test_nus(cartan_datum("A2"), 2)]
 
 
 def test_verify_evenness_rejects_bad_q(capsys, a2_file):

@@ -80,12 +80,14 @@ def test_closure_requires_matching_context():
 def test_baumann_agreement_small():
     for Q in [A2, A3LIN, A3ZIG, D4STAR]:
         for nu in default_test_nus(Q.datum):
-            assert baumann_check(Q, nu, CALIBRATED)
+            kps = enumerate_kp(Q.datum, nu, adapted_order(Q))
+            assert baumann_check(kps, CALIBRATED.order_direction)
 
 
 def test_baumann_fails_with_printed_direction():
     printed = OrientationLedger("as-printed", "transposed", "first-factor")
-    assert not baumann_check(A2, (1, 1), printed)
+    kps = enumerate_kp(A2.datum, (1, 1), adapted_order(A2))
+    assert not baumann_check(kps, printed.order_direction)
 
 
 def test_order_agreement_on_every_pair():
@@ -173,6 +175,15 @@ def test_calibrate_stability_between_types():
 def test_calibrate_needs_discriminating_evidence():
     with pytest.raises(ValueError):
         calibrate(A2, ((1, 0),))
+
+
+def test_calibrate_takes_its_order_direction_from_baumann_check(monkeypatch):
+    """calibrate decides the order slot with baumann_check and no comparison
+    of its own."""
+    import quiver_orders.geometry as geometry
+
+    monkeypatch.setattr(geometry, "baumann_check", lambda kps, d: d == "as-printed")
+    assert calibrate(A2, default_test_nus(A2.datum)).order_direction == "as-printed"
 
 
 def test_calibrate_aborts_when_no_assignment_fits(monkeypatch):

@@ -108,6 +108,14 @@ def test_order_keys_reject_mixed_lists():
     assert order_keys([], "as-printed") == []
 
 
+def test_order_keys_reject_an_unknown_direction():
+    """Only "as-printed" and "reversed" are directions; a typo is not read as
+    "reversed"."""
+    kps = enumerate_kp(cartan_datum("A2"), (1, 1), _a2_order())
+    with pytest.raises(ValueError, match="bad order direction 'bogus'"):
+        order_keys(kps, "bogus")
+
+
 def test_enumerate_kp_cap_names_nu_count_and_cap(monkeypatch):
     datum = cartan_datum("A3")
     order = adapted_order(linear_quiver("A3"))
@@ -260,6 +268,15 @@ def test_mackey_clean_under_calibrated_ledger():
         violations = mackey_dominance_check(kps, CALIBRATED.res_large_side)
         assert len(violations) == len(kps)
         assert not any(violations), (nu, violations)
+
+
+def test_mackey_rejects_an_unknown_side(monkeypatch):
+    """The side is checked before any partition is read, so KP(0, 0), whose
+    one partition has no parts to decompose, does not let a typo through."""
+    monkeypatch.setattr(kostant, "order_keys", lambda *args: pytest.fail("keys were read"))
+    kps = enumerate_kp(cartan_datum("A2"), (0, 0), _a2_order())
+    with pytest.raises(ValueError, match="bad side 'bogus'"):
+        mackey_dominance_check(kps, "bogus")
 
 
 def test_mackey_audit_row_for_dense_orbit():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from quiver_orders import geometry, kostant
+from quiver_orders import kostant
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.geometry import (
     baumann_check,
@@ -126,7 +126,7 @@ def test_closure_relation_matches_pairwise(Q, nu_max):
         assert from_bitsets(kps, leq_bitsets(closure_keys(kps))) == closure
         for ledger in LEDGERS:
             agree = pairwise(kps, lambda a, b: kp_leq(a, b, ledger)) == closure
-            assert baumann_check(Q, nu, ledger) == agree
+            assert baumann_check(kps, ledger.order_direction) == agree
 
 
 @pytest.mark.parametrize("Q,nu_max", SMALL, ids=SMALL_IDS)
@@ -191,11 +191,13 @@ def test_calibrated_baumann_sweep_builds_no_relation(monkeypatch):
     the key identity, only speed does: with the "as-printed" ledger the keys
     differ and the relations are built and compared."""
     Q = quiver("D5", ((1, 2), (2, 3), (3, 4), (5, 3)))
+    order = adapted_order(Q)
+    sweep = [enumerate_kp(Q.datum, nu, order) for nu in default_test_nus(Q.datum, 5)]
     built = count_relations(monkeypatch)
-    assert all(baumann_check(Q, nu, CALIBRATED) for nu in default_test_nus(Q.datum, 5))
+    assert all(baumann_check(kps, CALIBRATED.order_direction) for kps in sweep)
     assert built[0] == 0
     printed = LEDGERS[0]
-    assert not all(baumann_check(Q, nu, printed) for nu in default_test_nus(Q.datum, 5))
+    assert not all(baumann_check(kps, printed.order_direction) for kps in sweep)
     assert built[0] > 0
 
 
@@ -204,18 +206,12 @@ def test_baumann_on_kp_theta_of_e7(monkeypatch):
     partition order equals the closure order, decided by equal keys alone.
     Two K x K relations here would take K^2 = 3.5e8 key comparisons, so the
     first call to leq_bitsets fails the test instead of running them."""
-    sizes = []
-    enumerate_all = geometry.enumerate_kp
-
-    def recorded(*args):
-        kps = enumerate_all(*args)
-        sizes.append(len(kps))
-        return kps
+    Q = linear_quiver("E7")
+    kps = enumerate_kp(Q.datum, (2, 2, 3, 4, 3, 2, 1), adapted_order(Q))
 
     def refused(keys):
         raise AssertionError(f"a relation on {len(keys)} partitions was built")
 
-    monkeypatch.setattr(geometry, "enumerate_kp", recorded)
     monkeypatch.setattr(kostant, "leq_bitsets", refused)
-    assert baumann_check(linear_quiver("E7"), (2, 2, 3, 4, 3, 2, 1), CALIBRATED)
-    assert sizes == [18_837]
+    assert baumann_check(kps, CALIBRATED.order_direction)
+    assert len(kps) == 18_837
