@@ -105,9 +105,10 @@ class KostantPartition:
     @property
     def nu(self) -> tuple[int, ...]:
         total = [0] * self.order.datum.n
-        for c, b in zip(self.counts, self.order.beta):
+        for c, supp in zip(self.counts, self.order.search_tables[0]):
             if c:
-                total = [t + c * x for t, x in zip(total, b)]
+                for j, x in supp:
+                    total[j] += c * x
         return tuple(total)
 
     def parts(self) -> tuple[Root, ...]:
@@ -194,7 +195,7 @@ def prefix_statistics(lam: KostantPartition) -> tuple[int, ...]:
 def _require_comparable(lam: KostantPartition, *others: KostantPartition) -> None:
     nu = lam.nu
     for mu in others:
-        if lam.order != mu.order:
+        if mu.order is not lam.order and mu.order != lam.order:
             raise ValueError("partitions live over different convex orders")
         if mu.nu != nu:
             raise ValueError("partitions have different dimension vectors")
@@ -208,11 +209,26 @@ def kp_leq(lam: KostantPartition, mu: KostantPartition, ledger: OrientationLedge
 
 def leq_bitsets(keys) -> list[int]:
     """Componentwise order on key vectors: bit j of entry i is set iff
-    keys[i] <= keys[j] in every coordinate."""
-    return [
-        sum(1 << j for j, b in enumerate(keys) if all(x <= y for x, y in zip(a, b)))
-        for a in keys
-    ]
+    keys[i] <= keys[j] in every coordinate.
+
+    Built one coordinate at a time, in O(N*K) dict and big-int operations:
+    every entry starts with all K bits set, and each distinct column that
+    takes more than one value maps each value x to the bitset of the j with
+    keys[j] >= x (OR-accumulated from the largest value down), which every
+    entry ANDs in at its own value.  A repeated column is applied once and a
+    constant one not at all."""
+    leq = [(1 << len(keys)) - 1] * len(keys)
+    for column in set(zip(*keys)):
+        at_least: dict[int, int] = {}
+        for j, x in enumerate(column):
+            at_least[x] = at_least.get(x, 0) | 1 << j
+        if len(at_least) == 1:
+            continue
+        bits = 0
+        for x in sorted(at_least, reverse=True):
+            bits = at_least[x] = bits | at_least[x]
+        leq = [row & at_least[x] for row, x in zip(leq, column)]
+    return leq
 
 
 def same_order(a, b) -> bool:
@@ -246,7 +262,11 @@ def cover_relations(
     strict = [bits & ~(1 << i) for i, bits in enumerate(leq)]
     covers = []
     for i, above in enumerate(strict):
-        members = [j for j in range(len(kps)) if above >> j & 1]
+        members = []
+        while above:
+            low = above & -above
+            members.append(low.bit_length() - 1)
+            above ^= low
         reach = 0
         for j in members:
             reach |= strict[j]

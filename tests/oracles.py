@@ -2,8 +2,10 @@
 helpers, kept here as independent oracles for the package.
 
 `searched_adapted_word` is the depth-first search that `adapted_word_of_w0`
-replaced with one greedy loop; the others left the package because nothing
-in it calls them (`prime_powers` checks the CLI's literal default q list).
+replaced with one greedy loop, and `pairwise_leq_bitsets` the pair-by-pair
+relation that `kostant.leq_bitsets` replaced with a per-coordinate build;
+the others left the package because nothing in it calls them
+(`prime_powers` checks the CLI's literal default q list).
 `orientations` lists a diagram's quivers; `within_one_second` stops a call
 that hangs.
 """
@@ -127,6 +129,15 @@ def searched_adapted_word(Q: Quiver) -> Word | None:
         return None
 
     return search(Q, [datum.alpha(j) for j in datum.vertices()], [])
+
+
+def pairwise_leq_bitsets(keys) -> list[int]:
+    """Componentwise order on key vectors from all K^2 pairs, each over every
+    coordinate: bit j of entry i is set iff keys[i] <= keys[j]."""
+    return [
+        sum(1 << j for j, b in enumerate(keys) if all(x <= y for x, y in zip(a, b)))
+        for a in keys
+    ]
 
 
 def support_multiset(lam: KostantPartition) -> tuple[tuple[Root, int], ...]:

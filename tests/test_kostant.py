@@ -67,6 +67,15 @@ def test_kp_nu_and_parts():
     assert support_multiset(lam) == (((0, 1), 1), ((1, 0), 2))
 
 
+@pytest.mark.parametrize("label,nu", [("D4", (1, 2, 1, 1)), ("E6", (1, 2, 2, 3, 2, 1))])
+def test_kp_nu_is_the_sum_of_the_parts(label, nu):
+    Q = linear_quiver(label)
+    kps = enumerate_kp(Q.datum, nu, adapted_order(Q))
+    for lam in (*kps, KostantPartition(kps[0].order, (0,) * len(kps[0].counts))):
+        parts = lam.parts()
+        assert lam.nu == tuple(sum(b[j] for b in parts) for j in range(len(nu)))
+
+
 def test_prefix_statistics_a2():
     order = _a2_order()
     # C = ((1,0,-1),(1,1,0),(0,1,1))
@@ -106,6 +115,16 @@ def test_order_keys_reject_mixed_lists():
         with pytest.raises(ValueError, match="different dimension vectors"):
             order_keys(mixed, "reversed")
     assert order_keys([], "as-printed") == []
+
+
+def test_order_keys_accept_an_equal_order_built_twice():
+    """Partitions over equal orders are comparable whether or not the two
+    order objects are the same one."""
+    datum = cartan_datum("A2")
+    a = enumerate_kp(datum, (1, 1), _a2_order())
+    b = enumerate_kp(datum, (1, 1), _a2_order())
+    assert a[0].order is not b[0].order
+    assert order_keys([*a, *b], "reversed") == order_keys(a, "reversed") * 2
 
 
 def test_order_keys_reject_an_unknown_direction():

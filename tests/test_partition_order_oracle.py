@@ -2,7 +2,11 @@
 
 The references are the pairwise predicate loops the relations were first
 written with: relation sets built by calling kp_leq / closure_leq on every
-pair, and the O(K^3) cover computation over the set of strict pairs.
+pair, and the O(K^3) cover computation over the set of strict pairs.  The
+per-coordinate `leq_bitsets` is also compared, whole relation against whole
+relation, with `oracles.pairwise_leq_bitsets`, the pair-by-pair body it
+replaced: on the sweeps, on one KP(nu) of A4 and one of E6, on edge cases
+and on seeded random keys.
 
 The last tests pin the identity behind the fast branch of `same_order`: the
 Hom matrix of the indecomposables is max(C^T, 0), so the closure keys
@@ -10,6 +14,8 @@ Hom matrix of the indecomposables is max(C^T, 0), so the closure keys
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -34,7 +40,7 @@ from quiver_orders.kostant import (
 from quiver_orders.pbw import in_ker_locus, order_compat, reflect_kp
 from quiver_orders.quivers import linear_quiver, quiver, sinks
 from quiver_orders.reps import hom_matrix
-from oracles import orientations
+from oracles import orientations, pairwise_leq_bitsets, within_one_second
 
 LEDGERS = tuple(
     OrientationLedger(d, "transposed", "first-factor") for d in ORDER_DIRECTIONS
@@ -104,7 +110,9 @@ def _sweep(Q, nu_max):
 def test_order_relation_and_covers_match_pairwise(Q, nu_max, ledger):
     leq = lambda a, b: kp_leq(a, b, ledger)
     for _, _, kps in _sweep(Q, nu_max):
-        relation = leq_bitsets(order_keys(kps, ledger.order_direction))
+        keys = order_keys(kps, ledger.order_direction)
+        relation = leq_bitsets(keys)
+        assert relation == pairwise_leq_bitsets(keys)
         assert from_bitsets(kps, relation) == pairwise(kps, leq)
         assert cover_relations(kps, ledger) == reference_covers(kps, leq)
 
@@ -114,9 +122,89 @@ def test_covers_match_pairwise_a4():
     kps = enumerate_kp(Q.datum, (3, 3, 4, 3), adapted_order(Q))
     leq = lambda a, b: kp_leq(a, b, CALIBRATED)
     assert len(kps) > 100
-    relation = leq_bitsets(order_keys(kps, CALIBRATED.order_direction))
+    keys = order_keys(kps, CALIBRATED.order_direction)
+    relation = leq_bitsets(keys)
+    assert relation == pairwise_leq_bitsets(keys)
     assert from_bitsets(kps, relation) == pairwise(kps, leq)
     assert cover_relations(kps, CALIBRATED) == reference_covers(kps, leq)
+
+
+@pytest.mark.parametrize("direction", ORDER_DIRECTIONS)
+def test_relation_matches_pairwise_on_kp_of_e6(direction):
+    """KP(1,2,2,3,2,1) of linear E6, the `kp --hasse` input of 622 partitions."""
+    Q = linear_quiver("E6")
+    kps = enumerate_kp(Q.datum, (1, 2, 2, 3, 2, 1), adapted_order(Q))
+    assert len(kps) == 622
+    keys = order_keys(kps, direction)
+    assert leq_bitsets(keys) == pairwise_leq_bitsets(keys)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [],
+        [(3, -1)],
+        [(), (), ()],
+        [(1, 2), (1, 2), (0, 5), (1, 2)],
+        [(7, 7, 7)] * 4,
+        [(0, 4, 0, 9), (2, 4, 2, 9), (1, 4, 1, 9)],
+        [(-3, 1, -3, 0), (-1, -2, -1, 0), (-3, -2, -3, 0), (-1, 1, -1, 0)],
+        [(-5,), (0,), (-5,), (2,), (-1,)],
+    ],
+    ids=[
+        "empty",
+        "one-key",
+        "zero-length",
+        "duplicates",
+        "all-equal",
+        "constant-and-repeated-columns",
+        "negative-entries",
+        "one-column",
+    ],
+)
+def test_relation_edge_cases_match_pairwise(keys):
+    relation = leq_bitsets(keys)
+    assert relation == pairwise_leq_bitsets(keys)
+    assert len(relation) == len(keys)
+    assert all(bits >> i & 1 for i, bits in enumerate(relation))
+    # equal keys are mutually <=, and unequal keys never are
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            assert (relation[i] >> j & 1 and relation[j] >> i & 1) == (a == b)
+
+
+def test_relation_matches_pairwise_on_random_keys():
+    rng = random.Random(20261020)
+    for _ in range(400):
+        width = rng.randint(1, 6)
+        spread = rng.choice((1, 2, 5, 20))
+        keys = [
+            tuple(rng.randint(-spread, spread) for _ in range(width))
+            for _ in range(rng.randint(0, 40))
+        ]
+        if keys and rng.random() < 0.3:
+            keys += rng.choices(keys, k=rng.randint(1, 5))
+        assert leq_bitsets(keys) == pairwise_leq_bitsets(keys), keys
+
+
+def test_relation_on_kp_of_e7_within_one_second():
+    """KP(1,2,2,3,2,2,1) of linear E7, 2,269 partitions: the relation is
+    built one coordinate at a time, where K^2 = 5.1e6 pairs of 63-entry keys
+    would not fit in the second."""
+    Q = linear_quiver("E7")
+    kps = enumerate_kp(Q.datum, (1, 2, 2, 3, 2, 2, 1), adapted_order(Q))
+    assert len(kps) == 2_269
+    keys = order_keys(kps, "reversed")
+    with within_one_second():
+        relation = leq_bitsets(keys)
+    assert len(relation) == len(kps)
+    for i, bits in enumerate(relation):
+        assert bits >> i & 1
+        above = bits & ~(1 << i)
+        while above:
+            low = above & -above
+            assert not relation[low.bit_length() - 1] >> i & 1, (kps[i], low)
+            above ^= low
 
 
 @pytest.mark.parametrize("Q,nu_max", SMALL, ids=SMALL_IDS)
@@ -204,8 +292,9 @@ def test_calibrated_baumann_sweep_builds_no_relation(monkeypatch):
 def test_baumann_on_kp_theta_of_e7(monkeypatch):
     """Baumann's theorem on KP(theta) of linear E7, 18,837 partitions: the
     partition order equals the closure order, decided by equal keys alone.
-    Two K x K relations here would take K^2 = 3.5e8 key comparisons, so the
-    first call to leq_bitsets fails the test instead of running them."""
+    Two relations here would be two lists of K bitsets of K bits, about
+    44 MB each, so the first call to leq_bitsets fails the test instead of
+    building them."""
     Q = linear_quiver("E7")
     kps = enumerate_kp(Q.datum, (2, 2, 3, 4, 3, 2, 1), adapted_order(Q))
 
