@@ -145,15 +145,15 @@ def _cmd_kp(args) -> int:
     ledger = _load_ledger(args.ledger) if args.hasse is not None else None
     # the Hasse cap also stops the enumeration, at cap + 1 partitions
     cap = HASSE_CAP if ledger is not None and args.cap is None else args.cap
-    kps = enumerate_kp(datum, nu, adapted_order(Q), cap)
+    order = adapted_order(Q)
+    kps = enumerate_kp(datum, nu, order, cap)
     if ledger is not None:
         # the DOT file is written before any output, so a failed write prints nothing
         _write_text(args.hasse, hasse_dot(kps, ledger, cap=cap))
+    roots = ["(" + " ".join(map(str, b)) + ")" for b in order.beta]
     for lam in kps:
-        parts = ", ".join(
-            "(" + " ".join(str(c) for c in b) + ")" for b in lam.parts()
-        )
-        print(" ".join(str(c) for c in lam.counts) + "\t" + parts)
+        parts = ", ".join(text for c, text in zip(lam.counts, roots) for _ in range(c))
+        print(" ".join(map(str, lam.counts)) + "\t" + parts)
     print(f"kpf: {len(kps)}")
     if ledger is not None:
         print(f"hasse: wrote {args.hasse}")

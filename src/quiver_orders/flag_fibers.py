@@ -43,7 +43,13 @@ over F_q, by the same body.  GF(q) is built only for these recursions over
 F_q and for the held-out counts.  Each class is expanded at most once per
 field, and its count kept in one table per (quiver, field), keyed by the
 summand multiplicities lam.counts: polynomials (or None) over Q, ints over
-F_q.  The tables are shared by every count of the process.
+F_q.  Each restriction is classified at most once per (quiver, field): a
+second table maps its (dims, mats) to its class, and its count is read from
+the class table.  A recursion over F_q reads only the tables of F_q.  Over
+Q a restriction keeps int entries when the pivot of its hyperplane is 1 or
+-1, which `Rationals.inv` returns as they are; the tests check that every
+restriction of the A3 and D4 sweeps does.  The tables are shared by every
+count of the process.
 
 When every arrow matrix is zero (every part of lam is a simple root) there
 is no stability constraint and the count has the closed form
@@ -135,8 +141,10 @@ def q_factorial(d: int, q):
     return total
 
 
+@functools.cache
 def shuffle_flag_count(dims: tuple[int, ...], q):
-    """Complete graded flags of a graded space with no stability constraint."""
+    """Complete graded flags of a graded space with no stability constraint,
+    computed once per (dims, q)."""
     total = math.factorial(sum(dims))
     for d in dims:
         total //= math.factorial(d)
@@ -163,12 +171,25 @@ def _fiber_table(Q: Quiver, F) -> dict:
     return {}
 
 
+@functools.cache
+def _class_memo(Q: Quiver, F) -> dict:
+    """The class of each restriction of Q over F met so far, keyed by its
+    (dims, mats)."""
+    return {}
+
+
 def _count(Q: Quiver, F, dims: tuple[int, ...], mats):
     """Fiber count of one restriction over F (an int over F_q, a polynomial
-    or None over Q), through its class unless every map is zero."""
+    or None over Q), through its class unless every map is zero.  Each
+    restriction is classified once per (Q, F); its count is read from the
+    class table."""
     if all(x == F.zero for m in mats for row in m for x in row):
         return shuffle_flag_count(dims, _q_of(F))
-    return _class_count(iso_class(QuiverRep(Q, F, dims, mats)), F)
+    classes = _class_memo(Q, F)
+    lam = classes.get((dims, mats))
+    if lam is None:
+        lam = classes[dims, mats] = iso_class(QuiverRep(Q, F, dims, mats))
+    return _class_count(lam, F)
 
 
 def _class_count(lam: KostantPartition, F):
@@ -245,15 +266,20 @@ def _expand(lam: KostantPartition, F):
             for a in in_idx:
                 m = mats[a]
                 new_mats[a] = tuple(m[r] for r in range(d) if r != jstar)
+            # an out-arrow entry changes only where ratio[j] and row[jstar]
+            # are both nonzero
+            keep = [j for j in range(d) if j != jstar]
             for a in out_idx:
-                m = mats[a]
                 new_mats[a] = tuple(
                     tuple(
-                        F.sub(row[j], F.mul(ratio[j], row[jstar]))
-                        for j in range(d)
-                        if j != jstar
+                        row[j]
+                        if ratio[j] == F.zero
+                        else F.sub(row[j], F.mul(ratio[j], row[jstar]))
+                        for j in keep
                     )
-                    for row in m
+                    if row[jstar] != F.zero
+                    else row[:jstar] + row[jstar + 1 :]
+                    for row in mats[a]
                 )
             children[new_dims, tuple(new_mats)] += weight
     total = 0

@@ -284,12 +284,12 @@ def hasse_dot(
     """
     if len(kps) > cap:
         raise CapExceeded(f"KP({kps[0].nu}) has {len(kps)} elements, over the cap {cap}")
-    name = lambda lam: " ".join(str(c) for c in lam.counts)
+    name = {lam.counts: '"' + " ".join(map(str, lam.counts)) + '"' for lam in kps}
     lines = ["digraph kostant {", "  rankdir=BT;"]
-    for lam in kps:
-        lines.append(f'  "{name(lam)}";')
-    for a, b in cover_relations(kps, ledger):
-        lines.append(f'  "{name(a)}" -> "{name(b)}";')
+    lines.extend(f"  {name[lam.counts]};" for lam in kps)
+    lines.extend(
+        f"  {name[a.counts]} -> {name[b.counts]};" for a, b in cover_relations(kps, ledger)
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -359,14 +359,15 @@ def achievable_prefix_sums(m: KostantPartition, side: str) -> frozenset[tuple[in
     return frozenset(sums)
 
 
-def prefix_flags(lam: KostantPartition, sums) -> tuple[bool, ...]:
-    """For each k, whether the prefix sum_{t<=k} lam_t beta_t lies in `sums`."""
+def _prefix_sums(lam: KostantPartition) -> list[tuple[int, ...]]:
+    """The prefix sum_{t<=k} lam_t beta_t for each k."""
     prefix = (0,) * lam.order.datum.n
-    flags = []
+    sums = []
     for c, b in zip(lam.counts, lam.order.beta):
-        prefix = tuple(p + c * x for p, x in zip(prefix, b))
-        flags.append(prefix in sums)
-    return tuple(flags)
+        if c:
+            prefix = tuple(p + c * x for p, x in zip(prefix, b))
+        sums.append(prefix)
+    return sums
 
 
 def mackey_dominance_check(
@@ -386,6 +387,7 @@ def mackey_dominance_check(
         raise ValueError(f"bad side {side!r}")
     # bit j of dominated[i] is set iff T(kps[j]) <= T(kps[i])
     dominated = leq_bitsets(order_keys(kps, "reversed"))
+    prefixes = [_prefix_sums(n) for n in kps]
     out = []
     for m, below in zip(kps, dominated):
         S = achievable_prefix_sums(m, side)
@@ -393,7 +395,7 @@ def mackey_dominance_check(
             tuple(
                 n
                 for j, n in enumerate(kps)
-                if not below >> j & 1 and all(prefix_flags(n, S))
+                if not below >> j & 1 and all(p in S for p in prefixes[j])
             )
         )
     return out

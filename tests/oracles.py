@@ -140,6 +140,16 @@ def pairwise_leq_bitsets(keys) -> list[int]:
     ]
 
 
+def prefix_flags(lam: KostantPartition, sums) -> tuple[bool, ...]:
+    """For each k, whether the prefix sum_{t<=k} lam_t beta_t lies in `sums`."""
+    prefix = (0,) * lam.order.datum.n
+    flags = []
+    for c, b in zip(lam.counts, lam.order.beta):
+        prefix = tuple(p + c * x for p, x in zip(prefix, b))
+        flags.append(prefix in sums)
+    return tuple(flags)
+
+
 def support_multiset(lam: KostantPartition) -> tuple[tuple[Root, int], ...]:
     """Canonical word-independent form: sorted (root, multiplicity) pairs."""
     return tuple(sorted((b, c) for c, b in zip(lam.counts, lam.order.beta) if c > 0))

@@ -93,6 +93,7 @@ def test_traced_ops_run_and_record_spans(layer_trace, tmp_path, capsys):
     for mod, fn in layer_trace.CACHED:
         _package_attr(mod, fn).cache_clear()
     flag_fibers._fiber_table.cache_clear()
+    flag_fibers._class_memo.cache_clear()
     tracer = layer_trace.Tracer("test")
     tracer.install()
     try:

@@ -320,6 +320,7 @@ def test_count_fibers(capsys, a2_file):
 def test_count_fibers_stops_at_the_fiber_table_cap(capsys, a2_file, monkeypatch):
     argv = ["count", "fibers", a2_file, "1,1", "--q", "2"]
     flag_fibers._fiber_table.cache_clear()
+    flag_fibers._class_memo.cache_clear()
     assert main(argv) == 0
     out = capsys.readouterr().out
     # every class of A2 has a fiber polynomial: the count expands them once,
@@ -330,15 +331,18 @@ def test_count_fibers_stops_at_the_fiber_table_cap(capsys, a2_file, monkeypatch)
     assert size > 0
     monkeypatch.setattr(flag_fibers, "_FIBER_CAP", size)
     flag_fibers._fiber_table.cache_clear()
+    flag_fibers._class_memo.cache_clear()
     assert main(argv) == 0
     assert capsys.readouterr().out == out
     monkeypatch.setattr(flag_fibers, "_FIBER_CAP", 0)
     flag_fibers._fiber_table.cache_clear()
+    flag_fibers._class_memo.cache_clear()
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         "error: fiber table of A2 ((1, 2),) over Q reached 1 classes, over the cap 0\n"
     )
     flag_fibers._fiber_table.cache_clear()
+    flag_fibers._class_memo.cache_clear()
 
 
 def test_count_z(capsys, a2_file):

@@ -21,6 +21,7 @@ import itertools
 import pytest
 
 from quiver_orders import flag_fibers
+from quiver_orders.cli import main
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.errors import VerificationError
 from quiver_orders.fields import RATIONALS, galois_field
@@ -28,10 +29,12 @@ from quiver_orders.flag_fibers import (
     _projective_coefficients,
     fiber_point_count,
     fiber_polynomial,
+    interpolate_fiber_polynomial,
     shuffle_flag_count,
     z_point_count,
 )
-from quiver_orders.kostant import enumerate_kp
+from quiver_orders.geometry import default_test_nus
+from quiver_orders.kostant import KostantPartition, enumerate_kp
 from quiver_orders.linalg import nullspace
 from quiver_orders.quivers import Quiver, linear_quiver, quiver
 from quiver_orders.reps import orbit_point_count, rep_of_kp
@@ -99,12 +102,18 @@ def _reference_fiber(M) -> int:
     return _reference_count(M.quiver, M.field, M.dims, M.mats)
 
 
+def _clear_tables():
+    flag_fibers._fiber_table.cache_clear()
+    flag_fibers._class_memo.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_tables():
-    """Start every test from empty fiber tables, so the recursion runs."""
-    flag_fibers._fiber_table.cache_clear()
+    """Start every test from empty fiber tables and class memos, so the
+    recursion runs and classifies every restriction."""
+    _clear_tables()
     yield
-    flag_fibers._fiber_table.cache_clear()
+    _clear_tables()
 
 
 def _assert_fibers_match(Q, nu, q):
@@ -241,7 +250,7 @@ def _zigzag_calls(monkeypatch, F) -> tuple[int, int]:
         return original(Q, F, dims, mats)
 
     monkeypatch.setattr(flag_fibers, "_count", counting)
-    flag_fibers._fiber_table.cache_clear()
+    _clear_tables()
     kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG))
     for lam in kps:
         M = rep_of_kp(lam, F)
@@ -318,3 +327,125 @@ def test_orbit_weights_short_of_the_hyperplanes_are_rejected(monkeypatch):
     for F in BOTH_PASSES:
         with pytest.raises(VerificationError, match="do not add up"):
             _count_a2_pair(F)
+
+
+# --- the class memo: each restriction is classified once per (quiver, field)
+
+
+def _classifications(monkeypatch, F) -> tuple[list, list]:
+    """The restrictions passed to `iso_class`, and those with a nonzero map
+    passed to `_count`, as (dims, mats), in the recursion over F started at
+    the block sum of every lam of A3 1->2<-3, nu=(2,2,2)."""
+    classified, reached = [], []
+    count, classify = flag_fibers._count, flag_fibers.iso_class
+
+    def counting(Q, F, dims, mats):
+        if any(x != F.zero for m in mats for row in m for x in row):
+            reached.append((dims, mats))
+        return count(Q, F, dims, mats)
+
+    def recording(M):
+        classified.append((M.dims, M.mats))
+        return classify(M)
+
+    monkeypatch.setattr(flag_fibers, "_count", counting)
+    monkeypatch.setattr(flag_fibers, "iso_class", recording)
+    for lam in enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG)):
+        M = rep_of_kp(lam, F)
+        flag_fibers._count(A3ZIG, F, M.dims, M.mats)
+    monkeypatch.undo()
+    return classified, reached
+
+
+@pytest.mark.parametrize("F", [RATIONALS, galois_field(7)], ids=["Q", "F7"])
+def test_each_restriction_is_classified_once(monkeypatch, F):
+    classified, reached = _classifications(monkeypatch, F)
+    # some restrictions are reached more than once, and classified once
+    assert len(reached) > len(set(reached))
+    assert len(classified) == len(set(classified)) == len(set(reached))
+    assert set(classified) == set(reached)
+
+
+def test_a_count_over_q_fills_no_memo_over_f_q(tmp_path, capsys):
+    path = tmp_path / "a3.quiver"
+    path.write_text("type A3\n1 -> 2\n3 -> 2\n")
+    assert main(["count", "fibers", str(path), "2,2,2", "--q", "2,3,4,5"]) == 0
+    capsys.readouterr()
+    assert flag_fibers._class_memo(A3ZIG, RATIONALS)
+    for q in (2, 3, 4, 5):
+        assert flag_fibers._class_memo(A3ZIG, galois_field(q)) == {}, q
+
+
+def test_held_out_counts_classify_over_their_own_field():
+    lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))  # nu = (0, 2, 2)
+    report = interpolate_fiber_polynomial(lam, (2, 3, 4, 5, 7, 8, 9))
+    assert report.held_out == (5, 7, 8, 9)
+    assert flag_fibers._class_memo(A3LIN, RATIONALS)
+    for q in report.held_out:
+        assert flag_fibers._class_memo(A3LIN, galois_field(q)), q
+    for q in (2, 3, 4):  # the nodes evaluate the fiber polynomial
+        assert flag_fibers._class_memo(A3LIN, galois_field(q)) == {}, q
+
+
+def test_the_recursion_over_f_q_reads_no_class_found_over_q():
+    kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG))
+    polys = [fiber_polynomial(lam) for lam in kps]
+    memo = flag_fibers._class_memo(A3ZIG, RATIONALS)
+    # a wrong class for every restriction met over Q: the semisimple one of
+    # nu, whose count is a closed form, so the recursion still ends
+    semisimple = next(lam for lam in kps if all(sum(b) == 1 for b in lam.parts()))
+    for key in memo:
+        memo[key] = semisimple
+    flag_fibers._fiber_table.cache_clear()
+    assert [fiber_polynomial(lam) for lam in kps] != polys  # the pass over Q reads them
+    F = galois_field(5)
+    for lam in kps:
+        M = rep_of_kp(lam, F)
+        assert flag_fibers._count(A3ZIG, F, M.dims, M.mats) == _reference_fiber(M), lam.counts
+    # restrictions with entries 0 and 1 have equal keys over Q and over F_5
+    assert flag_fibers._class_memo(A3ZIG, F).keys() & memo.keys()
+
+
+@pytest.mark.parametrize("Q", [A3LIN, A3ZIG, D4STAR], ids=["A3lin", "A3zig", "D4star"])
+def test_restrictions_over_q_are_on_ints(Q):
+    order = adapted_order(Q)
+    for nu in default_test_nus(Q.datum, 4) + ((2,) * Q.datum.n,):
+        for lam in enumerate_kp(Q.datum, nu, order):
+            fiber_polynomial(lam)
+    memo = flag_fibers._class_memo(Q, RATIONALS)
+    assert memo
+    for dims, mats in memo:
+        assert all(type(x) is int for m in mats for row in m for x in row), (dims, mats)
+
+
+def test_a_second_pass_reads_every_class_from_the_memo(monkeypatch):
+    F = galois_field(3)
+    kps = enumerate_kp(D4STAR.datum, (1, 2, 1, 1), adapted_order(D4STAR))
+    for classified in (True, False):
+        calls = 0
+        classify = flag_fibers.iso_class
+
+        def counting(M):
+            nonlocal calls
+            calls += 1
+            return classify(M)
+
+        monkeypatch.setattr(flag_fibers, "iso_class", counting)
+        flag_fibers._fiber_table.cache_clear()  # the recursion runs again
+        for lam in kps:
+            M = rep_of_kp(lam, F)
+            assert flag_fibers._count(D4STAR, F, M.dims, M.mats) == _reference_fiber(M)
+        monkeypatch.undo()
+        assert (calls > 0) == classified
+
+
+def test_a_failed_classification_is_not_remembered(monkeypatch):
+    def failing(M):
+        raise VerificationError("negative multiplicity -1")
+
+    monkeypatch.setattr(flag_fibers, "iso_class", failing)
+    for F in BOTH_PASSES:
+        for _ in range(2):
+            with pytest.raises(VerificationError, match="negative multiplicity"):
+                _count_a2_pair(F)
+        assert flag_fibers._class_memo(A2, F) == {}

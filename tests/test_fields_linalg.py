@@ -177,7 +177,9 @@ def test_rationals_field():
     assert F.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert type(F.zero) is int and type(F.one) is int
     assert type(F.inv(2)) is Fraction and F.inv(2) == Fraction(1, 2)
-    assert type(F.inv(-1)) is Fraction and F.inv(-1) == -1
+    # the inverse of a unit is the int itself: no Fraction is built
+    assert type(F.inv(-1)) is int and F.inv(-1) == -1
+    assert type(F.inv(1)) is int and F.inv(1) == 1
 
 
 def _digits(code, p, length):

@@ -19,13 +19,12 @@ from quiver_orders.kostant import (
     kp_leq,
     mackey_dominance_check,
     order_keys,
-    prefix_flags,
     prefix_statistics,
     same_order,
 )
 from quiver_orders.quivers import linear_quiver, quiver
 from quiver_orders.root_system import cartan_datum
-from oracles import commutation_class, support_multiset
+from oracles import commutation_class, prefix_flags, support_multiset
 
 CALIBRATED = OrientationLedger("reversed", "transposed", "first-factor")
 PRINTED = OrientationLedger("as-printed", "transposed", "first-factor")

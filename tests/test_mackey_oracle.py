@@ -24,10 +24,10 @@ from quiver_orders.kostant import (
     achievable_prefix_sums,
     enumerate_kp,
     mackey_dominance_check,
-    prefix_flags,
     prefix_statistics,
 )
 from quiver_orders.quivers import linear_quiver, quiver
+from oracles import prefix_flags
 
 
 def reference_violations(m: KostantPartition, side: str) -> tuple[KostantPartition, ...]:
