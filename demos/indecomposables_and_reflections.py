@@ -29,17 +29,12 @@ def show_indecomposables(Q):
 
 
 def show_hom_matrix(Q):
-    order = adapted_order(Q)
     G = hom_matrix(Q)
     print("Hom-dimension matrix G[k][l] = dim Hom(M(beta_k), M(beta_l)):")
     for row in G:
         print("   ", "\t".join(str(v) for v in row))
-    report = ringel_check(Q, order)
-    print(
-        "  equals max(<gamma, beta>, 0) with indices",
-        report.direction,
-        "- and only in that direction",
-    )
+    (direction,) = ringel_check(Q)
+    print("  equals max(<gamma, beta>, 0) with indices", direction, "- and only in that direction")
     print()
 
 

@@ -50,8 +50,8 @@ def show_order(label, word):
     print("  pairing matrix C[k][l] = <gamma_k, beta_l>:")
     for row in order.pairings:
         print("   ", "\t".join(str(v) for v in row))
-    report = pairing_sign_report(order)
-    print(f"  unit diagonal, <=0 above, >=0 below: {report.ok}")
+    violations = pairing_sign_report(order)
+    print(f"  unit diagonal, <=0 above, >=0 below: {not violations}")
     print()
 
 

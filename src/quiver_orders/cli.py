@@ -27,18 +27,14 @@ from .flag_fibers import (
     z_point_count,
 )
 from .geometry import baumann_check, calibrate, default_test_nus, ringel_check
-from .kostant import (
-    HASSE_CAP,
-    OrientationLedger,
-    enumerate_kp,
-    hasse_dot,
-    mackey_dominance_check,
-)
+from .kostant import OrientationLedger, enumerate_kp, hasse_dot, mackey_dominance_check
 from .pbw import in_ker_locus, order_compat, verify_reflection
 from .quivers import parse_quiver_file, sinks
 from .root_system import cartan_datum, positive_roots
 
 DEFAULT_Q_LIST = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+# the default bound on the size of one Hasse diagram
+HASSE_CAP = 200
 
 
 class _UsageError(Exception):
@@ -130,9 +126,9 @@ def _cmd_order(args) -> int:
     print("C:")
     for row in order.pairings:
         print("\t".join(str(v) for v in row))
-    report = pairing_sign_report(order)
-    print(f"sign violations: {len(report.violations)}")
-    return 0 if report.ok else 1
+    violations = pairing_sign_report(order)
+    print(f"sign violations: {len(violations)}")
+    return 1 if violations else 0
 
 
 def _cmd_kp(args) -> int:
@@ -143,13 +139,13 @@ def _cmd_kp(args) -> int:
     if args.hasse is None and (args.ledger is not None or args.cap is not None):
         raise _UsageError("--ledger and --cap apply only with --hasse")
     ledger = _load_ledger(args.ledger) if args.hasse is not None else None
-    # the Hasse cap also stops the enumeration, at cap + 1 partitions
+    # the Hasse cap stops the enumeration, at cap + 1 partitions
     cap = HASSE_CAP if ledger is not None and args.cap is None else args.cap
     order = adapted_order(Q)
     kps = enumerate_kp(datum, nu, order, cap)
     if ledger is not None:
         # the DOT file is written before any output, so a failed write prints nothing
-        _write_text(args.hasse, hasse_dot(kps, ledger, cap=cap))
+        _write_text(args.hasse, hasse_dot(kps, ledger))
     roots = ["(" + " ".join(map(str, b)) + ")" for b in order.beta]
     for lam in kps:
         parts = ", ".join(text for c, text in zip(lam.counts, roots) for _ in range(c))
@@ -186,7 +182,9 @@ def _cmd_verify(args) -> int:
 
     nus = ()
     if args.check == "ringel":  # ringel reads one Hom table and sweeps no nu
-        note(True, f"hom formula direction: {ringel_check(Q, order).direction}")
+        directions = ringel_check(Q)
+        direction = "both" if len(directions) == 2 else directions[0]
+        note(True, f"hom formula direction: {direction}")
     else:
         nus = ((0,) * datum.n,) + default_test_nus(datum, args.nu_max)
     # the ledger and the q list are read before any output

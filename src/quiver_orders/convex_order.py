@@ -115,22 +115,10 @@ def adapted_order(Q: Quiver) -> ConvexOrder:
     return replace(build_order(Q.datum, adapted_word_of_w0(Q)), quiver=Q)
 
 
-@dataclass(frozen=True)
-class SignReport:
-    """Off-diagonal sign violations of a pairing matrix, if any."""
-
-    order: ConvexOrder
-    violations: tuple[tuple[int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def pairing_sign_report(order: ConvexOrder) -> SignReport:
+def pairing_sign_report(order: ConvexOrder) -> tuple[tuple[int, int, int], ...]:
     """Check C[k][k] = 1, C[k][l] <= 0 for k < l, C[k][l] >= 0 for k > l.
 
-    Violations are reported as (k, l, value) with 0-based indices.
+    Returns the violations as (k, l, value) with 0-based indices, row by row.
     """
     bad: list[tuple[int, int, int]] = []
     C = order.pairings
@@ -143,4 +131,4 @@ def pairing_sign_report(order: ConvexOrder) -> SignReport:
                 bad.append((k, l, v))
             elif k > l and v < 0:
                 bad.append((k, l, v))
-    return SignReport(order=order, violations=tuple(bad))
+    return tuple(bad)

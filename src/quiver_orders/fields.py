@@ -3,8 +3,9 @@
 Every field exposes zero/one/add/sub/mul/neg/inv and an `order` attribute
 (None for the rationals); that is all elimination uses.  Elements are
 hashable: ints or Fractions for the rationals, plain ints for the finite
-fields.  `Rationals.inv` returns 1 and -1 as they are, with no Fraction
-built, so a reduction whose pivots are all 1 or -1 stays on ints.
+fields.  `Rationals.inv` returns an int wherever the inverse is integral,
+and takes 1 and -1 to ints with no Fraction built, so a reduction whose
+pivots are all 1 or -1 stays on ints.
 Extension field elements are integer codes 0..q-1 whose base-p digits are the
 coefficients of the residue polynomial, with arithmetic from precomputed
 q x q tables, so the prime subfield is the set of codes 0..p-1.  `_tables`
@@ -43,10 +44,11 @@ class Rationals:
 
     def inv(self, a: int | Fraction) -> int | Fraction:
         if a == 1 or a == -1:
-            return a
+            return int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        r = Fraction(1) / a
+        return r.numerator if r.denominator == 1 else r
 
     def __repr__(self) -> str:
         return "Q"

@@ -19,9 +19,8 @@ assignment is consistent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .convex_order import ConvexOrder, adapted_order
+from .convex_order import adapted_order
 from .errors import CalibrationError
 from .fields import RATIONALS
 from .kostant import (
@@ -36,53 +35,30 @@ from .kostant import (
     order_keys,
     same_order,
 )
-from .quivers import Quiver, is_adapted
+from .quivers import Quiver
 from .reps import all_indecomposables, hom_dim, hom_matrix
 
 
-@dataclass(frozen=True)
-class RingelReport:
-    order: ConvexOrder
-    hom: tuple[tuple[int, ...], ...]
-    matches_printed: bool
-    matches_transposed: bool
+def ringel_check(Q: Quiver) -> tuple[str, ...]:
+    """The directions of HOM_DIRECTIONS, in that order, under which the Hom
+    matrix of the indecomposables equals max(C, 0).
 
-    @property
-    def direction(self) -> str:
-        if self.matches_printed and self.matches_transposed:
-            return "both"
-        return "as-printed" if self.matches_printed else "transposed"
-
-
-def ringel_check(Q: Quiver, order: ConvexOrder) -> RingelReport:
-    """Compare the Hom matrix of the indecomposables with max(C, 0).
-
-    order may be any convex order adapted to Q.  The Hom matrix is computed
-    from the indecomposable modules over Q, in order's own enumeration.
-    Raises CalibrationError when it matches in neither index direction; every
-    entry must agree, not just the sign pattern.
+    The Hom matrix is computed from the indecomposable modules over Q, in the
+    enumeration of Q's adapted order.  Raises CalibrationError when it matches
+    in neither direction; every entry must agree, not just the sign pattern.
     """
-    if order.datum != Q.datum:
-        raise ValueError("mismatched Cartan data")
-    if not is_adapted(order.word, Q):
-        raise ValueError("order is not adapted to the quiver")
+    order = adapted_order(Q)
     indecs = all_indecomposables(Q, RATIONALS)
     H = tuple(tuple(hom_dim(indecs[a], indecs[b]) for b in order.beta) for a in order.beta)
-    N = order.length
     C = order.pairings
-    printed = all(
-        H[k][l] == max(C[k][l], 0) for k in range(N) for l in range(N)
-    )
-    transposed = all(
-        H[k][l] == max(C[l][k], 0) for k in range(N) for l in range(N)
-    )
-    if not printed and not transposed:
+    positive = tuple(tuple(max(c, 0) for c in row) for row in C)
+    ringel = {"as-printed": positive, "transposed": tuple(zip(*positive))}
+    matches = tuple(d for d in HOM_DIRECTIONS if H == ringel[d])
+    if not matches:
         raise CalibrationError(
             f"Hom matrix matches neither direction:\nH = {H}\nC = {C}"
         )
-    return RingelReport(
-        order=order, hom=H, matches_printed=printed, matches_transposed=transposed
-    )
+    return matches
 
 
 def hom_profile(lam: KostantPartition) -> tuple[int, ...]:
@@ -150,15 +126,7 @@ def calibrate(Q: Quiver, test_nus) -> OrientationLedger:
     """
     test_nus = tuple(tuple(nu) for nu in test_nus)
     order = adapted_order(Q)
-    report = ringel_check(Q, order)
-    hom_alive = {
-        d
-        for d, ok in (
-            ("as-printed", report.matches_printed),
-            ("transposed", report.matches_transposed),
-        )
-        if ok
-    }
+    hom_alive = set(ringel_check(Q))
 
     order_alive = set(ORDER_DIRECTIONS)
     side_alive = set(RES_SIDES)

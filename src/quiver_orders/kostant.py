@@ -34,8 +34,6 @@ RES_SIDES = ("first-factor", "second-factor")
 _KP_CAP = 1_000_000
 # achievable_prefix_sums raises CapExceeded past this many steps
 _PREFIX_SUM_CAP = 1_000_000
-# the default bound on the size of one Hasse diagram
-HASSE_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -274,16 +272,12 @@ def cover_relations(
     return covers
 
 
-def hasse_dot(
-    kps: tuple[KostantPartition, ...], ledger: OrientationLedger, cap: int = HASSE_CAP
-) -> str:
+def hasse_dot(kps: tuple[KostantPartition, ...], ledger: OrientationLedger) -> str:
     """Hasse diagram of the partition order on kps, one KP(nu), as DOT text.
 
     Edges point from lower to higher element; nodes are labelled by their
     multiplicity vectors.
     """
-    if len(kps) > cap:
-        raise CapExceeded(f"KP({kps[0].nu}) has {len(kps)} elements, over the cap {cap}")
     name = {lam.counts: '"' + " ".join(map(str, lam.counts)) + '"' for lam in kps}
     lines = ["digraph kostant {", "  rankdir=BT;"]
     lines.extend(f"  {name[lam.counts]};" for lam in kps)

@@ -86,8 +86,8 @@ def test_criterion_02_pairing_signs():
         datum = cartan_datum(label)
         words = reduced_words_of_w0(datum)
         for word in words:
-            report = pairing_sign_report(build_order(datum, word))
-            ok = ok and report.ok
+            violations = pairing_sign_report(build_order(datum, word))
+            ok = ok and not violations
             checked += 1
     dt = time.perf_counter() - t0
     ok = ok and checked == 2 + 16 and dt < 1.0
@@ -101,9 +101,9 @@ def test_criterion_03_hom_formula_direction():
     ok = True
     directions = set()
     for Q in (A2, A2OP, A3LIN, A3ZIG, D4STAR):
-        report = ringel_check(Q, adapted_order(Q))
-        ok = ok and (report.matches_printed != report.matches_transposed)
-        directions.add(report.direction)
+        matches = ringel_check(Q)
+        ok = ok and len(matches) == 1
+        directions.update(matches)
     dt = time.perf_counter() - t0
     ok = ok and directions == {"transposed"} and dt < 10.0
     assert _report(

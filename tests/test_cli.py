@@ -192,6 +192,13 @@ def test_verify_ringel(capsys, a2_file):
     assert out.strip().endswith("1/1 checks passed")
 
 
+def test_verify_ringel_prints_both_on_a1(capsys, tmp_path):
+    path = tmp_path / "a1.quiver"
+    path.write_text("type A1\n")
+    assert main(["verify", "ringel", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: hom formula direction: both\n1/1 checks passed\n"
+
+
 def test_verify_baumann(capsys, a2_file, ledger_file):
     assert main(["verify", "baumann", a2_file, "--ledger", ledger_file, "--nu-max", "2"]) == 0
     out = capsys.readouterr().out

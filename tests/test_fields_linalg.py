@@ -182,6 +182,27 @@ def test_rationals_field():
     assert type(F.inv(1)) is int and F.inv(1) == 1
 
 
+@pytest.mark.parametrize(
+    "a, inverse, kind",
+    [
+        (Fraction(1, 2), 2, int),
+        (Fraction(1), 1, int),
+        (Fraction(-1, 3), -3, int),
+        (Fraction(2, 3), Fraction(3, 2), Fraction),
+    ],
+    ids=["1/2", "1", "-1/3", "2/3"],
+)
+def test_rationals_inverse_is_an_int_where_integral(a, inverse, kind):
+    assert RATIONALS.inv(a) == inverse
+    assert type(RATIONALS.inv(a)) is kind
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_rationals_inverse_of_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        RATIONALS.inv(zero)
+
+
 def _digits(code, p, length):
     return tuple(code // p**k % p for k in range(length))
 

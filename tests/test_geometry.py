@@ -14,7 +14,13 @@ from quiver_orders.geometry import (
     hom_profile,
     ringel_check,
 )
-from quiver_orders.kostant import KostantPartition, OrientationLedger, enumerate_kp, kp_leq
+from quiver_orders.kostant import (
+    HOM_DIRECTIONS,
+    KostantPartition,
+    OrientationLedger,
+    enumerate_kp,
+    kp_leq,
+)
 from quiver_orders.fields import RATIONALS
 from quiver_orders.quivers import is_adapted, linear_quiver, quiver
 from quiver_orders.reps import all_indecomposables, hom_dim, hom_matrix
@@ -38,18 +44,20 @@ def _all_test_quivers():
 
 
 def test_ringel_direction_a2():
-    report = ringel_check(A2, adapted_order(A2))
-    assert report.matches_transposed
-    assert not report.matches_printed
-    assert report.direction == "transposed"
-    assert report.hom == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+    assert ringel_check(A2) == ("transposed",)
+    indecs = all_indecomposables(A2, RATIONALS)
+    beta = adapted_order(A2).beta
+    hom = tuple(tuple(hom_dim(indecs[a], indecs[b]) for b in beta) for a in beta)
+    assert hom == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 
 
 def test_ringel_direction_uniform_across_quivers():
     for Q in _all_test_quivers():
-        report = ringel_check(Q, adapted_order(Q))
-        assert report.matches_transposed, Q.arrows
-        assert not report.matches_printed, Q.arrows
+        assert ringel_check(Q) == ("transposed",), Q.arrows
+
+
+def test_ringel_check_on_a1_matches_both_directions():
+    assert ringel_check(quiver("A1", ())) == HOM_DIRECTIONS
 
 
 def test_hom_profile_a2():
@@ -129,7 +137,9 @@ def test_default_test_nus_matches_product_filter(label):
         assert default_test_nus(datum, max_total) == _product_filter_nus(datum.n, max_total)
 
 
-def test_ringel_check_reindexes_other_adapted_words():
+def test_ringel_identity_holds_on_other_adapted_words():
+    """Ringel's Hom table is max(C^T, 0) in every adapted order, not only in
+    the one ringel_check reads."""
     for Q in (D4STAR, linear_quiver("A4")):
         reps = all_indecomposables(Q, RATIONALS)
         words = [
@@ -140,11 +150,15 @@ def test_ringel_check_reindexes_other_adapted_words():
         assert len(words) > 1
         for w in words[:: max(1, len(words) // 5)]:
             order = build_order(Q.datum, w)
-            report = ringel_check(Q, order)
-            assert report.hom == tuple(
+            hom = tuple(
                 tuple(hom_dim(reps[bk], reps[bl]) for bl in order.beta)
                 for bk in order.beta
             )
+            C = order.pairings
+            assert hom == tuple(
+                tuple(max(C[l][k], 0) for l in range(order.length))
+                for k in range(order.length)
+            ), w
 
 
 def test_ringel_check_reads_the_modules(monkeypatch):
@@ -156,7 +170,7 @@ def test_ringel_check_reads_the_modules(monkeypatch):
     monkeypatch.setattr("quiver_orders.geometry.hom_dim", corrupt)
     monkeypatch.setattr("quiver_orders.reps.hom_dim", corrupt)
     with pytest.raises(CalibrationError):
-        ringel_check(Q, adapted_order(Q))
+        ringel_check(Q)
     assert hom_matrix.__wrapped__(Q) == hom_matrix(Q)
 
 

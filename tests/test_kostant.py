@@ -191,13 +191,6 @@ def test_hasse_dot_output():
     assert '"1 0 1" -> "0 1 0"' in dot  # closed orbit below dense orbit
 
 
-def test_hasse_dot_cap():
-    datum = cartan_datum("A3")
-    order = adapted_order(linear_quiver("A3"))
-    with pytest.raises(CapExceeded):
-        hasse_dot(enumerate_kp(datum, (3, 3, 3), order), CALIBRATED, cap=5)
-
-
 def test_achievable_prefix_sums_cap_names_partition_and_cap(monkeypatch):
     datum = cartan_datum("A3")
     order = adapted_order(linear_quiver("A3"))
