@@ -49,6 +49,7 @@ from .reps import (
     dual_rep,
     hom_dim,
     hom_matrix,
+    hom_table,
     iso_class,
     orbit_point_count,
     rep_of_kp,

@@ -36,7 +36,7 @@ from .kostant import (
     same_order,
 )
 from .quivers import Quiver
-from .reps import all_indecomposables, hom_dim, hom_matrix
+from .reps import all_indecomposables, hom_matrix, hom_table
 
 
 def ringel_check(Q: Quiver) -> tuple[str, ...]:
@@ -44,12 +44,15 @@ def ringel_check(Q: Quiver) -> tuple[str, ...]:
     matrix of the indecomposables equals max(C, 0).
 
     The Hom matrix is computed from the indecomposable modules over Q, in the
-    enumeration of Q's adapted order.  Raises CalibrationError when it matches
-    in neither direction; every entry must agree, not just the sign pattern.
+    enumeration of Q's adapted order, by `hom_table`, which builds one
+    projective presentation per module and never reads the Euler form, so
+    this stays a check of `hom_matrix`.  Raises CalibrationError when it
+    matches in neither direction; every entry must agree, not just the sign
+    pattern.
     """
     order = adapted_order(Q)
     indecs = all_indecomposables(Q, RATIONALS)
-    H = tuple(tuple(hom_dim(indecs[a], indecs[b]) for b in order.beta) for a in order.beta)
+    H = hom_table([indecs[b] for b in order.beta])
     C = order.pairings
     positive = tuple(tuple(max(c, 0) for c in row) for row in C)
     ringel = {"as-printed": positive, "transposed": tuple(zip(*positive))}

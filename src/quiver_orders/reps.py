@@ -18,6 +18,13 @@ summand multiplicities follow by integer forward substitution.  A root that
 does not fit into what the summands found so far leave of dim M, and each
 vertex's last root (the injective I(j)), is read off the dims; only the
 other roots need an elimination.
+Hom dimensions have two routines.  `hom_dim(M, N)` solves the system of all
+maps M_i -> N_i for one pair; it serves `iso_class` and the endomorphism
+checks, which meet few targets per module, so a presentation would cost
+them more than the systems it replaces.  `hom_table(modules)` builds one
+minimal projective presentation per module and reads each entry off a
+system with an unknown per generator coordinate; it serves the N^2 table of
+`geometry.ringel_check`, and `hom_dim` is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from .convex_order import adapted_order
 from .errors import VerificationError
@@ -97,7 +104,9 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     A morphism is a tuple of maps f_i: M_i -> N_i with f_t x_a = y_a f_s for
     every arrow a: s -> t; the unknown (f_i)[r][u] is column
     offsets[i-1] + r*dims(M)_i + u.  Each equation is a sparse row of its
-    nonzero coefficients; s != t, so no two terms share an unknown.
+    nonzero coefficients; s != t, so no two terms share an unknown.  It
+    needs no presentation, so it is the routine for single pairs; tables
+    over many modules go through `hom_table`.
     """
     _require_same_context(M, N)
     F = M.field
@@ -117,6 +126,123 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
                 if row:
                     rows.append(row)
     return offsets[-1] - len(_eliminate(F, rows))
+
+
+def _path_maps(M: QuiverRep) -> dict[tuple[int, int], list[dict[int, object]]]:
+    """M's map along the path from u to v, keyed (u, v), as sparse rows, for
+    every pair joined by a path, the identity at (u, u) included.  A Dynkin
+    quiver is a tree, so there is at most one path, and a walk out of u meets
+    each vertex once.
+    """
+    Q, F = M.quiver, M.field
+    plus, times = (add, mul) if F.order is None else (F.add, F.mul)
+    out = {v: Q.arrows_out_of(v) for v in Q.datum.vertices()}
+    maps: dict[tuple[int, int], list[dict[int, object]]] = {}
+    for u in Q.datum.vertices():
+        maps[u, u] = [{r: F.one} for r in range(M.dims[u - 1])]
+        stack = [u]
+        while stack:
+            s = stack.pop()
+            P = maps[u, s]
+            for a in out[s]:
+                rows = []
+                for arow in M.mats[a]:
+                    row: dict[int, object] = {}
+                    for m, x in enumerate(arow):
+                        if x:
+                            for c, y in P[m].items():
+                                row[c] = plus(row[c], times(x, y)) if c in row else times(x, y)
+                    rows.append({c: y for c, y in row.items() if y})
+                t = Q.arrows[a][1]
+                maps[u, t] = rows
+                stack.append(t)
+    return maps
+
+
+def _presentation(M: QuiverRep):
+    """M's path maps and a minimal projective presentation 0 -> P_1 -> P_0 -> M.
+
+    The generators (v, j) of P_0 are the unit vectors e_j of M_v outside the
+    leading columns of an echelon basis of the image of the arrows into v, so
+    they span a complement of it, the top of M at v.  The kernel K_k of
+    P_0 -> M at k, the relations among the images at k of the generators with
+    a path to k, is read off an echelon basis of the rows (image, unit vector
+    of the generator); where M_k = 0 it holds every such generator.  An arrow
+    s -> k carries K_s into K_k unchanged, and those kernels meet no common
+    generator, so P_1 needs at k only relations that extend them to a basis
+    of K_k.  Returns (generators, relations, path maps), a relation being
+    (k, ((generator index, coefficient), ...)).
+    """
+    Q, F, d = M.quiver, M.field, M.dims
+    paths = _path_maps(M)
+    into = {v: Q.arrows_into(v) for v in Q.datum.vertices()}
+    gens: list[tuple[int, int]] = []
+    for v, arrows in into.items():
+        image = _eliminate(F, (
+            {r: row[c] for r, row in enumerate(M.mats[a]) if row[c]}
+            for a in arrows
+            for c in range(d[Q.arrows[a][0] - 1])
+        ))
+        gens += [(v, j) for j in range(d[v - 1]) if j not in image]
+    kernels = {}
+    for k in Q.datum.vertices():
+        dk, rows = d[k - 1], []
+        for g, (v, j) in enumerate(gens):
+            if (v, k) in paths:
+                row = {r: x[j] for r, x in enumerate(paths[v, k]) if j in x}
+                row[dk + g] = F.one
+                rows.append(row)
+        kernels[k] = [{c - dk: x for c, x in b.items()} for lead, b in _eliminate(F, rows).items() if lead >= dk]
+    relations = []
+    for k, arrows in into.items():
+        pushed = [row for a in arrows for row in kernels[Q.arrows[a][0]]]
+        if len(pushed) < len(kernels[k]):
+            leads = {min(row) for row in pushed}
+            basis = _eliminate(F, pushed + kernels[k])
+            relations += [(k, tuple(b.items())) for lead, b in basis.items() if lead not in leads]
+    return gens, relations, paths
+
+
+def hom_table(modules) -> tuple[tuple[int, ...], ...]:
+    """H[a][b] = dim Hom(modules[a], modules[b]) for modules over one quiver
+    and field, each row read off one projective presentation of modules[a].
+
+    The path algebra of a Dynkin quiver is hereditary, so Hom(M, N) is the
+    kernel of Hom(P_0, N) -> Hom(P_1, N) (Assem-Simson-Skowronski, Elements
+    1, ch. III and VII).  A map P_0 -> N is its values f(g) in N_v at the
+    generators g = (v, j); a relation sum_g c_g g at k asks that
+    sum_g c_g N_{v->k} f(g) vanish in N_k, dims(N)_k rows through N's path
+    maps.  So each entry is a system with sum_g dims(N)_v unknowns, where
+    `hom_dim` has sum_i dims(M)_i dims(N)_i, and each module's presentation
+    and path maps are built once per call.  `ringel_check`'s N^2 table over
+    the indecomposables uses it; `hom_dim`, which needs no presentation,
+    serves single pairs and is this routine's oracle.
+    """
+    modules = list(modules)
+    for N in modules[1:]:
+        _require_same_context(modules[0], N)
+    pres = [_presentation(M) for M in modules]
+    table = []
+    for M, (gens, relations, _) in zip(modules, pres):
+        F = M.field
+        times = mul if F.order is None else F.mul
+        at = [v - 1 for v, _ in gens]
+        entries = []
+        for N, (_, _, paths) in zip(modules, pres):
+            offsets = list(accumulate(map(N.dims.__getitem__, at), initial=0))
+            rows = []
+            for k, rel in relations:
+                blocks = [(offsets[g], c, paths[gens[g][0], k]) for g, c in rel]
+                for r in range(N.dims[k - 1]):
+                    row = {}
+                    for base, c, P in blocks:
+                        for u, x in P[r].items():
+                            row[base + u] = times(c, x)
+                    if row:
+                        rows.append(row)
+            entries.append(offsets[-1] - len(_eliminate(F, rows)))
+        table.append(tuple(entries))
+    return tuple(table)
 
 
 def dual_rep(M: QuiverRep) -> QuiverRep:

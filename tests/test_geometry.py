@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -23,6 +24,7 @@ from quiver_orders.kostant import (
 )
 from quiver_orders.fields import RATIONALS
 from quiver_orders.quivers import is_adapted, linear_quiver, quiver
+from quiver_orders import reps
 from quiver_orders.reps import all_indecomposables, hom_dim, hom_matrix
 from quiver_orders.root_system import cartan_datum
 from oracles import commutation_class
@@ -162,16 +164,35 @@ def test_ringel_identity_holds_on_other_adapted_words():
 
 
 def test_ringel_check_reads_the_modules(monkeypatch):
+    """Zeroing the one arrow entry of M(alpha_1 + alpha_2) splits it into two
+    simples; ringel_check must read that module and fail."""
     Q = D4STAR
-    beta = adapted_order(Q).beta
-    indecs = all_indecomposables(Q, RATIONALS)
-    first, second = indecs[beta[0]], indecs[beta[1]]
-    corrupt = lambda M, N: hom_dim(M, N) + (M is first and N is second)
-    monkeypatch.setattr("quiver_orders.geometry.hom_dim", corrupt)
-    monkeypatch.setattr("quiver_orders.reps.hom_dim", corrupt)
+    indecs = dict(all_indecomposables(Q, RATIONALS))
+    root, a = (1, 1, 0, 0), Q.arrows.index((1, 2))
+    M = indecs[root]
+    assert M.mats[a] != ((0,),)
+    indecs[root] = dataclasses.replace(M, mats=M.mats[:a] + (((0,),),) + M.mats[a + 1 :])
+    assert hom_dim(indecs[root], indecs[root]) == 2
+    monkeypatch.setattr("quiver_orders.geometry.all_indecomposables", lambda Q, F: indecs)
     with pytest.raises(CalibrationError):
         ringel_check(Q)
     assert hom_matrix.__wrapped__(Q) == hom_matrix(Q)
+
+
+def test_ringel_check_builds_one_presentation_per_module(monkeypatch):
+    """The table shares each module's presentation across its row: 36, not
+    36^2, on linear E6."""
+    Q = linear_quiver("E6")
+    presentation, built = reps._presentation, []
+
+    def counted(M):
+        built.append(M.dims)
+        return presentation(M)
+
+    monkeypatch.setattr(reps, "_presentation", counted)
+    assert ringel_check(Q) == ("transposed",)
+    assert sorted(built) == sorted(adapted_order(Q).beta)
+    assert len(built) == 36
 
 
 def test_calibrate_expected_ledger():
