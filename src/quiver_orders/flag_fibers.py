@@ -12,44 +12,52 @@ count recurses.
 The count F(M) depends only on the isomorphism class of M, so
 F(M) = sum_i sum_H F(M|_H) is a recursion over classes (the Hall-number
 form, Ringel 1990), and a count takes a class lam and q, like every other
-point count: `fiber_point_count(lam, q)`.  A class is expanded through its
-canonical block sum `rep_of_kp`, one block per part, and `_count` turns each
-restriction back into a class with `reps.iso_class`.  Scaling one block is
-an automorphism, and every stable functional lies in a single block, so the
-hyperplanes fall into orbits given by a non-empty set S of blocks and a
-projective point of the functionals of each block in S; an orbit holds
-(q - 1)^(|S| - 1) hyperplanes with isomorphic restrictions, and one of them
-is expanded with that weight.  A functional across two blocks, or weights
-that do not add up to the 1 + q + ... + q^(k-1) stable hyperplanes, raise
-`VerificationError`.  Orbits whose representatives restrict to the same
-(dims, mats) are counted with one recursive call.
+point count: `fiber_point_count(lam, q)`.  Think of M(lam) as the sum of
+one block M(beta) per part.  Scaling one block is an automorphism, and
+every stable functional lies in a single block, so the hyperplanes fall
+into orbits given by a non-empty set S of blocks and a projective point of
+the functionals of each block in S; an orbit holds (q - 1)^(|S| - 1)
+hyperplanes with isomorphic restrictions.  A hyperplane H = ker phi with
+phi in the blocks S leaves the other blocks whole, so
+M(lam)|_H = (sum_{b not in S} M_b) + ((sum_{b in S} M_b) cut by H), and by
+Krull-Schmidt its class is lam - S plus the class of the touched
+restriction.  So no block sum of lam is built: each root's stable
+functionals at each vertex are read off its indecomposable once per
+(quiver, field), their number checked against the Euler form
+(max(<beta, alpha_i>, 0)); an orbit is keyed by its vertex and its touched
+parts with their local functionals, equal keys of one expansion add their
+weights, and each key is classified once per (quiver, field): the block sum
+of its touched parts is restricted to its hyperplane and passed to
+`reps.iso_class`.  A count short of the Euler form, or weights that do not
+add up to the 1 + q + ... + q^(k-1) stable hyperplanes, raise
+`VerificationError`.  Children of one expansion with the same class are
+counted with one recursive call.
 
 When every block has at most one stable functional at each vertex (every
-class in type A), the orbits are the non-empty sets S alone: the
-representative hyperplane sum_{b in S} f_b and the weight do not depend on
-q.  So `fiber_polynomial(lam)` expands each class once, over Q, with weights
-in Z[q], and gets its count as a polynomial in q (ascending int
-coefficients); `fiber_point_count` checks q with `fields.field_order`, which
-builds no field, and evaluates it.  That a restriction has the same class
-over every F_q as over Q is not shown here: the tests compare the
-polynomials with the recursion over F_q on a sweep, and
-`interpolate_fiber_polynomial` checks each one at its held-out q against the
-recursion over F_q alone, which never reads a polynomial.  A class with a block
-that has two or more functionals at a vertex has no polynomial here (its
-hyperplanes are the points of a projective space over F_q, and their
+class in type A), the orbits are the non-empty sets S alone: the key and the
+weight do not depend on q.  So `fiber_polynomial(lam)` expands each class
+once, over Q, with weights in Z[q], and gets its count as a polynomial in q
+(ascending int coefficients); `fiber_point_count` checks q with
+`fields.field_order`, which builds no field, and evaluates it.  That a
+restriction has the same class over every F_q as over Q is not shown here:
+the tests compare the polynomials with the recursion over F_q on a sweep,
+and `interpolate_fiber_polynomial` checks each one at its held-out q against
+the recursion over F_q alone, which never reads a polynomial.  A class with a
+block that has two or more functionals at a vertex has no polynomial here
+(its hyperplanes are the points of a projective space over F_q, and their
 restrictions fall into classes that depend on the point), and neither has
 any class whose expansion reaches it; those classes are expanded once per q,
 over F_q, by the same body.  GF(q) is built only for these recursions over
 F_q and for the held-out counts.  Each class is expanded at most once per
 field, and its count kept in one table per (quiver, field), keyed by the
 summand multiplicities lam.counts: polynomials (or None) over Q, ints over
-F_q.  Each restriction is classified at most once per (quiver, field): a
-second table maps its (dims, mats) to its class, and its count is read from
-the class table.  A recursion over F_q reads only the tables of F_q.  Over
-Q a restriction keeps int entries when the pivot of its hyperplane is 1 or
--1, which `Rationals.inv` returns as they are; the tests check that every
-restriction of the A3 and D4 sweeps does.  The tables are shared by every
-count of the process.
+F_q.  The classes of the touched restrictions are kept in a second table per
+(quiver, field), which `_count`, the count of a representation given by its
+matrices, shares, keyed by (dims, mats).  A recursion over F_q reads only the
+tables of F_q.  Over Q a restriction keeps int entries when the pivot of its
+hyperplane is 1 or -1, which `Rationals.inv` returns as they are; the tests
+check that every restriction of the A3 and D4 sweeps does.  The tables are
+shared by every count of the process.
 
 When every arrow matrix is zero (every part of lam is a simple root) there
 is no stability constraint and the count has the closed form
@@ -65,6 +73,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .convex_order import adapted_order
 from .errors import CapExceeded, VerificationError
@@ -72,7 +81,14 @@ from .fields import RATIONALS, field_order, galois_field
 from .kostant import KostantPartition, enumerate_kp
 from .linalg import nullspace, rref, transpose
 from .quivers import Quiver
-from .reps import QuiverRep, iso_class, orbit_point_count, rep_of_kp, rep_space_dim
+from .reps import (
+    QuiverRep,
+    all_indecomposables,
+    iso_class,
+    orbit_point_count,
+    rep_of_kp,
+    rep_space_dim,
+)
 
 # a fiber table raises CapExceeded once it would hold more classes
 _FIBER_CAP = 1_000_000
@@ -173,16 +189,89 @@ def _fiber_table(Q: Quiver, F) -> dict:
 
 @functools.cache
 def _class_memo(Q: Quiver, F) -> dict:
-    """The class of each restriction of Q over F met so far, keyed by its
-    (dims, mats)."""
+    """The class of each restriction of Q over F classified so far: keyed by
+    (vertex, touched parts) in the recursion, and by (dims, mats) for a
+    representation passed to `_count`."""
     return {}
 
 
+@functools.cache
+def _root_tops(Q: Quiver, F) -> tuple[tuple[tuple[int, tuple | None], ...], ...]:
+    """For each root beta_k of Q, in the adapted order, and each vertex i:
+    the number g of stable functionals of M(beta_k) at i, those vanishing on
+    the images of the arrows into i, and one functional per projective point
+    of their span, or None over Q when g > 1.  g is checked against the
+    Euler form: it is hom(M(beta_k), S_i) = max(<beta_k, alpha_i>, 0)."""
+    tops = []
+    for beta, M in all_indecomposables(Q, F).items():
+        row = []
+        for i in Q.datum.vertices():
+            d, into = beta[i - 1], Q.arrows_into(i)
+            image_rows = tuple(r for a in into for r in transpose(M.mats[a]))
+            basis = nullspace(F, image_rows, ncols=d) if d else []
+            expected = max(d - sum(beta[Q.arrows[a][0] - 1] for a in into), 0)
+            if len(basis) != expected:
+                raise VerificationError(
+                    f"M{beta} has {len(basis)} stable functionals at vertex {i}, "
+                    f"not max(<beta, alpha_{i}>, 0) = {expected}"
+                )
+            points = None
+            if F.order is not None or len(basis) <= 1:
+                points = tuple(
+                    _combination(F, coeffs, basis, d)
+                    for coeffs in _projective_coefficients(F, len(basis))
+                )
+            row.append((len(basis), points))
+        tops.append(tuple(row))
+    return tuple(tops)
+
+
+def _combination(F, coeffs, basis, d: int) -> tuple:
+    """sum_s coeffs[s] * basis[s], for vectors of length d."""
+    phi = [F.zero] * d
+    for cf, v in zip(coeffs, basis):
+        if cf != F.zero:
+            for j in range(d):
+                phi[j] = F.add(phi[j], F.mul(cf, v[j]))
+    return tuple(phi)
+
+
+def _restrict(M: QuiverRep, i: int, phi) -> QuiverRep:
+    """M restricted to the stable hyperplane ker phi at vertex i: the
+    coordinate of phi's first nonzero entry is dropped."""
+    Q, F, dims, mats = M.quiver, M.field, M.dims, M.mats
+    d = dims[i - 1]
+    jstar = next(j for j in range(d) if phi[j] != F.zero)
+    inv = F.inv(phi[jstar])
+    ratio = [F.mul(inv, phi[j]) for j in range(d)]
+    new_dims = tuple(d - 1 if v == i - 1 else dims[v] for v in range(Q.datum.n))
+    new_mats = list(mats)
+    for a in Q.arrows_into(i):
+        m = mats[a]
+        new_mats[a] = tuple(m[r] for r in range(d) if r != jstar)
+    # an out-arrow entry changes only where ratio[j] and row[jstar] are both
+    # nonzero
+    keep = [j for j in range(d) if j != jstar]
+    for a in Q.arrows_out_of(i):
+        new_mats[a] = tuple(
+            tuple(
+                row[j]
+                if ratio[j] == F.zero
+                else F.sub(row[j], F.mul(ratio[j], row[jstar]))
+                for j in keep
+            )
+            if row[jstar] != F.zero
+            else row[:jstar] + row[jstar + 1 :]
+            for row in mats[a]
+        )
+    return QuiverRep(Q, F, new_dims, tuple(new_mats))
+
+
 def _count(Q: Quiver, F, dims: tuple[int, ...], mats):
-    """Fiber count of one restriction over F (an int over F_q, a polynomial
-    or None over Q), through its class unless every map is zero.  Each
-    restriction is classified once per (Q, F); its count is read from the
-    class table."""
+    """Fiber count of a representation over F given by its matrices (an int
+    over F_q, a polynomial or None over Q), through its class unless every
+    map is zero.  Each is classified once per (Q, F); its count is read from
+    the class table."""
     if all(x == F.zero for m in mats for row in m for x in row):
         return shuffle_flag_count(dims, _q_of(F))
     classes = _class_memo(Q, F)
@@ -198,7 +287,7 @@ def _class_count(lam: KostantPartition, F):
     table = _fiber_table(lam.quiver, F)
     key = lam.counts
     if key not in table:
-        if all(sum(b) == 1 for b in lam.parts()):
+        if all(c == 0 or sum(b) == 1 for c, b in zip(key, lam.order.beta)):
             return shuffle_flag_count(lam.nu, _q_of(F))
         if len(table) >= _FIBER_CAP:
             raise CapExceeded(
@@ -209,85 +298,71 @@ def _class_count(lam: KostantPartition, F):
     return table[key]
 
 
+def _touched_class(order, F, key) -> KostantPartition:
+    """The class of the restriction to ker phi of the block sum of the parts
+    that a key (vertex i, ((k, local functional), ...)) touches, where phi
+    reads each part's local functional on its block at i.  Classified once
+    per (quiver, field)."""
+    classes = _class_memo(order.quiver, F)
+    mu = classes.get(key)
+    if mu is None:
+        i, touched = key
+        counts = [0] * order.length
+        for k, _ in touched:
+            counts[k] += 1
+        M = rep_of_kp(KostantPartition(order, tuple(counts)), F)
+        phi = tuple(itertools.chain.from_iterable(f for _, f in touched))
+        mu = classes[key] = iso_class(_restrict(M, i, phi))
+    return mu
+
+
 def _expand(lam: KostantPartition, F):
-    """One step of the recursion on the canonical block sum of lam over F:
-    one hyperplane per orbit of the block scalings, weighted by its size.
-    Over Q, None when a block has two or more stable functionals at a
-    vertex, or when a child has no polynomial."""
-    Q, q, parts = lam.quiver, _q_of(F), lam.parts()
-    M = rep_of_kp(lam, F)
-    dims, mats = M.dims, M.mats
-    children: Counter = Counter()
-    for i in Q.datum.vertices():
-        d = dims[i - 1]
-        if d == 0:
+    """One step of the recursion on M(lam) over F: one hyperplane per orbit
+    of the block scalings, weighted by its size and keyed by the parts it
+    touches.  Over Q, None when a part has two or more stable functionals at
+    a vertex, or when a child has no polynomial."""
+    order, q = lam.order, _q_of(F)
+    tops = _root_tops(lam.quiver, F)
+    blocks = [k for k, c in enumerate(lam.counts) for _ in range(c)]
+    one = q**0
+    orbits: Counter = Counter()
+    for i in order.datum.vertices():
+        touched = [(k, *tops[k][i - 1]) for k in blocks if tops[k][i - 1][0]]
+        if not touched:
             continue
-        in_idx = Q.arrows_into(i)
-        out_idx = Q.arrows_out_of(i)
-        image_rows = tuple(row for a in in_idx for row in transpose(mats[a]))
-        functionals = nullspace(F, image_rows, ncols=d)
-        if not functionals:
-            continue
-        block_of = [p for p, b in enumerate(parts) for _ in range(b[i - 1])]
-        by_block: dict[int, list] = {}
-        for f in functionals:
-            blocks = {block_of[j] for j in range(d) if f[j] != F.zero}
-            if len(blocks) != 1:
-                raise VerificationError(
-                    f"a stable functional at vertex {i} spans the blocks {sorted(blocks)}"
-                )
-            by_block.setdefault(blocks.pop(), []).append(f)
-        if F.order is None and any(len(g) > 1 for g in by_block.values()):
+        if any(points is None for _, _, points in touched):
             return None
-        hyperplanes = []  # (phi, weight): one functional per scaling orbit
-        for size in range(1, len(by_block) + 1):
-            weight = (q - 1) ** (size - 1)
-            for S in itertools.combinations(by_block.values(), size):
-                points = (_projective_coefficients(F, len(g)) for g in S)
-                for coeffs in itertools.product(*points):
-                    phi = [F.zero] * d
-                    for basis, cf in zip(itertools.chain(*S), itertools.chain(*coeffs)):
-                        if cf != F.zero:
-                            for j in range(d):
-                                phi[j] = F.add(phi[j], F.mul(cf, basis[j]))
-                    hyperplanes.append((phi, weight))
-        expected = sum(q**j for j in range(len(functionals)))
-        if sum(w for _, w in hyperplanes) != expected:
+        weight, placed = one, 0
+        for size in range(1, len(touched) + 1):
+            orbits_of_size = 0
+            for S in itertools.combinations(touched, size):
+                parts = [k for k, _, _ in S]
+                for phis in itertools.product(*(points for _, _, points in S)):
+                    orbits[i, tuple(sorted(zip(parts, phis)))] += weight
+                    orbits_of_size += 1
+            placed += orbits_of_size * weight
+            weight *= q - 1
+        expected = one  # [k]_q = 1 + q [k - 1]_q for the k stable functionals
+        for _ in range(sum(g for _, g, _ in touched) - 1):
+            expected = expected * q + one
+        if placed != expected:
             raise VerificationError(
                 f"orbit weights at vertex {i} do not add up to the {expected} "
                 "stable hyperplanes"
             )
-        for phi, weight in hyperplanes:
-            jstar = next(j for j in range(d) if phi[j] != F.zero)
-            inv = F.inv(phi[jstar])
-            ratio = [F.mul(inv, phi[j]) for j in range(d)]
-            new_dims = tuple(d - 1 if v == i - 1 else dims[v] for v in range(Q.datum.n))
-            new_mats = list(mats)
-            for a in in_idx:
-                m = mats[a]
-                new_mats[a] = tuple(m[r] for r in range(d) if r != jstar)
-            # an out-arrow entry changes only where ratio[j] and row[jstar]
-            # are both nonzero
-            keep = [j for j in range(d) if j != jstar]
-            for a in out_idx:
-                new_mats[a] = tuple(
-                    tuple(
-                        row[j]
-                        if ratio[j] == F.zero
-                        else F.sub(row[j], F.mul(ratio[j], row[jstar]))
-                        for j in keep
-                    )
-                    if row[jstar] != F.zero
-                    else row[:jstar] + row[jstar + 1 :]
-                    for row in mats[a]
-                )
-            children[new_dims, tuple(new_mats)] += weight
+    children: Counter = Counter()
+    for key, weight in orbits.items():
+        child = list(lam.counts)
+        for k, _ in key[1]:
+            child[k] -= 1
+        mu = _touched_class(order, F, key).counts
+        children[tuple(map(add, child, mu))] += weight
     total = 0
-    for (sub_dims, sub_mats), m in children.items():
-        count = _count(Q, F, sub_dims, sub_mats)
+    for counts, weight in children.items():
+        count = _class_count(KostantPartition(order, counts), F)
         if count is None:
             return None
-        total += m * count
+        total += weight * count
     return total
 
 

@@ -4,7 +4,9 @@ helpers, kept here as independent oracles for the package.
 `searched_adapted_word` is the depth-first search that `adapted_word_of_w0`
 replaced with one greedy loop, and `pairwise_leq_bitsets` the pair-by-pair
 relation that `kostant.leq_bitsets` replaced with a per-coordinate build;
-the others left the package because nothing in it calls them
+`full_restrictions` is the expansion step that `flag_fibers._expand`
+replaced with one restriction per key of touched parts; the others left the
+package because nothing in it calls them
 (`prime_powers` checks the CLI's literal default q list).
 `orientations` lists a diagram's quivers; `within_one_second` stops a call
 that hangs.
@@ -22,11 +24,13 @@ from quiver_orders.flag_fibers import (
     InterpolationReport,
     _enough_q_values,
     _interpolation_verdict,
+    _projective_coefficients,
     fiber_point_count,
     flag_degree_bound,
     z_point_count,
 )
 from quiver_orders.kostant import KostantPartition, enumerate_kp
+from quiver_orders.linalg import nullspace, transpose
 from quiver_orders.quivers import Quiver, reflect_quiver, sinks
 from quiver_orders.reps import (
     QuiverRep,
@@ -34,6 +38,7 @@ from quiver_orders.reps import (
     _require_same_context,
     all_indecomposables,
     orbit_point_count,
+    rep_of_kp,
     rep_space_dim,
 )
 from quiver_orders.root_system import (
@@ -173,6 +178,63 @@ def y_total_count(Q: Quiver, nu: tuple[int, ...], q: int) -> int:
         orbit_point_count(lam, q) * fiber_point_count(lam, q)
         for lam in enumerate_kp(Q.datum, nu, adapted_order(Q))
     )
+
+
+def full_restrictions(lam: KostantPartition, F):
+    """The expansion step on the whole block sum M(lam) over F: for each orbit
+    of the block scalings on its stable hyperplanes, (vertex i, the touched
+    blocks as ((root index, functional on the block), ...), M(lam) restricted
+    to the orbit's representative hyperplane).  The stable functionals come
+    from M(lam)'s own nullspace at i, each checked to lie in one block."""
+    Q, M, beta = lam.quiver, rep_of_kp(lam, F), lam.order.beta
+    dims, mats = M.dims, M.mats
+    root_of = [k for k, c in enumerate(lam.counts) for _ in range(c)]
+    for i in Q.datum.vertices():
+        d = dims[i - 1]
+        if d == 0:
+            continue
+        in_idx = Q.arrows_into(i)
+        out_idx = Q.arrows_out_of(i)
+        image_rows = tuple(row for a in in_idx for row in transpose(mats[a]))
+        block_of = [p for p, k in enumerate(root_of) for _ in range(beta[k][i - 1])]
+        by_block: dict[int, list] = {}
+        for f in nullspace(F, image_rows, ncols=d):
+            (block,) = {block_of[j] for j in range(d) if f[j] != F.zero}
+            by_block.setdefault(block, []).append(f)
+        for size in range(1, len(by_block) + 1):
+            for S in itertools.combinations(sorted(by_block.items()), size):
+                points = (_projective_coefficients(F, len(g)) for _, g in S)
+                for coeffs in itertools.product(*points):
+                    phi = [F.zero] * d
+                    for basis, cf in zip(
+                        itertools.chain(*(g for _, g in S)), itertools.chain(*coeffs)
+                    ):
+                        if cf != F.zero:
+                            for j in range(d):
+                                phi[j] = F.add(phi[j], F.mul(cf, basis[j]))
+                    touched = tuple(
+                        (root_of[b], tuple(x for x, c in zip(phi, block_of) if c == b))
+                        for b, _ in S
+                    )
+                    jstar = next(j for j in range(d) if phi[j] != F.zero)
+                    inv = F.inv(phi[jstar])
+                    ratio = [F.mul(inv, phi[j]) for j in range(d)]
+                    new_dims = tuple(
+                        d - 1 if v == i - 1 else dims[v] for v in range(Q.datum.n)
+                    )
+                    new_mats = list(mats)
+                    for a in in_idx:
+                        new_mats[a] = tuple(mats[a][r] for r in range(d) if r != jstar)
+                    for a in out_idx:
+                        new_mats[a] = tuple(
+                            tuple(
+                                F.sub(row[j], F.mul(ratio[j], row[jstar]))
+                                for j in range(d)
+                                if j != jstar
+                            )
+                            for row in mats[a]
+                        )
+                    yield i, touched, QuiverRep(Q, F, new_dims, tuple(new_mats))
 
 
 def z_degree_bound(Q: Quiver, nu: tuple[int, ...]) -> int:

@@ -108,8 +108,17 @@ def test_traced_ops_run_and_record_spans(layer_trace, tmp_path, capsys):
     stats = tracer.summary()
     assert sum(s["calls"] for name, s in stats.items() if name.startswith("linalg.rref.")) > 0
     assert stats["reps.hom_dim"]["calls"] > 0
-    # the count takes each class directly; only restrictions pass through
-    # `_count`, so the tracer still sees the recursion nodes
+    # the count takes each class directly, and the recursion runs on classes:
+    # the tracer sees its nodes as the `iso_class` spans of the restrictions
+    # it classifies, inside `fiber_point_count`
     assert stats["flag_fibers.fiber_point_count"]["calls"] > 0
-    assert stats["flag_fibers.count"]["calls"] > 0
+    names = [tracer.names[k] for k in tracer.name_of]
+
+    def inside_a_count(span):
+        while (span := tracer.parent[span]) >= 0:
+            if names[span] == "flag_fibers.fiber_point_count":
+                return True
+        return False
+
+    assert any(n == "reps.iso_class" and inside_a_count(s) for s, n in enumerate(names))
     assert layer_trace.leftover_wrappers() == []

@@ -3,20 +3,23 @@ and the fiber polynomials against the recursion over each F_q.
 
 `flag_fibers.fiber_point_count(lam, q)` evaluates the polynomial that
 `fiber_polynomial(lam)` gets by expanding each class once over Q, and falls
-back to the recursion over F_q where a class has none.  Both expand the
-canonical block sum of each isomorphism class once per field, one hyperplane
-per orbit of its summand scalings, and keep its count in one table per
-(quiver, field).  The first reference below is the recursion they replaced,
-kept verbatim: it expands every stable hyperplane of every restriction, so
-its node count grows with the count itself.  The second is the recursion
-over F_q itself, started at a class's block sum with `_count`: the class of
-a restriction found over Q is only evidence for its class over F_p, so the
-polynomials are checked against it on a sweep of quivers, nu and q.
+back to the recursion over F_q where a class has none.  Both expand each
+isomorphism class once per field, one hyperplane per orbit of its summand
+scalings, and keep its count in one table per (quiver, field).  The first
+reference below is the recursion they replaced, kept verbatim: it expands
+every stable hyperplane of every restriction, so its node count grows with
+the count itself.  The second is the recursion over F_q itself, started at a
+class's block sum with `_count`: the class of a restriction found over Q is
+only evidence for its class over F_p, so the polynomials are checked against
+it on a sweep of quivers, nu and q.  The third is the expansion step on the
+whole block sum (`oracles.full_restrictions`): each orbit's full restriction
+must have the class lam - S + the class of its touched blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 import pytest
 
@@ -37,8 +40,8 @@ from quiver_orders.geometry import default_test_nus
 from quiver_orders.kostant import KostantPartition, enumerate_kp
 from quiver_orders.linalg import nullspace
 from quiver_orders.quivers import Quiver, linear_quiver, quiver
-from quiver_orders.reps import orbit_point_count, rep_of_kp
-from oracles import y_total_count
+from quiver_orders.reps import iso_class, orbit_point_count, rep_of_kp
+from oracles import full_restrictions, y_total_count
 
 A2 = quiver("A2", ((1, 2),))
 A3LIN = linear_quiver("A3")
@@ -105,6 +108,7 @@ def _reference_fiber(M) -> int:
 def _clear_tables():
     flag_fibers._fiber_table.cache_clear()
     flag_fibers._class_memo.cache_clear()
+    flag_fibers._root_tops.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -155,6 +159,38 @@ def test_parts_with_larger_tops_match_reference(Q, nu, q):
     # functionals in its own block: its q + 1 projective points are q + 1
     # separate orbits of the scalings
     _assert_fibers_match(Q, nu, q)
+
+
+@pytest.mark.parametrize(
+    "Q,nus,F",
+    [
+        (A3ZIG, [(2, 2, 2)], RATIONALS),
+        (A3ZIG, [(2, 2, 2)], galois_field(7)),
+        (A3LIN, [nu for nu in itertools.product(range(5), repeat=3) if 0 < sum(nu) <= 4],
+         galois_field(4)),
+        (D4STAR, [nu for nu in itertools.product(range(4), repeat=4) if 0 < sum(nu) <= 3],
+         RATIONALS),
+        # at the source centre, M(1,2,1,1) has two stable functionals
+        (D4SOURCE, [(1, 3, 1, 1)], galois_field(3)),
+    ],
+    ids=["A3zig-Q", "A3zig-F7", "A3lin-GF4", "D4star-Q", "D4source-F3"],
+)
+def test_touched_classes_match_the_full_restrictions(Q, nus, F):
+    # M(lam)|_H = (the untouched blocks) + (the touched blocks cut by H), so
+    # by Krull-Schmidt each full restriction has the class lam - S + the
+    # class of the touched restriction
+    orbits = 0
+    for nu in nus:
+        for lam in enumerate_kp(Q.datum, nu, adapted_order(Q)):
+            for i, touched, restriction in full_restrictions(lam, F):
+                child = list(lam.counts)
+                for k, _ in touched:
+                    child[k] -= 1
+                key = (i, tuple(sorted(touched)))
+                mu = flag_fibers._touched_class(lam.order, F, key).counts
+                assert iso_class(restriction).counts == tuple(map(add, child, mu)), key
+                orbits += 1
+    assert orbits > len(nus)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -239,17 +275,17 @@ def test_fiber_polynomial_values():
 
 
 def _zigzag_calls(monkeypatch, F) -> tuple[int, int]:
-    """(partitions, `_count` calls) of the recursion over F started at the
-    block sum of every lam of A3 1->2<-3, nu=(2,2,2)."""
+    """(partitions, `_class_count` calls) of the recursion over F started at
+    the block sum of every lam of A3 1->2<-3, nu=(2,2,2)."""
     calls = 0
-    original = flag_fibers._count
+    original = flag_fibers._class_count
 
-    def counting(Q, F, dims, mats):
+    def counting(lam, F):
         nonlocal calls
         calls += 1
-        return original(Q, F, dims, mats)
+        return original(lam, F)
 
-    monkeypatch.setattr(flag_fibers, "_count", counting)
+    monkeypatch.setattr(flag_fibers, "_class_count", counting)
     _clear_tables()
     kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG))
     for lam in kps:
@@ -264,7 +300,8 @@ def test_recursion_visits_few_nodes(monkeypatch):
     # 2,145 when every class is expanded at every visit, and 186 when each
     # class is expanded once.
     partitions, calls = _zigzag_calls(monkeypatch, RATIONALS)
-    # more calls than partitions: the recursion looks `_count` up as a module global
+    # more calls than partitions: the recursion looks `_class_count` up as a
+    # module global
     assert partitions < calls <= 1_000
 
 
@@ -273,7 +310,9 @@ def test_identical_restrictions_are_counted_once(monkeypatch):
     # the hyperplanes of one expansion with the same restriction share one
     # call; 186 when, besides, one hyperplane per orbit of the summand
     # scalings of the canonical block sum is expanded.  The pass over Q
-    # makes 186 calls, and 206 without the sharing.
+    # made 186 `_count` calls, and 206 without the sharing; it makes 139
+    # `_class_count` calls now that the children of one expansion with the
+    # same class share one call.
     partitions, calls = _zigzag_calls(monkeypatch, RATIONALS)
     assert partitions < calls <= 190
 
@@ -302,18 +341,15 @@ def _count_a2_pair(F):
     return flag_fibers._count(A2, F, M.dims, M.mats)
 
 
-def test_functional_spanning_two_blocks_is_rejected(monkeypatch):
+def test_stable_functionals_short_of_the_euler_form_are_rejected(monkeypatch):
+    # M(beta) has max(<beta, alpha_i>, 0) stable functionals at i; a
+    # nullspace that drops one of them must not go unnoticed
     original = flag_fibers.nullspace
-
-    def merged(F, rows, ncols):
-        basis = original(F, rows, ncols=ncols)
-        if len(basis) < 2:
-            return basis
-        return [tuple(F.add(x, y) for x, y in zip(basis[0], basis[-1])), *basis[1:]]
-
-    monkeypatch.setattr(flag_fibers, "nullspace", merged)
+    monkeypatch.setattr(
+        flag_fibers, "nullspace", lambda F, rows, ncols: original(F, rows, ncols=ncols)[1:]
+    )
     for F in BOTH_PASSES:
-        with pytest.raises(VerificationError, match="spans the blocks"):
+        with pytest.raises(VerificationError, match="not max"):
             _count_a2_pair(F)
 
 
@@ -332,38 +368,47 @@ def test_orbit_weights_short_of_the_hyperplanes_are_rejected(monkeypatch):
 # --- the class memo: each restriction is classified once per (quiver, field)
 
 
-def _classifications(monkeypatch, F) -> tuple[list, list]:
-    """The restrictions passed to `iso_class`, and those with a nonzero map
-    passed to `_count`, as (dims, mats), in the recursion over F started at
-    the block sum of every lam of A3 1->2<-3, nu=(2,2,2)."""
-    classified, reached = [], []
-    count, classify = flag_fibers._count, flag_fibers.iso_class
+def _classifications(monkeypatch, F) -> tuple[list, list, list]:
+    """The restrictions passed to `iso_class`, as (dims, mats); the keys
+    passed to `_touched_class`; and the block sums, as (dims, mats), passed
+    to `_count`: in the recursion over F started at the block sum of every
+    lam of A3 1->2<-3, nu=(2,2,2)."""
+    classified, reached, started = [], [], []
+    count, touched = flag_fibers._count, flag_fibers._touched_class
+    classify = flag_fibers.iso_class
 
     def counting(Q, F, dims, mats):
         if any(x != F.zero for m in mats for row in m for x in row):
-            reached.append((dims, mats))
+            started.append((dims, mats))
         return count(Q, F, dims, mats)
+
+    def reaching(order, F, key):
+        reached.append(key)
+        return touched(order, F, key)
 
     def recording(M):
         classified.append((M.dims, M.mats))
         return classify(M)
 
     monkeypatch.setattr(flag_fibers, "_count", counting)
+    monkeypatch.setattr(flag_fibers, "_touched_class", reaching)
     monkeypatch.setattr(flag_fibers, "iso_class", recording)
     for lam in enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG)):
         M = rep_of_kp(lam, F)
         flag_fibers._count(A3ZIG, F, M.dims, M.mats)
     monkeypatch.undo()
-    return classified, reached
+    return classified, reached, started
 
 
 @pytest.mark.parametrize("F", [RATIONALS, galois_field(7)], ids=["Q", "F7"])
 def test_each_restriction_is_classified_once(monkeypatch, F):
-    classified, reached = _classifications(monkeypatch, F)
-    # some restrictions are reached more than once, and classified once
+    classified, reached, started = _classifications(monkeypatch, F)
+    # some keys are reached by more than one expansion, and each key, like
+    # each block sum passed to `_count`, is classified once
     assert len(reached) > len(set(reached))
-    assert len(classified) == len(set(classified)) == len(set(reached))
-    assert set(classified) == set(reached)
+    assert len(started) == len(set(started))
+    assert len(classified) == len(set(reached)) + len(started)
+    assert flag_fibers._class_memo(A3ZIG, F).keys() == set(reached) | set(started)
 
 
 def test_a_count_over_q_fills_no_memo_over_f_q(tmp_path, capsys):
@@ -387,34 +432,56 @@ def test_held_out_counts_classify_over_their_own_field():
         assert flag_fibers._class_memo(A3LIN, galois_field(q)) == {}, q
 
 
+def _semisimple(order, dims) -> KostantPartition:
+    """The class of the semisimple module of the given dims."""
+    counts = [0] * order.length
+    for j, d in enumerate(dims):
+        counts[order.beta.index(tuple(int(v == j) for v in range(len(dims))))] = d
+    return KostantPartition(order, tuple(counts))
+
+
 def test_the_recursion_over_f_q_reads_no_class_found_over_q():
-    kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), adapted_order(A3ZIG))
+    order = adapted_order(A3ZIG)
+    kps = enumerate_kp(A3ZIG.datum, (2, 2, 2), order)
     polys = [fiber_polynomial(lam) for lam in kps]
     memo = flag_fibers._class_memo(A3ZIG, RATIONALS)
     # a wrong class for every restriction met over Q: the semisimple one of
-    # nu, whose count is a closed form, so the recursion still ends
-    semisimple = next(lam for lam in kps if all(sum(b) == 1 for b in lam.parts()))
-    for key in memo:
-        memo[key] = semisimple
+    # its own dims, the touched parts less one at the key's vertex, so the
+    # recursion still ends
+    for i, touched in memo:
+        dims = [sum(order.beta[k][j] for k, _ in touched) for j in range(order.datum.n)]
+        dims[i - 1] -= 1
+        memo[i, touched] = _semisimple(order, dims)
     flag_fibers._fiber_table.cache_clear()
     assert [fiber_polynomial(lam) for lam in kps] != polys  # the pass over Q reads them
     F = galois_field(5)
     for lam in kps:
         M = rep_of_kp(lam, F)
         assert flag_fibers._count(A3ZIG, F, M.dims, M.mats) == _reference_fiber(M), lam.counts
-    # restrictions with entries 0 and 1 have equal keys over Q and over F_5
+    # keys whose local functionals have entries 0 and 1 are equal over Q
+    # and over F_5
     assert flag_fibers._class_memo(A3ZIG, F).keys() & memo.keys()
 
 
 @pytest.mark.parametrize("Q", [A3LIN, A3ZIG, D4STAR], ids=["A3lin", "A3zig", "D4star"])
-def test_restrictions_over_q_are_on_ints(Q):
+def test_restrictions_over_q_are_on_ints(monkeypatch, Q):
+    classified = []
+    classify = flag_fibers.iso_class
+
+    def recording(M):
+        classified.append((M.dims, M.mats))
+        return classify(M)
+
+    monkeypatch.setattr(flag_fibers, "iso_class", recording)
     order = adapted_order(Q)
     for nu in default_test_nus(Q.datum, 4) + ((2,) * Q.datum.n,):
         for lam in enumerate_kp(Q.datum, nu, order):
             fiber_polynomial(lam)
     memo = flag_fibers._class_memo(Q, RATIONALS)
-    assert memo
-    for dims, mats in memo:
+    assert memo and len(classified) == len(memo)
+    for i, touched in memo:
+        assert all(type(x) is int for _, phi in touched for x in phi), (i, touched)
+    for dims, mats in classified:
         assert all(type(x) is int for m in mats for row in m for x in row), (dims, mats)
 
 
