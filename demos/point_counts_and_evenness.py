@@ -7,9 +7,9 @@ Run from the repository root:  python3 demos/point_counts_and_evenness.py
 from quiver_orders import (
     adapted_order,
     enumerate_kp,
+    evenness_check,
     fiber_point_count,
     fiber_polynomial,
-    interpolate_fiber_polynomial,
     orbit_point_count,
     quiver,
     rep_space_dim,
@@ -68,17 +68,18 @@ def z_table(Q, nu, qs):
     print()
 
 
-def interpolation_demo(Q, nu):
+def evenness_demo(Q, nu):
     datum = Q.datum
     order = adapted_order(Q)
     qs = (2, 3, 4, 5, 7, 8, 9, 11, 13)
-    print(f"interpolating fiber counts as polynomials in q, nu={nu}:")
+    print(f"evenness evidence for the fiber counts, nu={nu} ({datum.label} {Q.arrows}):")
     for lam in enumerate_kp(datum, nu, order):
-        report = interpolate_fiber_polynomial(lam, qs)
         counts = " ".join(str(c) for c in lam.counts)
-        coeffs = "(" + ", ".join(str(c) for c in report.coefficients) + ")"
-        print(f"  {counts:12}coefficients {coeffs}   verdict: {report.verdict}")
-    print("  (ascending coefficients; checked against held-out prime powers)")
+        poly = fiber_polynomial(lam)
+        source = "interpolated" if poly is None else f"coefficients {tuple(poly)}"
+        verdict = "consistent-with-even" if evenness_check(lam, qs) else "evidence-against"
+        print(f"  {counts}   {source}   verdict: {verdict}")
+    print("  (checked against the counts over F_q at the held-out prime powers)")
 
 
 def main():
@@ -88,7 +89,8 @@ def main():
     fiber_table(Q, (1, 1), qs)
     polynomial_table(quiver("D4", ((2, 1), (2, 3), (2, 4))), (1, 2, 1, 1), qs)
     z_table(Q, (1, 1), (2, 3, 5, 7))
-    interpolation_demo(Q, (2, 1))
+    evenness_demo(Q, (2, 1))
+    evenness_demo(quiver("D4", ((2, 1), (2, 3), (2, 4))), (1, 2, 1, 1))
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ from .convex_order import ConvexOrder, adapted_order, build_order, pairing_sign_
 from .errors import CalibrationError, CapExceeded, VerificationError
 from .fields import RATIONALS, PrimeField, galois_field
 from .flag_fibers import (
+    evenness_check,
     fiber_point_count,
     fiber_polynomial,
     flag_degree_bound,
-    interpolate_fiber_polynomial,
     z_point_count,
 )
 from .geometry import (
@@ -61,7 +61,6 @@ from .root_system import (
     CartanDatum,
     beta_sequence,
     cartan_datum,
-    pairing,
     positive_roots,
     reflect_root,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from operator import mul
 
 from .quivers import Quiver, adapted_word_of_w0
 from .root_system import (
@@ -23,7 +24,6 @@ from .root_system import (
     beta_sequence,
     is_positive,
     num_positive_roots,
-    pairing,
     positive_roots,
 )
 
@@ -92,9 +92,8 @@ def build_order(datum: CartanDatum, word: Word) -> ConvexOrder:
             g + sum(a * x for a, x in zip(row, b)) for g, row in zip(latest[i], datum.cartan)
         )
         gamma.append(latest[i])
-    pairings = tuple(
-        tuple(pairing(datum, g, b) for b in beta) for g in gamma
-    )
+    # <gamma, beta> is the dot product in these bases (see root_system)
+    pairings = tuple(tuple(sum(map(mul, g, b)) for b in beta) for g in gamma)
     for k in range(len(word)):
         if pairings[k][k] != 1:
             raise ValueError(f"pairing <gamma_{k+1}, beta_{k+1}> is not 1")

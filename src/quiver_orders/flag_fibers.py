@@ -41,23 +41,25 @@ once, over Q, with weights in Z[q], and gets its count as a polynomial in q
 `fields.field_order`, which builds no field, and evaluates it.  That a
 restriction has the same class over every F_q as over Q is not shown here:
 the tests compare the polynomials with the recursion over F_q on a sweep,
-and `interpolate_fiber_polynomial` checks each one at its held-out q against
-the recursion over F_q alone, which never reads a polynomial.  A class with a
+and `evenness_check` tests each one itself (non-negative int coefficients,
+degree at most `flag_degree_bound`) and against the recursion over F_q
+alone, which never reads a polynomial, at its held-out q.  A class with a
 block that has two or more functionals at a vertex has no polynomial here
 (its hyperplanes are the points of a projective space over F_q, and their
 restrictions fall into classes that depend on the point), and neither has
 any class whose expansion reaches it; those classes are expanded once per q,
-over F_q, by the same body.  GF(q) is built only for these recursions over
-F_q and for the held-out counts.  Each class is expanded at most once per
-field, and its count kept in one table per (quiver, field), keyed by the
-summand multiplicities lam.counts: polynomials (or None) over Q, ints over
-F_q.  The classes of the touched restrictions are kept in a second table per
-(quiver, field), which `_count`, the count of a representation given by its
-matrices, shares, keyed by (dims, mats).  A recursion over F_q reads only the
-tables of F_q.  Over Q a restriction keeps int entries when the pivot of its
-hyperplane is 1 or -1, which `Rationals.inv` returns as they are; the tests
-check that every restriction of the A3 and D4 sweeps does.  The tables are
-shared by every count of the process.
+over F_q, by the same body, and only they are interpolated.  GF(q) is built
+only for these recursions over F_q and for the held-out counts.  Each class
+is expanded at most once per field, and its count kept in one table per
+(quiver, field), keyed by the summand multiplicities lam.counts: polynomials
+(or None) over Q, ints over F_q.  The classes of the touched restrictions
+are kept in a second table per (quiver, field), which `_count`, the count of
+a representation given by its matrices, shares, keyed by (dims, mats).  A
+recursion over F_q reads only the tables of F_q.  Over Q a restriction keeps
+int entries when the pivot of its hyperplane is 1 or -1, which
+`Rationals.inv` returns as they are; the tests check that every restriction
+of the A3 and D4 sweeps does.  The tables are shared by every count of the
+process.
 
 When every arrow matrix is zero (every part of lam is a simple root) there
 is no stability constraint and the count has the closed form
@@ -71,7 +73,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -409,33 +410,6 @@ def lagrange_coefficients(points) -> tuple[int | Fraction, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    counts: tuple[tuple[int, int], ...]
-    degree_bound: int
-    coefficients: tuple[int | Fraction, ...]
-    held_out: tuple[int, ...]
-    verdict: str
-
-
-def _interpolation_verdict(
-    counts: list[tuple[int, int]], bound: int
-) -> InterpolationReport:
-    counts = sorted(counts)
-    nodes = counts[: bound + 1]
-    held = counts[bound + 1 :]
-    coeffs = lagrange_coefficients(nodes)
-    ok = all(c >= 0 and int(c) == c for c in coeffs)
-    ok = ok and all(_poly_eval(coeffs, q) == y for q, y in held)
-    return InterpolationReport(
-        counts=tuple(counts),
-        degree_bound=bound,
-        coefficients=coeffs,
-        held_out=tuple(q for q, _ in held),
-        verdict="consistent-with-even" if ok else "evidence-against",
-    )
-
-
 def _enough_q_values(q_list, bound: int) -> list[int]:
     """The distinct q values, ascending; a degree-bound polynomial needs
     bound + 1 of them."""
@@ -447,30 +421,31 @@ def _enough_q_values(q_list, bound: int) -> list[int]:
     return qs
 
 
-def interpolate_fiber_polynomial(lam: KostantPartition, q_list) -> InterpolationReport:
-    """Interpolate the fiber count of M(lam) as a polynomial in q and check it.
-
-    Uses the first degree_bound+1 of the sorted q values as nodes and
-    verifies the polynomial on all remaining ones; the verdict is
-    "consistent-with-even" when the coefficients are non-negative integers
-    and every held-out value matches.  The nodes are counted by
-    `fiber_point_count`, the held-out values by the recursion over F_q
-    alone, so a fiber polynomial is checked there against counts that do
-    not use it.  Where lam has a fiber polynomial, the interpolated
-    coefficients must equal it.
-    """
+def evenness_check(lam: KostantPartition, q_list) -> bool:
+    """Whether the fiber count of M(lam), as far as the q list shows, is a
+    polynomial in q of degree at most bound = `flag_degree_bound(lam.nu)`
+    with non-negative int coefficients: the evidence for evenness.  The
+    candidate is `fiber_polynomial(lam)`, or, only for a class without one,
+    the polynomial through its counts over F_q at the first bound + 1 sorted
+    q; it must equal the recursion over F_q alone, which never reads a
+    polynomial, at every remaining q.  The list needs bound + 1 distinct q
+    that `fields.field_order` takes (ValueError otherwise); a fiber
+    polynomial above the degree bound raises VerificationError."""
     bound = flag_degree_bound(lam.nu)
     qs = _enough_q_values(q_list, bound)
-    counts = [(q, fiber_point_count(lam, q)) for q in qs[: bound + 1]]
-    counts += [(q, _class_count(lam, galois_field(q))) for q in qs[bound + 1 :]]
-    report = _interpolation_verdict(counts, bound)
-    poly = fiber_polynomial(lam)
-    if poly is not None and report.coefficients != poly:
+    for q in qs:
+        field_order(q)
+    coeffs = fiber_polynomial(lam)
+    if coeffs is None:
+        nodes = qs[: bound + 1]
+        coeffs = lagrange_coefficients((q, _class_count(lam, galois_field(q))) for q in nodes)
+    elif len(coeffs) > bound + 1:
         raise VerificationError(
-            f"interpolated coefficients {report.coefficients} of {lam.counts} "
-            f"differ from its fiber polynomial {poly}"
+            f"fiber polynomial {coeffs} of {lam.counts} exceeds degree {bound}"
         )
-    return report
+    return all(c >= 0 and int(c) == c for c in coeffs) and all(
+        _poly_eval(coeffs, q) == _class_count(lam, galois_field(q)) for q in qs[bound + 1 :]
+    )
 
 
 def z_point_count(Q: Quiver, nu: tuple[int, ...], q: int) -> int:

@@ -108,13 +108,6 @@ def _check_connected(datum: CartanDatum) -> None:
         raise ValueError(f"diagram of {datum.label} is not connected")
 
 
-def pairing(datum: CartanDatum, x: Coweight, v: Root) -> int:
-    """Canonical pairing <x, v> of a coweight against a root (dot product)."""
-    if len(x) != datum.n or len(v) != datum.n:
-        raise ValueError("coordinate length does not match the rank")
-    return sum(a * b for a, b in zip(x, v))
-
-
 def reflect_root(datum: CartanDatum, i: int, v: Root) -> Root:
     """Simple reflection s_i on root coordinates; only coordinate i changes."""
     a = datum.cartan[i - 1]

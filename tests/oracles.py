@@ -7,7 +7,8 @@ relation that `kostant.leq_bitsets` replaced with a per-coordinate build;
 `full_restrictions` is the expansion step that `flag_fibers._expand`
 replaced with one restriction per key of touched parts; the others left the
 package because nothing in it calls them
-(`prime_powers` checks the CLI's literal default q list).
+(`pairing` checks the dot products `convex_order.build_order` takes inline,
+and `prime_powers` the CLI's literal default q list).
 `orientations` lists a diagram's quivers; `within_one_second` stops a call
 that hangs.
 """
@@ -21,12 +22,11 @@ import signal
 from quiver_orders.convex_order import adapted_order
 from quiver_orders.fields import factor_prime_power
 from quiver_orders.flag_fibers import (
-    InterpolationReport,
     _enough_q_values,
-    _interpolation_verdict,
     _projective_coefficients,
     fiber_point_count,
     flag_degree_bound,
+    lagrange_coefficients,
     z_point_count,
 )
 from quiver_orders.kostant import KostantPartition, enumerate_kp
@@ -85,6 +85,13 @@ def reduced_words_of_w0(datum: CartanDatum) -> tuple[Word, ...]:
 def is_reduced(datum: CartanDatum, w: Word) -> bool:
     """A word is reduced iff every beta_k is a positive root."""
     return all(is_positive(b) for b in beta_sequence(datum, w))
+
+
+def pairing(datum: CartanDatum, x: Coweight, v: Root) -> int:
+    """Canonical pairing <x, v> of a coweight against a root (dot product)."""
+    if len(x) != datum.n or len(v) != datum.n:
+        raise ValueError("coordinate length does not match the rank")
+    return sum(a * b for a, b in zip(x, v))
 
 
 def reflect_coweight(datum: CartanDatum, i: int, x: Coweight) -> Coweight:
@@ -241,12 +248,18 @@ def z_degree_bound(Q: Quiver, nu: tuple[int, ...]) -> int:
     return rep_space_dim(Q, nu) + 2 * flag_degree_bound(nu)
 
 
-def z_polynomial_report(Q: Quiver, nu: tuple[int, ...], q_list) -> InterpolationReport:
-    """Interpolation verdict for the fibre-square count as a polynomial in q."""
+def z_polynomial_report(Q: Quiver, nu: tuple[int, ...], q_list) -> tuple[tuple, bool]:
+    """The fibre-square count interpolated as a polynomial in q through the
+    first z_degree_bound + 1 of the sorted q, and whether its coefficients
+    are non-negative ints and it matches the count at every other q."""
     bound = z_degree_bound(Q, nu)
     qs = _enough_q_values(q_list, bound)
-    counts = [(q, z_point_count(Q, nu, q)) for q in qs]
-    return _interpolation_verdict(counts, bound)
+    coeffs = lagrange_coefficients((q, z_point_count(Q, nu, q)) for q in qs[: bound + 1])
+    ok = all(c >= 0 and int(c) == c for c in coeffs) and all(
+        sum(c * q**k for k, c in enumerate(coeffs)) == z_point_count(Q, nu, q)
+        for q in qs[bound + 1 :]
+    )
+    return coeffs, ok
 
 
 def prime_powers(count: int) -> tuple[int, ...]:

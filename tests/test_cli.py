@@ -294,6 +294,16 @@ def test_verify_evenness(capsys, a2_file):
     assert "FAIL" not in out
 
 
+def test_verify_evenness_interpolates_the_d4_source_centre(capsys, tmp_path):
+    # the classes of the source centre with no fiber polynomial are interpolated
+    path = tmp_path / "d4.quiver"
+    path.write_text("type D4\n2 -> 1\n2 -> 3\n2 -> 4\n")
+    assert main(["verify", "evenness", str(path), "--nu-max", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.splitlines()[-1] == "137/137 checks passed"
+
+
 @pytest.mark.parametrize("check", ["baumann", "mackey", "reflection", "evenness"])
 def test_verify_enumerates_each_nu_once(capsys, a2_file, ledger_file, monkeypatch, check):
     """The command enumerates each swept KP(nu) once and hands it to the check."""
@@ -443,7 +453,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, a2_file):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli, "interpolate_fiber_polynomial", broken)
+    monkeypatch.setattr(cli, "evenness_check", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["verify", "evenness", a2_file, "--nu-max", "1"])
     monkeypatch.setattr(cli, "enumerate_kp", broken)

@@ -6,9 +6,9 @@ import pytest
 
 from quiver_orders.convex_order import adapted_order, build_order, pairing_sign_report
 from quiver_orders.kostant import KostantPartition
-from quiver_orders.quivers import adapted_word_of_w0, is_adapted, quiver
-from quiver_orders.root_system import cartan_datum, pairing
-from oracles import commutation_class, reduced_words_of_w0, reflect_coweight
+from quiver_orders.quivers import adapted_word_of_w0, is_adapted, linear_quiver, quiver
+from quiver_orders.root_system import cartan_datum
+from oracles import commutation_class, pairing, reduced_words_of_w0, reflect_coweight
 
 
 def test_a2_order_data_exact():
@@ -61,6 +61,14 @@ def test_gamma_pairs_to_one_on_its_own_root():
             order = build_order(datum, word)
             for k in range(order.length):
                 assert pairing(datum, order.gamma[k], order.beta[k]) == 1
+
+
+@pytest.mark.parametrize("label", ["A4", "D5", "E6", "E8"])
+def test_pairings_are_the_canonical_pairing(label):
+    order = adapted_order(linear_quiver(label))
+    assert order.pairings == tuple(
+        tuple(pairing(order.datum, g, b) for b in order.beta) for g in order.gamma
+    )
 
 
 @pytest.mark.parametrize(

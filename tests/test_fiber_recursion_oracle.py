@@ -30,9 +30,10 @@ from quiver_orders.errors import VerificationError
 from quiver_orders.fields import RATIONALS, galois_field
 from quiver_orders.flag_fibers import (
     _projective_coefficients,
+    evenness_check,
     fiber_point_count,
     fiber_polynomial,
-    interpolate_fiber_polynomial,
+    flag_degree_bound,
     shuffle_flag_count,
     z_point_count,
 )
@@ -423,12 +424,12 @@ def test_a_count_over_q_fills_no_memo_over_f_q(tmp_path, capsys):
 
 def test_held_out_counts_classify_over_their_own_field():
     lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))  # nu = (0, 2, 2)
-    report = interpolate_fiber_polynomial(lam, (2, 3, 4, 5, 7, 8, 9))
-    assert report.held_out == (5, 7, 8, 9)
+    assert evenness_check(lam, (2, 3, 4, 5, 7, 8, 9))
+    assert flag_degree_bound(lam.nu) == 2  # so the held-out q are 5, 7, 8 and 9
     assert flag_fibers._class_memo(A3LIN, RATIONALS)
-    for q in report.held_out:
+    for q in (5, 7, 8, 9):
         assert flag_fibers._class_memo(A3LIN, galois_field(q)), q
-    for q in (2, 3, 4):  # the nodes evaluate the fiber polynomial
+    for q in (2, 3, 4):  # the nodes count nothing over F_q
         assert flag_fibers._class_memo(A3LIN, galois_field(q)) == {}, q
 
 

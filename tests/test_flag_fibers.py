@@ -12,16 +12,16 @@ from quiver_orders.convex_order import adapted_order
 from quiver_orders.errors import VerificationError
 from quiver_orders.fields import RATIONALS, galois_field
 from quiver_orders.flag_fibers import (
-    _interpolation_verdict,
+    evenness_check,
     fiber_point_count,
     fiber_polynomial,
     flag_degree_bound,
-    interpolate_fiber_polynomial,
     lagrange_coefficients,
     q_factorial,
     shuffle_flag_count,
     z_point_count,
 )
+from quiver_orders.geometry import default_test_nus
 from quiver_orders.kostant import KostantPartition, enumerate_kp
 from quiver_orders.quivers import linear_quiver, quiver
 from quiver_orders.reps import QuiverRep, iso_class, rep_of_kp, zero_rep
@@ -286,42 +286,44 @@ def test_lagrange_rejects_repeated_nodes(points):
 def test_interpolation_consistent_small():
     order = adapted_order(A2)
     lam = KostantPartition(order, (1, 1, 0))  # nu = (1, 2)
-    report = interpolate_fiber_polynomial(lam, prime_powers(9))
-    assert report.verdict == "consistent-with-even"
-    assert all(c.denominator == 1 for c in report.coefficients)
+    assert evenness_check(lam, prime_powers(9)) is True
     # the polynomial reproduces a directly computed count
-    val = sum(c * 2**k for k, c in enumerate(report.coefficients))
-    assert val == fiber_point_count(lam, 2)
+    assert fiber_polynomial(lam)(2) == flag_fibers._class_count(lam, galois_field(2))
 
 
 def test_interpolation_equals_the_fiber_polynomial():
     lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))  # nu = (0, 2, 2)
-    report = interpolate_fiber_polynomial(lam, prime_powers(9))
-    assert report.coefficients == fiber_polynomial(lam)
+    nodes = prime_powers(flag_degree_bound(lam.nu) + 1)
+    counts = [(q, flag_fibers._class_count(lam, galois_field(q))) for q in nodes]
+    assert lagrange_coefficients(counts) == fiber_polynomial(lam)
 
 
-def test_interpolation_off_the_fiber_polynomial_is_rejected(monkeypatch):
-    original = flag_fibers.lagrange_coefficients
-
-    def shifted(points):
-        coeffs = original(points)
-        return (coeffs[0] + 1, *coeffs[1:])
-
-    monkeypatch.setattr(flag_fibers, "lagrange_coefficients", shifted)
-    lam = KostantPartition(adapted_order(A2), (1, 1, 0))
-    with pytest.raises(VerificationError, match="differ from its fiber polynomial"):
-        interpolate_fiber_polynomial(lam, prime_powers(9))
+def test_fiber_polynomial_above_the_degree_bound_is_rejected(monkeypatch):
+    lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))  # nu = (0, 2, 2)
+    poly = fiber_polynomial(lam)
+    table = flag_fibers._fiber_table(lam.quiver, RATIONALS)
+    monkeypatch.setitem(table, lam.counts, poly + (0, 0, 0, 1))  # degree 3, bound 2
+    with pytest.raises(VerificationError, match="exceeds degree 2"):
+        evenness_check(lam, prime_powers(9))
 
 
 def test_held_out_counts_do_not_use_the_fiber_polynomial(monkeypatch):
     lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))  # nu = (0, 2, 2)
     poly = fiber_polynomial(lam)
-    assert interpolate_fiber_polynomial(lam, prime_powers(9)).verdict == "consistent-with-even"
+    assert evenness_check(lam, prime_powers(9)) is True
     table = flag_fibers._fiber_table(lam.quiver, RATIONALS)
     monkeypatch.setitem(table, lam.counts, poly + (0, 0, 1))  # a wrong polynomial
-    report = interpolate_fiber_polynomial(lam, prime_powers(9))
-    assert report.coefficients == table[lam.counts]  # the nodes read it
-    assert report.verdict == "evidence-against"  # the held-out counts over F_q do not
+    assert len(table[lam.counts]) <= flag_degree_bound(lam.nu) + 1
+    # its coefficients pass, and the held-out counts over F_q do not
+    assert evenness_check(lam, prime_powers(9)) is False
+
+
+@pytest.mark.parametrize("q", [6, 2048])
+def test_evenness_check_takes_only_the_q_of_a_field_it_builds(q):
+    lam = KostantPartition(adapted_order(A3LIN), (1, 1, 0, 1, 0, 0))  # bound 2
+    assert fiber_polynomial(lam) is not None  # q is a node, where no field is needed
+    with pytest.raises(ValueError):
+        evenness_check(lam, (2, 3, q))
 
 
 @pytest.mark.parametrize("q", [6, 2048])
@@ -354,19 +356,57 @@ def test_interpolation_insufficient_points():
     order = adapted_order(A2)
     lam = KostantPartition(order, (0, 1, 1))  # bound 1 needs two q values
     with pytest.raises(ValueError):
-        interpolate_fiber_polynomial(lam, (2,))
+        evenness_check(lam, (2,))
 
 
-def test_interpolation_verdict_rejects_non_polynomial_data():
-    fake = [(q, 2**q) for q in (2, 3, 4, 5)]
-    report = _interpolation_verdict(fake, 1)
-    assert report.verdict == "evidence-against"
+def _unpolynomial_class():
+    """The one class of KP(1, 2, 1, 1) of the D4 source centre with no fiber
+    polynomial."""
+    kps = enumerate_kp(D4SOURCE.datum, (1, 2, 1, 1), adapted_order(D4SOURCE))
+    (lam,) = [lam for lam in kps if fiber_polynomial(lam) is None]
+    return lam
 
 
-def test_interpolation_verdict_rejects_negative_coefficients():
-    fake = [(2, 0), (3, -1)]
-    report = _interpolation_verdict(fake, 1)
-    assert report.verdict == "evidence-against"
+def test_evenness_check_rejects_non_polynomial_counts(monkeypatch):
+    lam = _unpolynomial_class()
+    qs = prime_powers(9)
+    assert flag_degree_bound(lam.nu) == 1
+    assert evenness_check(lam, qs) is True
+    for q in qs:  # 2^q + 8 runs through 4q + 4 at the nodes 2 and 3, not at 4
+        table = flag_fibers._fiber_table(lam.quiver, galois_field(q))
+        monkeypatch.setitem(table, lam.counts, 2**q + 8)
+    assert evenness_check(lam, qs) is False
+
+
+def test_evenness_check_rejects_negative_coefficients(monkeypatch):
+    lam = KostantPartition(adapted_order(A2), (1, 1, 0))  # nu = (1, 2), bound 1
+    assert evenness_check(lam, (2, 3)) is True  # two nodes, no held-out q
+    table = flag_fibers._fiber_table(lam.quiver, RATIONALS)
+    monkeypatch.setitem(table, lam.counts, flag_fibers._Poly((-1, 2)))
+    assert evenness_check(lam, (2, 3)) is False
+    # the same on the interpolation path: the counts 0 and -1 at q = 2 and 3
+    lam = _unpolynomial_class()
+    for q, y in ((2, 0), (3, -1)):
+        table = flag_fibers._fiber_table(lam.quiver, galois_field(q))
+        monkeypatch.setitem(table, lam.counts, y)
+    assert evenness_check(lam, (2, 3)) is False
+
+
+def test_only_a_class_without_a_fiber_polynomial_is_interpolated(monkeypatch):
+    calls = []
+    original = flag_fibers.lagrange_coefficients
+    monkeypatch.setattr(
+        flag_fibers, "lagrange_coefficients", lambda points: calls.append(1) or original(points)
+    )
+    kps = enumerate_kp(D4SOURCE.datum, (1, 2, 1, 1), adapted_order(D4SOURCE))
+    assert all(evenness_check(lam, DEFAULT_Q_LIST) for lam in kps)
+    assert len(calls) == 1
+    calls.clear()
+    for Q in (A3LIN, quiver("A3", ((1, 2), (3, 2)))):
+        for nu in default_test_nus(Q.datum, 4):
+            for lam in enumerate_kp(Q.datum, nu, adapted_order(Q)):
+                assert evenness_check(lam, DEFAULT_Q_LIST)
+    assert calls == []
 
 
 def test_z_counts_a2():
@@ -376,10 +416,7 @@ def test_z_counts_a2():
 
 def test_z_polynomial_a2():
     assert z_degree_bound(A2, (1, 1)) == 1
-    report = z_polynomial_report(A2, (1, 1), prime_powers(9))
-    assert report.verdict == "consistent-with-even"
-    assert report.coefficients == (3, 1)
-    assert report.held_out == (4, 5, 7, 8, 9, 11, 13)
+    assert z_polynomial_report(A2, (1, 1), prime_powers(9)) == ((3, 1), True)
 
 
 def test_prime_powers():

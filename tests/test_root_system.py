@@ -9,11 +9,10 @@ from quiver_orders.root_system import (
     cartan_datum,
     is_positive,
     num_positive_roots,
-    pairing,
     positive_roots,
     reflect_root,
 )
-from oracles import is_reduced, reduced_words_of_w0, reflect_coweight
+from oracles import is_reduced, pairing, reduced_words_of_w0, reflect_coweight
 
 ROOT_COUNTS = {
     "A1": 1,
