@@ -46,7 +46,6 @@ from .reps import (
     QuiverRep,
     all_indecomposables,
     bgp_reflect_rep,
-    dual_rep,
     hom_dim,
     hom_matrix,
     hom_table,

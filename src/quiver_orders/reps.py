@@ -9,13 +9,15 @@ backwards from a simple, and every other one by applying the Coxeter
 functor, the reflections at c_n down to c_1, to the module before it in its
 orbit.  By Gabriel's theorem these orbits reach each positive root once over
 any field.
-Reflection functors are built at sources only; a sink is handled by duality,
-S+_i = D S-_i D, where D reverses every arrow and transposes every matrix.
+A reflection functor at a sink or a source is one nullspace of the maps at
+the vertex: the kernel of the maps in at a sink, the quotient map of the
+cokernel of the maps out at a source.
 Isomorphism classes are read off Hom counts: in the adapted order the Hom
 matrix of the indecomposables, read off the Euler form of their dims, is
 upper unitriangular (the Hom order of a Dynkin quiver is directed), so
-summand multiplicities follow by integer forward substitution.  A root that
-does not fit into what the summands found so far leave of dim M, and each
+summand multiplicities follow by integer forward substitution, with the
+Hom counts of the summands found so far and what they leave of dim M kept
+as running vectors.  A root that does not fit into that residual, and each
 vertex's last root (the injective I(j)), is read off the dims; only the
 other roots need an elimination.
 Hom dimensions have two routines.  `hom_dim(M, N)` solves the system of all
@@ -32,13 +34,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, mul
+from operator import add, gt, mul
 
 from .convex_order import adapted_order
 from .errors import VerificationError
 from .kostant import KostantPartition
 # rref is unused here, but benchmarks/test_benchmark.py checks that tracing rebinds reps.rref
-from .linalg import Matrix, _eliminate, nullspace, rref, transpose, zeros  # noqa: F401
+from .linalg import Matrix, _eliminate, nullspace, rref, zeros  # noqa: F401
 from .quivers import Quiver, reflect_quiver, sinks, sources
 from .root_system import Root, is_positive, reflect_root
 
@@ -245,56 +247,47 @@ def hom_table(modules) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def dual_rep(M: QuiverRep) -> QuiverRep:
-    """The dual representation: every arrow reversed in place, every matrix
-    transposed.
+def bgp_reflect_rep(i: int, M: QuiverRep) -> QuiverRep:
+    """Reflection functor at a source or a sink i (Bernstein-Gelfand-
+    Ponomarev), from one nullspace of the maps at i placed side by side as
+    dims(M)_i-row blocks.
 
-    Transposes are built from the dims, so a map into or out of a
-    zero-dimensional space keeps its shape.
-    """
-    Q, d = M.quiver, M.dims
-    mats = tuple(
-        tuple(tuple(m[r][c] for r in range(d[t - 1])) for c in range(d[s - 1]))
-        for (s, t), m in zip(Q.arrows, M.mats)
-    )
-    opposite = Quiver(Q.datum, tuple((t, s) for s, t in Q.arrows))
-    return QuiverRep(opposite, M.field, d, mats)
-
-
-def _reflect_at_source(i: int, M: QuiverRep) -> QuiverRep:
-    """Cokernel construction at a source i.
-
-    The new space at i is the cokernel of the stacked map
-    M_i -> (+)_a M_tgt(a); its quotient map is a basis of the left nullspace
-    of that map, and the reversed arrows are its per-arrow column blocks.
+    At a source these are the transposed out-maps: the nullspace is the left
+    nullspace of M_i -> (+)_a M_tgt(a), a basis of it is the quotient map of
+    its cokernel, and each reversed arrow gets its column block.  At a sink
+    they are the in-maps: the nullspace is the kernel of
+    (+)_a M_src(a) -> M_i, and each reversed arrow gets its column block
+    transposed, so the result is the dual of the source construction on the
+    dual (S+_i = D S-_i D, D reversing every arrow and transposing every
+    matrix).  The blocks are built from the dims, so a map into or out of a
+    zero-dimensional space keeps its shape.  Arrow order is preserved.
     """
     Q, F, d = M.quiver, M.field, M.dims
-    out_idx = Q.arrows_out_of(i)
-    psi = tuple(row for a in out_idx for row in M.mats[a])
-    quotient = nullspace(F, transpose(psi), ncols=len(psi))
+    if i in sinks(Q):
+        at_sink, arrows, end = True, Q.arrows_into(i), 0
+    elif i in sources(Q):
+        at_sink, arrows, end = False, Q.arrows_out_of(i), 1
+    else:
+        raise ValueError(f"vertex {i} is neither a sink nor a source")
+    blocks = [(a, d[Q.arrows[a][end] - 1]) for a in arrows]  # (arrow, dim at its other end)
+    if at_sink:
+        rows = tuple(tuple(x for a, _ in blocks for x in M.mats[a][r]) for r in range(d[i - 1]))
+    else:
+        rows = tuple(
+            tuple(M.mats[a][u][r] for a, size in blocks for u in range(size))
+            for r in range(d[i - 1])
+        )
+    basis = nullspace(F, rows, ncols=sum(size for _, size in blocks))
     new_mats = list(M.mats)
-    block = 0
-    for a in out_idx:
-        size = d[Q.arrows[a][1] - 1]
-        new_mats[a] = tuple(v[block : block + size] for v in quotient)
-        block += size
-    new_dims = d[: i - 1] + (len(quotient),) + d[i:]
+    start = 0
+    for a, size in blocks:
+        if at_sink:
+            new_mats[a] = tuple(tuple(v[c] for v in basis) for c in range(start, start + size))
+        else:
+            new_mats[a] = tuple(v[start : start + size] for v in basis)
+        start += size
+    new_dims = d[: i - 1] + (len(basis),) + d[i:]
     return QuiverRep(reflect_quiver(i, Q), F, new_dims, tuple(new_mats))
-
-
-def bgp_reflect_rep(i: int, M: QuiverRep) -> QuiverRep:
-    """Reflection functor at a source (cokernel construction) or a sink.
-
-    A sink of M's quiver is a source of the dual's, and the reflection at a
-    sink is the dual of the reflection at that source (Bernstein-Gelfand-
-    Ponomarev), so its new space at i is the kernel of the assembled map
-    into i.  Arrow order is preserved.
-    """
-    if i in sources(M.quiver):
-        return _reflect_at_source(i, M)
-    if i in sinks(M.quiver):
-        return dual_rep(_reflect_at_source(i, dual_rep(M)))
-    raise ValueError(f"vertex {i} is neither a sink nor a source")
 
 
 def _coxeter_orbits(Q: Quiver, field):
@@ -399,29 +392,34 @@ def iso_class(M: QuiverRep) -> KostantPartition:
     """Multiplicities of the indecomposable summands of M, via Hom counts.
 
     hom(M, M(beta_l)) = sum_k n_k G[k][l] with G upper unitriangular, so
-    n_l = hom(M, M(beta_l)) - sum_{k<l} n_k G[k][l] in adapted order.  With
-    r = dims - sum_{k<l} n_k beta_k, this is n_l = r[j] at vertex j's last
-    root (M(beta_l) is the injective I(j + 1)), and n_l = 0 when beta_l does
-    not fit into r; only the other roots take a `hom_dim` elimination.  The
-    result is checked to be non-negative and to use up the dims.
+    n_l = hom(M, M(beta_l)) - found[l] in adapted order, where found[l] =
+    sum_{k<l} n_k G[k][l] is kept as a running vector, updated by row k of G
+    as each nonzero n_k is fixed.  With the residual r = dims -
+    sum_{k<l} n_k beta_k, also kept as it goes, n_l = r[j] at vertex j's
+    last root (M(beta_l) is the injective I(j + 1)), and n_l = 0 when beta_l
+    does not fit into r; only the other roots take a `hom_dim` elimination.
+    The result is checked to be non-negative and to use up the dims.
     """
     order = adapted_order(M.quiver)
     reps = all_indecomposables(M.quiver, M.field)
     G = hom_matrix(M.quiver)
     vertex_of = {l: j for j, l in enumerate(order.last_root)}
     r = M.dims
+    found = [0] * len(G)
     counts: list[int] = []
     for l, b in enumerate(order.beta):
         if l in vertex_of:
             n = r[vertex_of[l]]
-        elif any(x > y for x, y in zip(b, r)):
+        elif any(map(gt, b, r)):
             n = 0
         else:
-            n = hom_dim(M, reps[b]) - sum(c * G[k][l] for k, c in enumerate(counts))
+            n = hom_dim(M, reps[b]) - found[l]
         if n < 0:
             raise VerificationError(f"negative multiplicity {n}")
         counts.append(n)
-        r = tuple(y - n * x for x, y in zip(b, r))
+        if n:
+            found = [f + n * g for f, g in zip(found, G[l])]
+            r = [y - n * x for x, y in zip(b, r)]
     if any(r):
         raise VerificationError("summand multiplicities do not add up to the dims")
     return KostantPartition(order, tuple(counts))

@@ -8,7 +8,9 @@ relation that `kostant.leq_bitsets` replaced with a per-coordinate build;
 replaced with one restriction per key of touched parts; the others left the
 package because nothing in it calls them
 (`pairing` checks the dot products `convex_order.build_order` takes inline,
-and `prime_powers` the CLI's literal default q list).
+`prime_powers` the CLI's literal default q list, and `dual_rep` the duality
+S+_i = D S-_i D between the sink and source cases of
+`reps.bgp_reflect_rep`).
 `orientations` lists a diagram's quivers; `within_one_second` stops a call
 that hangs.
 """
@@ -170,6 +172,22 @@ def support_multiset(lam: KostantPartition) -> tuple[tuple[Root, int], ...]:
 def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
     _require_same_context(M, N)
     return _block_sum(M.quiver, M.field, (M, N))
+
+
+def dual_rep(M: QuiverRep) -> QuiverRep:
+    """The dual representation: every arrow reversed in place, every matrix
+    transposed.
+
+    Transposes are built from the dims, so a map into or out of a
+    zero-dimensional space keeps its shape.
+    """
+    Q, d = M.quiver, M.dims
+    mats = tuple(
+        tuple(tuple(m[r][c] for r in range(d[t - 1])) for c in range(d[s - 1]))
+        for (s, t), m in zip(Q.arrows, M.mats)
+    )
+    opposite = Quiver(Q.datum, tuple((t, s) for s, t in Q.arrows))
+    return QuiverRep(opposite, M.field, d, mats)
 
 
 def indecomposable(Q: Quiver, beta: Root, field) -> QuiverRep:

@@ -87,14 +87,14 @@ def test_a_build_takes_at_most_n_reflections_per_root(monkeypatch, label):
     Q = linear_quiver(label)
     n, N = Q.datum.n, num_positive_roots(Q.datum)
     calls = 0
-    real = reps._reflect_at_source
+    real = reps.bgp_reflect_rep
 
     def counting(i, M):
         nonlocal calls
         calls += 1
         return real(i, M)
 
-    monkeypatch.setattr(reps, "_reflect_at_source", counting)
+    monkeypatch.setattr(reps, "bgp_reflect_rep", counting)
     all_indecomposables.__wrapped__(Q, galois_field(2))
     assert 0 < calls <= N * n
     assert calls < N * (N - 1) // 2  # the walk's count

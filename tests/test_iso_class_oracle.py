@@ -22,6 +22,10 @@ dims: it must call `hom_dim` only on indecomposables no larger than M, and
 still recover every partition with |nu| <= 4 of linear D5 and with
 |nu| <= 3 of two E6 orientations, over F_2 and Q.
 
+Its two guards, a negative multiplicity and dims left over, are reached
+directly: a Hom count one off at a single root of a D4 sum trips them, and
+so do two misread last roots.
+
 `hom_matrix` itself is checked against `hom_dim` over the indecomposables
 over Q on every orientation of A3-A5, D4 and D5, eight each of D6 and E6 and
 linear E7 (63^2 Hom systems), and recomputed with `hom_dim` and `all_indecomposables` made to raise.
@@ -233,3 +237,45 @@ def test_iso_class_calls_hom_dim_only_on_roots_that_fit(label, field, monkeypatc
     assert calls
     for m, n in calls:
         assert all(x <= y for x, y in zip(n, m)), (m, n)
+
+
+D4_SUM = (1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0)  # four summands of linear D4
+# (root index, error in its Hom count) pairs that the guards catch, for every
+# root that is no vertex's last; one too many at roots 3-5 decomposes as
+# another module with the same dims instead
+OFF_BY_ONE = [(l, -1) for l in range(8)] + [(l, 1) for l in (0, 1, 2, 6, 7)]
+
+
+@pytest.mark.parametrize(("l", "delta"), OFF_BY_ONE)
+def test_an_off_by_one_hom_count_is_caught(l, delta, monkeypatch):
+    Q = linear_quiver("D4")
+    order = adapted_order(Q)
+    assert l not in order.last_root
+    M = rep_of_kp(KostantPartition(order, D4_SUM), RATIONALS)
+    target = order.beta[l]
+    asked = []
+
+    def off_by_one(X, Y):
+        asked.append(Y.dims)
+        return hom_dim(X, Y) + (delta if Y.dims == target else 0)
+
+    monkeypatch.setattr(reps, "hom_dim", off_by_one)
+    with pytest.raises(VerificationError, match="negative multiplicity|do not add up to the dims"):
+        iso_class(M)
+    assert target in asked
+
+
+def test_dims_left_over_are_caught(monkeypatch):
+    # a Hom count only moves a residual that a later last root reads back,
+    # so only misread last roots leave dims over: those of vertices 3 and 4
+    # swapped, on the sum of every indecomposable of linear D4
+    Q = linear_quiver("D4")
+    order = adapted_order(Q)
+    M = rep_of_kp(KostantPartition(order, (1,) * order.length), RATIONALS)
+    hom_matrix(Q)
+    last = list(order.last_root)
+    last[2], last[3] = last[3], last[2]
+    swapped = replace(order, last_root=tuple(last))
+    monkeypatch.setattr(reps, "adapted_order", lambda Q: swapped)
+    with pytest.raises(VerificationError, match="do not add up to the dims"):
+        iso_class(M)

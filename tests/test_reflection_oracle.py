@@ -1,13 +1,15 @@
-"""Oracle for the reflection functor built by duality.
+"""Oracles for the reflection functor.
 
-`bgp_reflect_rep` builds the reflection at a source by the cokernel
-construction and the one at a sink as the dual of that construction.  The
-reference below is the earlier two-branch version, with its own kernel
-construction at sinks, kept verbatim; every sink and source reflection of
-every indecomposable and of a fixed set of direct sums must come out
-identical, matrix entry for matrix entry and type for type, once the
-reference's integral Fractions over Q are written as ints, as `nullspace`
-writes them.
+`bgp_reflect_rep` builds the reflection at a sink or a source from one
+nullspace of the maps at the vertex.  The reference below is the earlier
+two-branch version, with its own kernel construction at sinks, kept
+verbatim; every sink and source reflection of every indecomposable and of a
+fixed set of direct sums must come out identical, matrix entry for matrix
+entry and type for type, once the reference's integral Fractions over Q are
+written as ints, as `nullspace` writes them.  The same sweep, over F_3 as
+well, checks the duality S+_i = D S-_i D between the sink and source cases:
+reflecting M at i equals dualizing the reflection of the dual at i, matrix
+for matrix, at every sink and source.
 
 The reflection locus (no alpha_i part) is read off the partition; the
 earlier test, the rank of the assembled map at i on the rational model of
@@ -32,13 +34,12 @@ from quiver_orders.reps import (
     QuiverRep,
     all_indecomposables,
     bgp_reflect_rep,
-    dual_rep,
     hom_dim,
     rep_of_kp,
     simple_rep,
 )
 from quiver_orders.root_system import cartan_datum
-from oracles import direct_sum
+from oracles import direct_sum, dual_rep
 
 
 def reference_reflect(i: int, M: QuiverRep) -> QuiverRep:
@@ -182,6 +183,27 @@ def test_reflection_matches_two_branch_reference(label, orient, field):
     for M in sweep_reps(Q, FIELDS[field]):
         for i in vertices:
             assert fingerprint(bgp_reflect_rep(i, M)) == fingerprint(as_written(reference_reflect(i, M)))
+
+
+DUALITY_FIELDS = {**FIELDS, "F3": galois_field(3)}
+DUALITY_CASES = [
+    (label, orient, field)
+    for label in LABELS
+    for orient in ORIENTATIONS
+    for field in DUALITY_FIELDS
+    if label != "E7" or field == "Q"
+]
+
+
+@pytest.mark.parametrize(
+    ("label", "orient", "field"), DUALITY_CASES, ids=["-".join(c) for c in DUALITY_CASES]
+)
+def test_reflection_is_the_dual_of_the_reflection_of_the_dual(label, orient, field):
+    Q = ORIENTATIONS[orient](label)
+    for M in sweep_reps(Q, DUALITY_FIELDS[field]):
+        D = dual_rep(M)
+        for i in sinks(Q) + sources(Q):
+            assert fingerprint(bgp_reflect_rep(i, M)) == fingerprint(dual_rep(bgp_reflect_rep(i, D)))
 
 
 @pytest.mark.parametrize("label", ["A3", "D4", "E6"])
