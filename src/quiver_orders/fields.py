@@ -60,14 +60,33 @@ class Rationals:
         return hash("rationals")
 
 
-class PrimeField:
+class _FiniteField:
+    """What F_p and GF(p^r) share: elements are the codes 0..order-1, with 0
+    and 1 as zero and one, and two finite fields are equal when their orders
+    are."""
+
+    zero = 0
+    one = 1
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def __repr__(self) -> str:
+        return f"F{self.order}"
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _FiniteField) and other.order == self.order
+
+    def __hash__(self) -> int:
+        return hash(("finite", self.order))
+
+
+class PrimeField(_FiniteField):
     def __init__(self, p: int):
         if field_order(p) != (p, 1):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.order = p
-        self.zero = 0
-        self.one = 1 % p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -85,18 +104,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
-
-    def __repr__(self) -> str:
-        return f"F{self.p}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("prime", self.p))
 
 
 # field_order refuses p^r (r >= 2) above this; GF(q) tables hold 2q^2 + 2q entries
@@ -140,7 +147,7 @@ def _tables(p: int, r: int):
     raise RuntimeError("no irreducible polynomial found")
 
 
-class ExtensionField:
+class ExtensionField(_FiniteField):
     """F_{p^r} for small p^r, with table-driven arithmetic on codes 0..q-1."""
 
     def __init__(self, p: int, r: int):
@@ -151,8 +158,6 @@ class ExtensionField:
         self.p = p
         self.r = r
         self.order = p**r
-        self.zero = 0
-        self.one = 1
         self.modulus, self._add, self._neg, self._mul, self._inv = _tables(p, r)
 
     def add(self, a: int, b: int) -> int:
@@ -171,18 +176,6 @@ class ExtensionField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._inv[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def __repr__(self) -> str:
-        return f"F{self.order}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExtensionField) and (other.p, other.r) == (self.p, self.r)
-
-    def __hash__(self) -> int:
-        return hash(("gf", self.p, self.r))
 
 
 RATIONALS = Rationals()

@@ -95,17 +95,11 @@ from .reps import (
 _FIBER_CAP = 1_000_000
 
 
-def _poly_eval(coeffs, x: int) -> int | Fraction:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
 class _Poly(tuple):
-    """A polynomial in q: its int coefficients, ascending, with no trailing
-    zeros.  + - * and ** are polynomial arithmetic, with an int as a
-    constant, and calling it at q evaluates it."""
+    """A polynomial in q: its coefficients, ascending, with no trailing
+    zeros; ints, except that `evenness_check` may interpolate Fractions.
+    + - * and ** are polynomial arithmetic, with an int as a constant, and
+    calling it at q evaluates it."""
 
     def __new__(cls, coeffs):
         coeffs = list(coeffs)
@@ -140,8 +134,11 @@ class _Poly(tuple):
             out = out * self
         return out
 
-    def __call__(self, q: int) -> int:
-        return _poly_eval(self, q)
+    def __call__(self, q: int) -> int | Fraction:
+        total = 0
+        for c in reversed(self):
+            total = total * q + c
+        return total
 
 
 def _q_of(F):
@@ -437,14 +434,14 @@ def evenness_check(lam: KostantPartition, q_list) -> bool:
         field_order(q)
     coeffs = fiber_polynomial(lam)
     if coeffs is None:
-        nodes = qs[: bound + 1]
-        coeffs = lagrange_coefficients((q, _class_count(lam, galois_field(q))) for q in nodes)
+        points = ((q, _class_count(lam, galois_field(q))) for q in qs[: bound + 1])
+        coeffs = _Poly(lagrange_coefficients(points))
     elif len(coeffs) > bound + 1:
         raise VerificationError(
             f"fiber polynomial {coeffs} of {lam.counts} exceeds degree {bound}"
         )
     return all(c >= 0 and int(c) == c for c in coeffs) and all(
-        _poly_eval(coeffs, q) == _class_count(lam, galois_field(q)) for q in qs[bound + 1 :]
+        coeffs(q) == _class_count(lam, galois_field(q)) for q in qs[bound + 1 :]
     )
 
 

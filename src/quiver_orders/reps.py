@@ -11,7 +11,7 @@ orbit.  By Gabriel's theorem these orbits reach each positive root once over
 any field.
 A reflection functor at a sink or a source is one nullspace of the maps at
 the vertex: the kernel of the maps in at a sink, the quotient map of the
-cokernel of the maps out at a source.
+cokernel of the maps out at a source, told apart by the arrows at the vertex.
 Isomorphism classes are read off Hom counts: in the adapted order the Hom
 matrix of the indecomposables, read off the Euler form of their dims, is
 upper unitriangular (the Hom order of a Dynkin quiver is directed), so
@@ -41,7 +41,7 @@ from .errors import VerificationError
 from .kostant import KostantPartition
 # rref is unused here, but benchmarks/test_benchmark.py checks that tracing rebinds reps.rref
 from .linalg import Matrix, _eliminate, nullspace, rref, zeros  # noqa: F401
-from .quivers import Quiver, reflect_quiver, sinks, sources
+from .quivers import Quiver, reflect_quiver, sinks
 from .root_system import Root, is_positive, reflect_root
 
 
@@ -261,14 +261,15 @@ def bgp_reflect_rep(i: int, M: QuiverRep) -> QuiverRep:
     dual (S+_i = D S-_i D, D reversing every arrow and transposing every
     matrix).  The blocks are built from the dims, so a map into or out of a
     zero-dimensional space keeps its shape.  Arrow order is preserved.
+    `reflect_quiver` rejects an i that is neither a sink nor a source, so i
+    is a sink exactly when no arrow leaves it (an isolated vertex counts as
+    one).
     """
     Q, F, d = M.quiver, M.field, M.dims
-    if i in sinks(Q):
-        at_sink, arrows, end = True, Q.arrows_into(i), 0
-    elif i in sources(Q):
-        at_sink, arrows, end = False, Q.arrows_out_of(i), 1
-    else:
-        raise ValueError(f"vertex {i} is neither a sink nor a source")
+    new_quiver = reflect_quiver(i, Q)
+    out = Q.arrows_out_of(i)
+    at_sink = not out
+    arrows, end = (Q.arrows_into(i), 0) if at_sink else (out, 1)
     blocks = [(a, d[Q.arrows[a][end] - 1]) for a in arrows]  # (arrow, dim at its other end)
     if at_sink:
         rows = tuple(tuple(x for a, _ in blocks for x in M.mats[a][r]) for r in range(d[i - 1]))
@@ -287,7 +288,7 @@ def bgp_reflect_rep(i: int, M: QuiverRep) -> QuiverRep:
             new_mats[a] = tuple(v[start : start + size] for v in basis)
         start += size
     new_dims = d[: i - 1] + (len(basis),) + d[i:]
-    return QuiverRep(reflect_quiver(i, Q), F, new_dims, tuple(new_mats))
+    return QuiverRep(new_quiver, F, new_dims, tuple(new_mats))
 
 
 def _coxeter_orbits(Q: Quiver, field):
@@ -384,8 +385,7 @@ def hom_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
 def rep_of_kp(lam: KostantPartition, field) -> QuiverRep:
     """Direct sum of indecomposables with the partition's multiplicities."""
     reps = all_indecomposables(lam.quiver, field)
-    parts = [reps[b] for c, b in zip(lam.counts, lam.order.beta) for _ in range(c)]
-    return _block_sum(lam.quiver, field, parts)
+    return _block_sum(lam.quiver, field, [reps[b] for b in lam.parts()])
 
 
 def iso_class(M: QuiverRep) -> KostantPartition:
@@ -398,7 +398,11 @@ def iso_class(M: QuiverRep) -> KostantPartition:
     sum_{k<l} n_k beta_k, also kept as it goes, n_l = r[j] at vertex j's
     last root (M(beta_l) is the injective I(j + 1)), and n_l = 0 when beta_l
     does not fit into r; only the other roots take a `hom_dim` elimination.
-    The result is checked to be non-negative and to use up the dims.
+    The result is checked to be non-negative and to use up the dims.  The
+    dims check guards the last-root invariant of `ConvexOrder.last_root`;
+    no Hom count can reach it, since each vertex's residual is zeroed at its
+    last root and no later root touches that vertex, so Hom counts that are
+    off can yield another partition with the same dims.
     """
     order = adapted_order(M.quiver)
     reps = all_indecomposables(M.quiver, M.field)

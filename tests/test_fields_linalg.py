@@ -19,6 +19,17 @@ from quiver_orders.linalg import nullspace, rank, rref, transpose
 from oracles import within_one_second
 
 
+
+def test_finite_fields_are_equal_exactly_when_their_orders_are():
+    extensions = [ExtensionField(p, r) for p, r in ((2, 2), (2, 3), (3, 2))]
+    built = [PrimeField(2), PrimeField(3), *extensions]
+    for F in built:
+        G = galois_field(F.order)
+        assert F == G and hash(F) == hash(G) and repr(F) == f"F{F.order}"
+        assert (F.zero, F.one, F.elements()) == (0, 1, range(F.order))
+        assert F != RATIONALS and RATIONALS != F
+    assert len(set(built)) == len(built)
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_field_axioms_exhaustively(q):
     F = galois_field(q)

@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
+from quiver_orders import pbw
 from quiver_orders.convex_order import adapted_order
+from quiver_orders.errors import VerificationError
 from quiver_orders.fields import RATIONALS, PrimeField
 from quiver_orders.kostant import KostantPartition, OrientationLedger, enumerate_kp
 from quiver_orders.pbw import in_ker_locus, order_compat, reflect_kp, verify_reflection
@@ -110,7 +112,7 @@ def test_verify_reflection_small(field):
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), RATIONALS])
 def test_verify_reflection_at_a_source(field):
-    # the rank cross-check stacks the maps out of a source
+    # the alpha_i cross-check reads the reflection at a source too
     checked = 0
     for Q in [A3LIN, A3ZIG, D4STAR, D4SOURCE, D4MIXED, linear_quiver("D5")]:
         order = adapted_order(Q)
@@ -124,6 +126,19 @@ def test_verify_reflection_at_a_source(field):
                         assert verify_reflection(i, lam, field), (Q.arrows, i, lam.counts)
                         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), RATIONALS], ids=["F2", "Q"])
+@pytest.mark.parametrize("Q", [D4STAR, D4SOURCE], ids=["sink", "source"])
+def test_the_alpha_i_cross_check_fires(monkeypatch, Q, field):
+    # the partition and the module disagree on the alpha_2 part, in both directions
+    real = pbw._no_alpha_part
+    monkeypatch.setattr(pbw, "_no_alpha_part", lambda lam, i: not real(lam, i))
+    kps = enumerate_kp(Q.datum, (1, 1, 0, 0), adapted_order(Q))  # a1 + a2, and a1 with a2
+    assert sorted(real(lam, 2) for lam in kps) == [False, True]
+    for lam in kps:
+        with pytest.raises(VerificationError, match="alpha_2 multiplicity disagrees"):
+            verify_reflection(2, lam, field)
 
 
 def test_order_compat_small():
