@@ -12,7 +12,6 @@ C drive the partition order in kostant.py.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from operator import mul
 
 from .quivers import Quiver, adapted_word_of_w0
@@ -20,6 +19,7 @@ from .root_system import (
     CartanDatum,
     Coweight,
     Root,
+    Value,
     Word,
     beta_sequence,
     is_positive,
@@ -28,8 +28,7 @@ from .root_system import (
 )
 
 
-@dataclass(frozen=True)
-class ConvexOrder:
+class ConvexOrder(Value):
     """A reduced word of w0 together with its beta, gamma and pairing data.
 
     last_root[j] is the last k with beta_k[j] != 0.  That entry is 1 (the
@@ -40,13 +39,22 @@ class ConvexOrder:
     is its canonical adapted order, the one `reps.hom_matrix` is indexed by.
     """
 
-    datum: CartanDatum
-    word: Word
-    beta: tuple[Root, ...]
-    gamma: tuple[Coweight, ...]
-    pairings: tuple[tuple[int, ...], ...]
-    last_root: tuple[int, ...]
-    quiver: Quiver | None = None
+    _fields = ("datum", "word", "beta", "gamma", "pairings", "last_root", "quiver")
+
+    def __init__(
+        self,
+        datum: CartanDatum,
+        word: Word,
+        beta: tuple[Root, ...],
+        gamma: tuple[Coweight, ...],
+        pairings: tuple[tuple[int, ...], ...],
+        last_root: tuple[int, ...],
+        quiver: Quiver | None = None,
+    ) -> None:
+        self.__dict__.update(
+            datum=datum, word=word, beta=beta, gamma=gamma, pairings=pairings,
+            last_root=last_root, quiver=quiver,
+        )
 
     @property
     def length(self) -> int:
@@ -111,7 +119,7 @@ def build_order(datum: CartanDatum, word: Word) -> ConvexOrder:
 def adapted_order(Q: Quiver) -> ConvexOrder:
     """The convex order of the canonical adapted word of a quiver, the only
     order that carries one."""
-    return replace(build_order(Q.datum, adapted_word_of_w0(Q)), quiver=Q)
+    return build_order(Q.datum, adapted_word_of_w0(Q)).replace(quiver=Q)
 
 
 def pairing_sign_report(order: ConvexOrder) -> tuple[tuple[int, int, int], ...]:

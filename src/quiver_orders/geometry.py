@@ -19,9 +19,10 @@ assignment is consistent.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .convex_order import adapted_order
-from .errors import CalibrationError
+from .errors import CalibrationError, CapExceeded
 from .fields import RATIONALS
 from .kostant import (
     HOM_DIRECTIONS,
@@ -102,14 +103,26 @@ def baumann_check(kps, direction: str) -> bool:
     return same_order(order_keys(kps, direction), closure_keys(kps))
 
 
+# default_test_nus raises CapExceeded past this many dimension vectors
+_NU_CAP = 1_000_000
+
+
 def default_test_nus(datum, max_total: int = 3) -> tuple[tuple[int, ...], ...]:
     """All dimension vectors with 1 <= |nu| <= max_total, ascending.
 
     The vectors of each total are its compositions into n parts, read off
     the bar positions of a stars-and-bars word; combinations come in
-    lexicographic order, and so do the compositions.
+    lexicographic order, and so do the compositions.  There are
+    C(max_total + n, n) - 1 of them, and CapExceeded is raised before any is
+    built when that is more than _NU_CAP.
     """
     n = datum.n
+    count = math.comb(max(max_total, 0) + n, n) - 1
+    if count > _NU_CAP:
+        raise CapExceeded(
+            f"nu sweep of {datum.label} up to |nu| = {max_total} has {count} vectors, "
+            f"over the cap {_NU_CAP}"
+        )
     out = []
     for total in range(1, max_total + 1):
         end = total + n - 1

@@ -19,12 +19,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import asdict, dataclass, fields
 
 from .convex_order import ConvexOrder
 from .errors import CapExceeded
 from .quivers import Quiver
-from .root_system import Root
+from .root_system import Root, Value
 
 ORDER_DIRECTIONS = ("as-printed", "reversed")
 HOM_DIRECTIONS = ("as-printed", "transposed")
@@ -36,8 +35,7 @@ _KP_CAP = 1_000_000
 _PREFIX_SUM_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class OrientationLedger:
+class OrientationLedger(Value):
     """Calibrated convention choices, frozen after calibration.
 
     order_direction: "as-printed" keeps T_k(lam) <= T_k(mu) as the meaning of
@@ -54,11 +52,16 @@ class OrientationLedger:
     sums build achievable prefixes) or the y factor ("second-factor").
     """
 
-    order_direction: str
-    hom_formula_direction: str
-    res_large_side: str
+    _fields = ("order_direction", "hom_formula_direction", "res_large_side")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, order_direction: str, hom_formula_direction: str, res_large_side: str
+    ) -> None:
+        self.__dict__.update(
+            order_direction=order_direction,
+            hom_formula_direction=hom_formula_direction,
+            res_large_side=res_large_side,
+        )
         if self.order_direction not in ORDER_DIRECTIONS:
             raise ValueError(f"bad order_direction: {self.order_direction!r}")
         if self.hom_formula_direction not in HOM_DIRECTIONS:
@@ -67,7 +70,7 @@ class OrientationLedger:
             raise ValueError(f"bad res_large_side: {self.res_large_side!r}")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(dict(zip(self._fields, self._values(self))), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "OrientationLedger":
@@ -75,19 +78,18 @@ class OrientationLedger:
         if not isinstance(data, dict):
             raise ValueError("ledger is not a JSON object")
         try:
-            return OrientationLedger(**{f.name: data[f.name] for f in fields(OrientationLedger)})
+            return OrientationLedger(**{f: data[f] for f in OrientationLedger._fields})
         except KeyError as missing:
             raise ValueError(f"ledger is missing field {missing}") from None
 
 
-@dataclass(frozen=True)
-class KostantPartition:
+class KostantPartition(Value):
     """A multiplicity vector over the beta-enumeration of a convex order."""
 
-    order: ConvexOrder
-    counts: tuple[int, ...]
+    _fields = ("order", "counts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, order: ConvexOrder, counts: tuple[int, ...]) -> None:
+        self.__dict__.update(order=order, counts=counts)
         if len(self.counts) != self.order.length:
             raise ValueError("multiplicity vector length does not match the order")
         if any(c < 0 for c in self.counts):

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .root_system import (
     CartanDatum,
+    Value,
     Word,
     cartan_datum,
     is_positive,
@@ -15,8 +15,7 @@ from .root_system import (
 )
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Value):
     """An orientation of the diagram of a Cartan datum.
 
     `arrows` is a tuple of (source, target) vertex pairs; each diagram edge
@@ -24,10 +23,10 @@ class Quiver:
     that representation matrices can stay aligned with it.
     """
 
-    datum: CartanDatum
-    arrows: tuple[tuple[int, int], ...]
+    _fields = ("datum", "arrows")
 
-    def __post_init__(self) -> None:
+    def __init__(self, datum: CartanDatum, arrows: tuple[tuple[int, int], ...]) -> None:
+        self.__dict__.update(datum=datum, arrows=arrows)
         undirected = sorted(tuple(sorted(a)) for a in self.arrows)
         if undirected != sorted(self.datum.edges):
             raise ValueError("arrows do not orient the diagram edges exactly once")

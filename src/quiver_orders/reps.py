@@ -32,7 +32,6 @@ system with an unknown per generator coordinate; it serves the N^2 table of
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, gt, mul
 
@@ -42,17 +41,16 @@ from .kostant import KostantPartition
 # rref is unused here, but benchmarks/test_benchmark.py checks that tracing rebinds reps.rref
 from .linalg import Matrix, _eliminate, nullspace, rref, zeros  # noqa: F401
 from .quivers import Quiver, reflect_quiver, sinks
-from .root_system import Root, is_positive, reflect_root
+from .root_system import Root, Value, is_positive, reflect_root
 
 
-@dataclass(frozen=True)
-class QuiverRep:
-    quiver: Quiver
-    field: object
-    dims: tuple[int, ...]
-    mats: tuple[Matrix, ...]
+class QuiverRep(Value):
+    _fields = ("quiver", "field", "dims", "mats")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, quiver: Quiver, field: object, dims: tuple[int, ...], mats: tuple[Matrix, ...]
+    ) -> None:
+        self.__dict__.update(quiver=quiver, field=field, dims=dims, mats=mats)
         n = self.quiver.datum.n
         if len(self.dims) != n or any(d < 0 for d in self.dims):
             raise ValueError("bad dimension vector")

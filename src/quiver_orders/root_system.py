@@ -17,21 +17,66 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from operator import attrgetter
 
 Root = tuple[int, ...]
 Coweight = tuple[int, ...]
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class Value:
+    """An immutable record compared, hashed and printed by its fields, as a
+    frozen dataclass is.
+
+    Each subclass names its fields in `_fields` and defines `__init__`, which
+    stores them with one `__dict__.update` and then checks them, so
+    `replace` checks again.  The hash is computed on first use and kept.
+    The instance `__dict__` stays, so `functools.cached_property` works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        d = self.__dict__
+        if "_hash" not in d:
+            d["_hash"] = hash(self._values(self))
+        return d["_hash"]
+
+    def __repr__(self) -> str:
+        text = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({text})"
+
+    def replace(self, **changes):
+        """A copy with some fields changed, checked again by `__init__`."""
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+
+class CartanDatum(Value):
     """A simply-laced Cartan matrix with its diagram, vertices 1..n."""
 
-    label: str
-    n: int
-    cartan: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("label", "n", "cartan", "edges")
+
+    def __init__(
+        self,
+        label: str,
+        n: int,
+        cartan: tuple[tuple[int, ...], ...],
+        edges: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.__dict__.update(label=label, n=n, cartan=cartan, edges=edges)
 
     def alpha(self, i: int) -> Root:
         """Coordinates of the simple root alpha_i."""

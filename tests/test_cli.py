@@ -321,6 +321,15 @@ def test_verify_enumerates_each_nu_once(capsys, a2_file, ledger_file, monkeypatc
     assert enumerated == [(0, 0), *default_test_nus(cartan_datum("A2"), 2)]
 
 
+@pytest.mark.parametrize("command", [["calibrate"], ["verify", "evenness"]])
+def test_nu_sweep_over_the_cap_exits_1(capsys, a2_file, monkeypatch, command):
+    monkeypatch.setattr(geometry, "_NU_CAP", 8)
+    assert main([*command, a2_file, "--nu-max", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: nu sweep of A2 up to |nu| = 3 has 9 vectors, over the cap 8\n"
+
+
 def test_verify_evenness_rejects_bad_q(capsys, a2_file):
     assert main(["verify", "evenness", a2_file, "--q-list", "6"]) == 2
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +37,18 @@ def test_absolute_imports_are_found():
     assert {"argparse", "os", "sys", "pathlib", "__future__"} <= names
     # relative imports are the package's own
     assert not names & {"convex_order", "fields", "quiver_orders"}
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """Start-up guard: importing the CLI pulls in none of the modules that
+    `dataclasses` would load."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, quiver_orders.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

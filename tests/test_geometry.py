@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
 
 from quiver_orders.convex_order import adapted_order, build_order
-from quiver_orders.errors import CalibrationError
+from quiver_orders.errors import CalibrationError, CapExceeded
 from quiver_orders.geometry import (
     baumann_check,
     calibrate,
@@ -24,7 +23,7 @@ from quiver_orders.kostant import (
 )
 from quiver_orders.fields import RATIONALS
 from quiver_orders.quivers import is_adapted, linear_quiver, quiver
-from quiver_orders import reps
+from quiver_orders import geometry, reps
 from quiver_orders.reps import all_indecomposables, hom_dim, hom_matrix
 from quiver_orders.root_system import cartan_datum
 from oracles import commutation_class
@@ -171,7 +170,7 @@ def test_ringel_check_reads_the_modules(monkeypatch):
     root, a = (1, 1, 0, 0), Q.arrows.index((1, 2))
     M = indecs[root]
     assert M.mats[a] != ((0,),)
-    indecs[root] = dataclasses.replace(M, mats=M.mats[:a] + (((0,),),) + M.mats[a + 1 :])
+    indecs[root] = M.replace(mats=M.mats[:a] + (((0,),),) + M.mats[a + 1 :])
     assert hom_dim(indecs[root], indecs[root]) == 2
     monkeypatch.setattr("quiver_orders.geometry.all_indecomposables", lambda Q, F: indecs)
     with pytest.raises(CalibrationError):
@@ -227,3 +226,16 @@ def test_calibrate_aborts_when_no_assignment_fits(monkeypatch):
     monkeypatch.setattr(geometry, "hom_profile", lambda lam, field=None: (0,))
     with pytest.raises(CalibrationError):
         calibrate(A2, default_test_nus(A2.datum))
+
+
+def test_default_test_nus_cap(monkeypatch):
+    datum = cartan_datum("A2")
+    assert len(default_test_nus(datum, 3)) == 9  # C(3 + 2, 2) - 1
+    monkeypatch.setattr(geometry, "_NU_CAP", 9)
+    assert len(default_test_nus(datum, 3)) == 9
+    monkeypatch.setattr(geometry, "_NU_CAP", 8)
+    with pytest.raises(
+        CapExceeded, match=r"^nu sweep of A2 up to \|nu\| = 3 has 9 vectors, over the cap 8$"
+    ):
+        default_test_nus(datum, 3)
+    assert default_test_nus(datum, 0) == ()

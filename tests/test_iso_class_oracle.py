@@ -34,7 +34,6 @@ linear E7 (63^2 Hom systems), and recomputed with `hom_dim` and `all_indecomposa
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -146,7 +145,7 @@ def test_substitution_matches_rational_solve(label, field, monkeypatch):
 
 def test_hom_matrix_rejects_a_matrix_that_is_not_unitriangular(monkeypatch):
     order = adapted_order(QUIVERS["A3"])
-    reversed_order = replace(order, beta=order.beta[::-1])
+    reversed_order = order.replace(beta=order.beta[::-1])
     monkeypatch.setattr(reps, "adapted_order", lambda Q: reversed_order)
     with pytest.raises(VerificationError, match="unitriangular"):
         reps.hom_matrix.__wrapped__(QUIVERS["A3"])
@@ -205,7 +204,7 @@ def test_hom_matrix_rejects_last_roots_that_are_not_injective(monkeypatch):
     order = adapted_order(QUIVERS["A3"])
     last = list(order.last_root)
     last[0], last[1] = last[1], last[0]
-    swapped = replace(order, last_root=tuple(last))
+    swapped = order.replace(last_root=tuple(last))
     monkeypatch.setattr(reps, "adapted_order", lambda Q: swapped)
     with pytest.raises(VerificationError, match="injective"):
         reps.hom_matrix.__wrapped__(QUIVERS["A3"])
@@ -275,7 +274,7 @@ def test_dims_left_over_are_caught(monkeypatch):
     hom_matrix(Q)
     last = list(order.last_root)
     last[2], last[3] = last[3], last[2]
-    swapped = replace(order, last_root=tuple(last))
+    swapped = order.replace(last_root=tuple(last))
     monkeypatch.setattr(reps, "adapted_order", lambda Q: swapped)
     with pytest.raises(VerificationError, match="do not add up to the dims"):
         iso_class(M)
