@@ -70,7 +70,7 @@ class OrientationLedger(Value):
             raise ValueError(f"bad res_large_side: {self.res_large_side!r}")
 
     def to_json(self) -> str:
-        return json.dumps(dict(zip(self._fields, self._values(self))), indent=2)
+        return json.dumps(self._asdict(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "OrientationLedger":

@@ -55,13 +55,17 @@ class Value:
             d["_hash"] = hash(self._values(self))
         return d["_hash"]
 
+    def _asdict(self) -> dict:
+        """The fields by name, in `_fields` order."""
+        return dict(zip(self._fields, self._values(self)))
+
     def __repr__(self) -> str:
-        text = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        text = ", ".join(f"{f}={v!r}" for f, v in self._asdict().items())
         return f"{type(self).__qualname__}({text})"
 
     def replace(self, **changes):
         """A copy with some fields changed, checked again by `__init__`."""
-        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+        return type(self)(**{**self._asdict(), **changes})
 
 
 class CartanDatum(Value):

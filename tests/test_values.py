@@ -11,7 +11,7 @@ from quiver_orders.fields import RATIONALS
 from quiver_orders.kostant import KostantPartition, OrientationLedger
 from quiver_orders.quivers import Quiver, linear_quiver, quiver
 from quiver_orders.reps import simple_rep
-from quiver_orders.root_system import cartan_datum
+from quiver_orders.root_system import Value, cartan_datum
 
 
 def test_equal_values_are_equal_with_equal_hashes():
@@ -22,15 +22,26 @@ def test_equal_values_are_equal_with_equal_hashes():
     assert len({a, b, linear_quiver("A3")}) == 2
 
 
+class _Arrows(Value):
+    """A record of another type with the same fields as Quiver."""
+
+    _fields = ("datum", "arrows")
+
+    def __init__(self, datum, arrows) -> None:
+        self.__dict__.update(datum=datum, arrows=arrows)
+
+
 def test_a_value_never_equals_another_type():
     Q = linear_quiver("A2")
     assert Q != (Q.datum, Q.arrows)
     assert (Q.datum, Q.arrows) != Q
+    twin = _Arrows(Q.datum, Q.arrows)
+    assert twin == _Arrows(Q.datum, Q.arrows)
+    assert Q != twin and twin != Q
+    assert Q.__eq__(twin) is NotImplemented and twin.__eq__(Q) is NotImplemented
     order = adapted_order(Q)
     kp = KostantPartition(order, (0,) * order.length)
-    # a record of another type holding the same two values
-    assert kp.__class__.__eq__(kp, Q) is NotImplemented
-    assert Q.__eq__(kp) is NotImplemented
+    assert Q != kp and kp != Q
 
 
 def test_fields_cannot_be_assigned_or_deleted():
