@@ -60,9 +60,18 @@ class ConvexOrder(Value):
     def length(self) -> int:
         return len(self.word)
 
+    @functools.cached_property
+    def _positions(self) -> dict[Root, int]:
+        """Each root's position in `beta`, built once per order."""
+        return {b: k for k, b in enumerate(self.beta)}
+
     def index_of(self, root: Root) -> int:
-        """Position (0-based) of a positive root in the enumeration."""
-        return self.beta.index(root)
+        """Position (0-based) of a positive root in the enumeration; raises
+        ValueError for any other vector."""
+        try:
+            return self._positions[root]
+        except KeyError:
+            raise ValueError(f"{root} is not a positive root of the order") from None
 
     @functools.cached_property
     def search_tables(

@@ -90,9 +90,9 @@ class KostantPartition(Value):
 
     def __init__(self, order: ConvexOrder, counts: tuple[int, ...]) -> None:
         self.__dict__.update(order=order, counts=counts)
-        if len(self.counts) != self.order.length:
+        if len(counts) != len(order.word):
             raise ValueError("multiplicity vector length does not match the order")
-        if any(c < 0 for c in self.counts):
+        if counts and min(counts) < 0:
             raise ValueError("multiplicities must be non-negative")
 
     @property

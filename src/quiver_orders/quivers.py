@@ -31,23 +31,31 @@ class Quiver(Value):
         if undirected != sorted(self.datum.edges):
             raise ValueError("arrows do not orient the diagram edges exactly once")
 
+    @functools.cached_property
+    def _adjacency(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        """For each vertex, the indices into `arrows` of the arrows into it and
+        of the arrows out of it; built once per quiver, outside eq and hash."""
+        vertices, arrows = self.datum.vertices(), self.arrows
+        return (
+            {i: tuple(k for k, (_, t) in enumerate(arrows) if t == i) for i in vertices},
+            {i: tuple(k for k, (s, _) in enumerate(arrows) if s == i) for i in vertices},
+        )
+
     def arrows_into(self, i: int) -> tuple[int, ...]:
         """Indices into `arrows` of the arrows with target i."""
-        return tuple(k for k, (_, t) in enumerate(self.arrows) if t == i)
+        return self._adjacency[0].get(i, ())
 
     def arrows_out_of(self, i: int) -> tuple[int, ...]:
-        return tuple(k for k, (s, _) in enumerate(self.arrows) if s == i)
+        return self._adjacency[1].get(i, ())
 
 
 def sinks(Q: Quiver) -> tuple[int, ...]:
     """Vertices with no outgoing arrow, ascending."""
-    out = {s for s, _ in Q.arrows}
-    return tuple(i for i in Q.datum.vertices() if i not in out)
+    return tuple(i for i, ks in Q._adjacency[1].items() if not ks)
 
 
 def sources(Q: Quiver) -> tuple[int, ...]:
-    inc = {t for _, t in Q.arrows}
-    return tuple(i for i in Q.datum.vertices() if i not in inc)
+    return tuple(i for i, ks in Q._adjacency[0].items() if not ks)
 
 
 @functools.cache

@@ -25,8 +25,11 @@ maps M_i -> N_i for one pair; it serves `iso_class` and the endomorphism
 checks, which meet few targets per module, so a presentation would cost
 them more than the systems it replaces.  `hom_table(modules)` builds one
 minimal projective presentation per module and reads each entry off a
-system with an unknown per generator coordinate; it serves the N^2 table of
-`geometry.ringel_check`, and `hom_dim` is its oracle in the tests.
+system with an unknown per generator coordinate, or with no system where N
+is zero at every generator vertex of M (the entry is 0) or M has no
+relations (M is projective; the entry is the number of unknowns); it serves
+the N^2 table of `geometry.ringel_check`, and `hom_dim` is its oracle in
+the tests.
 """
 
 from __future__ import annotations
@@ -51,15 +54,15 @@ class QuiverRep(Value):
         self, quiver: Quiver, field: object, dims: tuple[int, ...], mats: tuple[Matrix, ...]
     ) -> None:
         self.__dict__.update(quiver=quiver, field=field, dims=dims, mats=mats)
-        n = self.quiver.datum.n
-        if len(self.dims) != n or any(d < 0 for d in self.dims):
+        arrows = quiver.arrows
+        if len(dims) != quiver.datum.n or min(dims) < 0:
             raise ValueError("bad dimension vector")
-        if len(self.mats) != len(self.quiver.arrows):
+        if len(mats) != len(arrows):
             raise ValueError("one matrix per arrow required")
-        for (s, t), m in zip(self.quiver.arrows, self.mats):
-            if len(m) != self.dims[t - 1]:
+        for (s, t), m in zip(arrows, mats):
+            if len(m) != dims[t - 1]:
                 raise ValueError(f"matrix for {s}->{t} has wrong row count")
-            if any(len(row) != self.dims[s - 1] for row in m):
+            if not all(map(dims[s - 1].__eq__, map(len, m))):
                 raise ValueError(f"matrix for {s}->{t} has wrong column count")
 
 
@@ -214,9 +217,12 @@ def hom_table(modules) -> tuple[tuple[int, ...], ...]:
     sum_g c_g N_{v->k} f(g) vanish in N_k, dims(N)_k rows through N's path
     maps.  So each entry is a system with sum_g dims(N)_v unknowns, where
     `hom_dim` has sum_i dims(M)_i dims(N)_i, and each module's presentation
-    and path maps are built once per call.  `ringel_check`'s N^2 table over
-    the indecomposables uses it; `hom_dim`, which needs no presentation,
-    serves single pairs and is this routine's oracle.
+    and path maps are built once per call.  Two kinds of entry take no
+    system: with no unknowns (N is zero at every generator vertex) the
+    entry is 0, and with no relations (P_1 = 0, so M = P_0 is projective)
+    it is the number of unknowns, dim Hom(P_0, N).  `ringel_check`'s N^2
+    table over the indecomposables uses it; `hom_dim`, which needs no
+    presentation, serves single pairs and is this routine's oracle.
     """
     modules = list(modules)
     for N in modules[1:]:
@@ -230,6 +236,9 @@ def hom_table(modules) -> tuple[tuple[int, ...], ...]:
         entries = []
         for N, (_, _, paths) in zip(modules, pres):
             offsets = list(accumulate(map(N.dims.__getitem__, at), initial=0))
+            if not (relations and offsets[-1]):
+                entries.append(offsets[-1])
+                continue
             rows = []
             for k, rel in relations:
                 blocks = [(offsets[g], c, paths[gens[g][0], k]) for g, c in rel]

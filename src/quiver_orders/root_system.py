@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from operator import attrgetter
+from operator import attrgetter, mul
 
 Root = tuple[int, ...]
 Coweight = tuple[int, ...]
@@ -82,9 +82,17 @@ class CartanDatum(Value):
     ) -> None:
         self.__dict__.update(label=label, n=n, cartan=cartan, edges=edges)
 
+    @functools.cached_property
+    def _simple_roots(self) -> tuple[Root, ...]:
+        """The simple roots alpha_1..alpha_n, built once per datum."""
+        n = self.n
+        return tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
+
     def alpha(self, i: int) -> Root:
         """Coordinates of the simple root alpha_i."""
-        return tuple(1 if j == i - 1 else 0 for j in range(self.n))
+        if not 1 <= i <= self.n:
+            raise ValueError(f"vertex {i} outside 1..{self.n}")
+        return self._simple_roots[i - 1]
 
     def omega(self, i: int) -> Coweight:
         """Coordinates of the fundamental coweight omega_i^vee."""
@@ -159,9 +167,9 @@ def _check_connected(datum: CartanDatum) -> None:
 
 def reflect_root(datum: CartanDatum, i: int, v: Root) -> Root:
     """Simple reflection s_i on root coordinates; only coordinate i changes."""
-    a = datum.cartan[i - 1]
-    delta = sum(a[j] * v[j] for j in range(datum.n))
-    return tuple(v[j] - delta if j == i - 1 else v[j] for j in range(datum.n))
+    if not 1 <= i <= datum.n:
+        raise ValueError(f"vertex {i} outside 1..{datum.n}")
+    return v[: i - 1] + (v[i - 1] - sum(map(mul, datum.cartan[i - 1], v)),) + v[i:]
 
 
 def root_height(v: Root) -> int:
@@ -198,9 +206,13 @@ def times_simple(datum: CartanDatum, cols: list[Root], i: int) -> list[Root]:
     """Columns of w*s_i from the columns of w, column j being w(alpha_{j+1}).
 
     w*s_i(alpha_j) = w(alpha_j) - a_ij w(alpha_i); for j = i this is -w(alpha_i).
+    Only the columns with a_ij != 0 change, and only those are rebuilt.
     """
-    a, ci = datum.cartan[i - 1], cols[i - 1]
-    return [tuple(x - a[j] * c for x, c in zip(col, ci)) for j, col in enumerate(cols)]
+    ci, out = cols[i - 1], list(cols)
+    for j, a in enumerate(datum.cartan[i - 1]):
+        if a:
+            out[j] = tuple(x - a * c for x, c in zip(cols[j], ci))
+    return out
 
 
 def beta_sequence(datum: CartanDatum, w: Word) -> tuple[Root, ...]:

@@ -5,7 +5,11 @@ helpers, kept here as independent oracles for the package.
 replaced with one greedy loop, and `pairwise_leq_bitsets` the pair-by-pair
 relation that `kostant.leq_bitsets` replaced with a per-coordinate build;
 `full_restrictions` is the expansion step that `flag_fibers._expand`
-replaced with one restriction per key of touched parts; the others left the
+replaced with one restriction per key of touched parts;
+`dense_reflect_root` and `dense_times_simple` are the bodies of
+`root_system.reflect_root` and `root_system.times_simple` that rebuilt every
+coordinate and every column, where the package rebuilds only coordinate i
+and the columns j with a_ij != 0; the others left the
 package because nothing in it calls them
 (`pairing` checks the dot products `convex_order.build_order` takes inline,
 `prime_powers` the CLI's literal default q list, and `dual_rep` the duality
@@ -101,6 +105,19 @@ def reflect_coweight(datum: CartanDatum, i: int, x: Coweight) -> Coweight:
     a = datum.cartan[i - 1]
     c = x[i - 1]
     return tuple(x[j] - c * a[j] for j in range(datum.n))
+
+
+def dense_reflect_root(datum: CartanDatum, i: int, v: Root) -> Root:
+    """Simple reflection s_i on root coordinates, every coordinate rebuilt."""
+    a = datum.cartan[i - 1]
+    delta = sum(a[j] * v[j] for j in range(datum.n))
+    return tuple(v[j] - delta if j == i - 1 else v[j] for j in range(datum.n))
+
+
+def dense_times_simple(datum: CartanDatum, cols: list[Root], i: int) -> list[Root]:
+    """Columns of w*s_i from the columns of w, every column rebuilt."""
+    a, ci = datum.cartan[i - 1], cols[i - 1]
+    return [tuple(x - a[j] * c for x, c in zip(col, ci)) for j, col in enumerate(cols)]
 
 
 def commutation_class(datum: CartanDatum, w: Word) -> tuple[Word, ...]:

@@ -124,6 +124,14 @@ def test_only_adapted_order_attaches_a_quiver(Q):
     assert adapted_order(Q).quiver == Q
 
 
+def test_index_of_rejects_a_negative_root_and_a_non_root():
+    order = adapted_order(linear_quiver("D4"))
+    assert [order.index_of(b) for b in order.beta] == list(range(order.length))
+    for v in ((-1, -1, 0, 0), (1, 0, 1, 0), (2, 1, 1, 1)):
+        with pytest.raises(ValueError, match="is not a positive root of the order"):
+            order.index_of(v)
+
+
 def test_adapted_order_carries_its_quiver():
     Q = quiver("A2", ((1, 2),))
     order = adapted_order(Q)

@@ -6,8 +6,9 @@ The two tables must agree on the indecomposables of every orientation of
 A2-A5, D4 and D5, of every fourth orientation of D6 and E6, and of linear
 E7, over Q, F_2 and F_3; on the direct sums `rep_of_kp(lam)` with |nu| <= 3
 of linear A3 and the D4 star and on their images under `bgp_reflect_rep`
-at every sink and source; on A1; and with zero-dimensional modules among the
-rest.  The presentation is checked to be minimal against the Euler form:
+at every sink and source; on A1; with zero-dimensional modules among the
+rest; and on an E6 quiver whose table holds both kinds of entry that
+`hom_table` reads off with no system.  The presentation is checked to be minimal against the Euler form:
 P_0 has dim Hom(M, S_i) generators at i, and P_1 has
 dim Ext^1(M, S_i) = dim Hom(M, S_i) - <dim M, alpha_i> relations there.
 """
@@ -68,6 +69,25 @@ def test_kp_sums_and_their_reflections(Q, field):
         images = [bgp_reflect_rep(i, M) for M in sums]
         assert images[0].quiver == reflect_quiver(i, Q)
         _assert_table(images)
+
+
+@pytest.mark.parametrize("field", [FIELDS["Q"], FIELDS["F2"]], ids=["Q", "F2"])
+def test_entries_that_need_no_system_on_e6(field):
+    """An entry needs no system when N is zero at every generator vertex of M
+    (it is 0) or when M has no relations (M is projective, and it is the
+    number of unknowns).  Both kinds occur on this E6 quiver, and the table
+    still equals `hom_dim` entry by entry."""
+    Q = quiver("E6", ((1, 3), (4, 2), (4, 3), (5, 4), (5, 6)))
+    modules = list(all_indecomposables(Q, field).values())
+    zero_at_tops = projective = 0
+    for M in modules:
+        gens, relations, _ = _presentation(M)
+        for N in modules:
+            unknowns = sum(N.dims[v - 1] for v, _ in gens)
+            zero_at_tops += unknowns == 0
+            projective += unknowns > 0 and not relations
+    assert (len(modules) ** 2, zero_at_tops, projective) == (1296, 315, 132)
+    _assert_table(modules)
 
 
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())

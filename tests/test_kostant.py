@@ -93,6 +93,15 @@ def test_kp_leq_directions():
     assert not kp_leq(dense, semisimple, CALIBRATED)
 
 
+def test_kp_checks_fire_with_their_messages():
+    order = _a2_order()
+    with pytest.raises(ValueError, match="^multiplicities must be non-negative$"):
+        KostantPartition(order, (0, 0, -1))
+    with pytest.raises(ValueError, match="^multiplicity vector length does not match the order$"):
+        KostantPartition(order, (0, 0))
+    assert KostantPartition(order, (0, 0, 0)).nu == (0, 0)
+
+
 def test_kp_leq_requires_same_dimension_vector():
     order = _a2_order()
     with pytest.raises(ValueError):

@@ -37,6 +37,21 @@ def test_quiver_construction_and_sinks():
     assert Q.arrows_into(1) == ()
 
 
+@pytest.mark.parametrize("label", ["D4", "D5", "E6"])
+def test_adjacency_tables_match_the_arrows(label):
+    """The per-quiver tables behind arrows_into, arrows_out_of, sinks and
+    sources give what enumerating `arrows` gives, on every orientation."""
+    for Q in _all_orientations(label):
+        vertices = Q.datum.vertices()
+        for i in vertices:
+            assert Q.arrows_into(i) == tuple(k for k, (_, t) in enumerate(Q.arrows) if t == i)
+            assert Q.arrows_out_of(i) == tuple(k for k, (s, _) in enumerate(Q.arrows) if s == i)
+        assert sinks(Q) == tuple(i for i in vertices if all(s != i for s, _ in Q.arrows))
+        assert sources(Q) == tuple(i for i in vertices if all(t != i for _, t in Q.arrows))
+        for i in (0, Q.datum.n + 1):
+            assert Q.arrows_into(i) == Q.arrows_out_of(i) == ()
+
+
 def test_quiver_requires_orienting_each_edge():
     with pytest.raises(ValueError):
         quiver("A3", ((1, 2), (2, 1)))  # edge {2,3} missing, {1,2} doubled

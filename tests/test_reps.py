@@ -30,9 +30,25 @@ D4STAR = quiver("D4", ((1, 2), (3, 2), (4, 2)))
 
 
 def test_rep_validation():
-    F = RATIONALS
-    with pytest.raises(ValueError):
+    """Each check of `QuiverRep.__init__` fires with its message, also on the
+    entry it reads last."""
+    F, one = RATIONALS, RATIONALS.one
+    with pytest.raises(ValueError, match="^matrix for 1->2 has wrong column count$"):
         QuiverRep(A2, F, (1, 1), (((F.one, F.one),),))  # 1x2 instead of 1x1
+    cases = [
+        ((0, 0, -1), ((), ()), "bad dimension vector"),
+        ((1, 1), ((), ()), "bad dimension vector"),
+        ((1, 1, 1, 1), ((), ()), "bad dimension vector"),
+        ((0, 0, 0), ((),), "one matrix per arrow required"),
+        ((0, 0, 0), ((), (), ()), "one matrix per arrow required"),
+        ((2, 2, 0), (((one, 0), (one,)), ()), "matrix for 1->2 has wrong column count"),
+        ((0, 2, 2), (((), ()), ((one, 0), (0,))), "matrix for 2->3 has wrong column count"),
+        ((0, 2, 1), (((), ()), ((0, 0), (0, 0))), "matrix for 2->3 has wrong row count"),
+    ]
+    for dims, mats, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuiverRep(A3LIN, F, dims, mats)
+    QuiverRep(A3LIN, F, (2, 2, 1), (((one, 0), (0, one)), ((0, one),)))
     zero_rep(A2, F, (0, 0))
     simple_rep(A2, F, 1)
 

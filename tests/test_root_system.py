@@ -107,6 +107,22 @@ def test_reflections_are_involutions_on_all_roots():
                 assert reflect_root(datum, i, reflect_root(datum, i, v)) == v
 
 
+@pytest.mark.parametrize("label", ["A1", "A3", "E8"])
+def test_a_vertex_outside_the_diagram_is_rejected(label):
+    """i = 0 would read row cartan[-1] and i = n + 1 run off the rows; both
+    are refused, by `reflect_root` and by `alpha` alike."""
+    datum = cartan_datum(label)
+    v = positive_roots(datum)[-1]
+    for i in (0, datum.n + 1):
+        with pytest.raises(ValueError, match=rf"^vertex {i} outside 1\.\.{datum.n}$"):
+            reflect_root(datum, i, v)
+        with pytest.raises(ValueError, match=rf"^vertex {i} outside 1\.\.{datum.n}$"):
+            datum.alpha(i)
+    assert [datum.alpha(i) for i in datum.vertices()] == [
+        tuple(int(j == i) for j in datum.vertices()) for i in datum.vertices()
+    ]
+
+
 def test_reflection_permutes_other_positive_roots():
     # s_i negates alpha_i and permutes the remaining positive roots
     for label in ["A3", "D4"]:

@@ -11,7 +11,7 @@ from quiver_orders.fields import RATIONALS
 from quiver_orders.kostant import KostantPartition, OrientationLedger
 from quiver_orders.quivers import Quiver, linear_quiver, quiver
 from quiver_orders.reps import simple_rep
-from quiver_orders.root_system import Value, cartan_datum
+from quiver_orders.root_system import CartanDatum, Value, cartan_datum
 
 
 def test_equal_values_are_equal_with_equal_hashes():
@@ -86,6 +86,26 @@ def test_search_tables_are_built_once_and_stay_out_of_equality_and_hash():
     assert "search_tables" not in vars(fresh)
     assert fresh == order and hash(fresh) == hash(order)
     assert fresh.search_tables == tables
+
+
+def test_per_object_tables_stay_out_of_equality_hash_and_repr():
+    """The simple roots of a datum, the adjacency of a quiver and the root
+    positions of an order are built once per object, as `search_tables` is,
+    and never enter eq, hash or repr."""
+    datum = cartan_datum("A3")
+    Q = linear_quiver(datum)
+    order = adapted_order(Q)
+    datum.alpha(2), Q.arrows_into(2), order.index_of(order.beta[0])
+    pairs = [
+        (datum, CartanDatum(datum.label, datum.n, datum.cartan, datum.edges)),
+        (Q, Quiver(datum, Q.arrows)),
+        (order, build_order(datum, order.word).replace(quiver=Q)),
+    ]
+    for (old, new), name in zip(pairs, ["_simple_roots", "_adjacency", "_positions"]):
+        assert name in vars(old) and name not in vars(new)
+        assert old is not new and old == new and hash(old) == hash(new) and repr(old) == repr(new)
+        assert getattr(old, name) is getattr(old, name) == getattr(new, name)
+        assert name not in repr(old)
 
 
 def test_ledger_json_is_the_dataclass_text_and_round_trips():
